@@ -11,6 +11,15 @@ integrated core from deep in the slow region through the corner, and a
 backward integrated core descending from the far right, joined by a
 5-parameter least-squares match at the right junction.  The phase is fixed
 afterward by translating x so that B(0) = 1/sqrt(g).
+
+The shooting Jacobians of the realization stage are forward differences.
+Each junction column re-integrates only the core it moves (the two left
+parameters the left core, the three right ones the right core) and reuses
+the other core's value at the junction from the current iterate.  A shot
+read at one abscissa only (a difference column, a right-anchor calibration
+shot) is a value-only shot: it evaluates the step interpolant at that point
+and builds no dense output, which costs three extra field evaluations per
+step.  Shots that can become a final core keep their dense output.
 """
 
 from __future__ import annotations
@@ -328,12 +337,19 @@ class HeteroclinicProfile:
         }
 
 
-def _integrate_dense(s0, span, p, rtol, atol):
+def _shoot(s0, span, p, rtol, atol, at=None):
+    """Core shot over ``span``: the dense solution, or only the state at ``at``.
+
+    A value-only shot takes the same steps, and its value is the same step
+    interpolant evaluated at the same point, so it equals ``shot(at)`` of the
+    dense shot bit for bit.
+    """
+    out = {"dense_output": True} if at is None else {"t_eval": [at]}
     sol = solve_ivp(lambda x, y: dynamics.vector_field(y, p), span, s0,
-                    method="DOP853", dense_output=True, rtol=rtol, atol=atol)
+                    method="DOP853", rtol=rtol, atol=atol, **out)
     if not sol.success:
         raise RealizationError(f"core integration failed: {sol.message}")
-    return sol.sol
+    return sol.sol if at is None else sol.y[:, 0]
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -468,17 +484,17 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
         jet = leaf_a[:4] + cols_a @ np.asarray(c, dtype=float)
         return np.concatenate([jet, [b0_a, dynamics.b1_from_invariant(jet, b0_a, p)]])
 
-    def left_shot(c):
-        return _integrate_dense(left_seed(c), (x_a, x_hat + w_h + 0.25), p,
-                                cfg.ode_rtol, cfg.ode_atol)
+    def left_shot(c, at=None):
+        return _shoot(left_seed(c), (x_a, x_hat + w_h + 0.25), p,
+                      cfg.ode_rtol, cfg.ode_atol, at)
 
     frame00 = frames.slow_frame(b00, p)
     seed_target = outer.unstable_seed(scaling, p, (unknowns.x1u, unknowns.x2u),
                                       k0=math.inf)
     target_xy = frames.to_slow_coords(seed_target, frame00)[:2]
 
-    def left_measure(sol):
-        return frames.to_slow_coords(sol(-x_star), frame00)[:2]
+    def left_measure(state):
+        return frames.to_slow_coords(state, frame00)[:2]
 
     # damped Newton on the 2-D shooting map c -> X-coordinates at the left
     # section; the Jacobian is re-evaluated because the window amplifies the
@@ -486,21 +502,22 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
     h_cal = 1e-8
     c = np.zeros(2)
     sol_l = left_shot(c)
-    res = target_xy - left_measure(sol_l)
+    res = target_xy - left_measure(sol_l(-x_star))
     cal_tol = 1e-8 * (1.0 + np.abs(target_xy).max())
     for _ in range(16):
         if np.abs(res).max() < cal_tol:
             break
+        m_l = left_measure(sol_l(-x_star))
         m_cal = np.column_stack([
-            (left_measure(left_shot(c + [h_cal, 0.0])) - left_measure(sol_l)) / h_cal,
-            (left_measure(left_shot(c + [0.0, h_cal])) - left_measure(sol_l)) / h_cal,
+            (left_measure(left_shot(c + e, at=-x_star)) - m_l) / h_cal
+            for e in ([h_cal, 0.0], [0.0, h_cal])
         ])
         dc = np.linalg.solve(m_cal, res)
         t = 1.0
         for _ in range(20):
             try:
                 sol_try = left_shot(c + t * dc)
-                res_try = target_xy - left_measure(sol_try)
+                res_try = target_xy - left_measure(sol_try(-x_star))
             except (ValueError, RealizationError):
                 t *= 0.5
                 continue
@@ -530,7 +547,12 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
                                    k1=math.inf)[:4]
 
     def right_seed(d1, d2, beta):
-        dt = (p.g1 * beta * beta - 1.0) ** 0.25
+        gap = p.g1 * beta * beta - 1.0
+        if gap <= 0.0:
+            # the fast stable pair of the A = 0 leaf needs B > 1/sqrt(g1)
+            raise ValueError(f"right anchor amplitude {float(beta):.6g} is not "
+                             f"above 1/sqrt(1+delta^2) = {p.g1**-0.5:.6g}")
+        dt = gap ** 0.25
         mu = -dt / math.sqrt(2.0) * (1.0 + 1.0j)
         pows = np.array([mu**k for k in range(4)])
         jet = d1 * pows.real + d2 * pows.imag
@@ -540,17 +562,16 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
         """Calibrate the right anchor at window t_r and run the junction match."""
         x_r = x_hat + t_r
 
-        def right_shot(d1, d2, beta):
-            return _integrate_dense(right_seed(d1, d2, beta),
-                                    (x_r, x_hat - w_h - 0.25), p,
-                                    cfg.ode_rtol, cfg.ode_atol)
+        def right_shot(d1, d2, beta, at=None):
+            return _shoot(right_seed(d1, d2, beta), (x_r, x_hat - w_h - 0.25),
+                          p, cfg.ode_rtol, cfg.ode_atol, at)
 
         beta0 = math.tanh(math.atanh(b01) + eps / math.sqrt(2.0) * t_r)
-        g0 = right_shot(0.0, 0.0, beta0)(x_hat)[:4]
+        g0 = right_shot(0.0, 0.0, beta0, at=x_hat)[:4]
         h_d = 1e-9
         n_cal = np.column_stack([
-            (right_shot(h_d, 0.0, beta0)(x_hat)[:4] - g0) / h_d,
-            (right_shot(0.0, h_d, beta0)(x_hat)[:4] - g0) / h_d,
+            (right_shot(h_d, 0.0, beta0, at=x_hat)[:4] - g0) / h_d,
+            (right_shot(0.0, h_d, beta0, at=x_hat)[:4] - g0) / h_d,
         ])
         d0, *_ = np.linalg.lstsq(n_cal, target_jet - g0, rcond=None)
         theta = np.array([c[0], c[1], d0[0], d0[1], beta0])
@@ -565,12 +586,18 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
         for _ in range(cfg.refine_max_iter):
             if mismatch < cfg.refine_tol:
                 break
+            # each column moves one core: columns 0-1 the left, 2-4 the right
+            y_l, y_r = sl(x_hat), sr(x_hat)
             J = np.empty((6, 5))
             for j in range(5):
                 tp = theta.copy()
                 step = 1e-6 * (abs(theta[j]) + th_floor[j])
                 tp[j] += step
-                J[:, j] = (residual(tp)[0] - r) / step
+                if j < 2:
+                    diff = left_shot((tp[0], tp[1]), at=x_hat) - y_r
+                else:
+                    diff = y_l - right_shot(tp[2], tp[3], tp[4], at=x_hat)
+                J[:, j] = (diff / floor - r) / step
             dth, *_ = np.linalg.lstsq(J, -r, rcond=None)
             t = 1.0
             for _ in range(12):

@@ -51,7 +51,17 @@ def _fd(fn, b, h=_FD_STEP):
     return (fn(b + h) - fn(b - h)) / (2.0 * h)
 
 
-def _leaf_jets(b0, p: Params, b1_fn=None) -> np.ndarray:
+def _memoized(memo: dict, tag, fn):
+    """``fn`` evaluated once per distinct abscissa array, stored in ``memo``."""
+    def value(b):
+        key = (tag, b.tobytes())
+        if key not in memo:
+            memo[key] = fn(b)
+        return memo[key]
+    return value
+
+
+def _leaf_jets(b0, p: Params, b1_fn=None, memo=None) -> np.ndarray:
     """Slaved jet rows (A, A', A'', A''') of the slow leaf; vectorized.
 
     The chain differentiates through the leading B-equation (or through a
@@ -59,6 +69,13 @@ def _leaf_jets(b0, p: Params, b1_fn=None) -> np.ndarray:
     second-order correction eta that restores the fourth-derivative row of
     the flow, found from one deferred sweep.  Nested derivatives use graded
     central differences on the analytic base functions.
+
+    Each node of the nested difference tree is evaluated once per ``memo``,
+    keyed by its exact abscissae: the chain-independent a0 = astar + eta and
+    the chain rows of the principal chain or of ``b1_fn``.  :func:`leaf_states`
+    shares one memo, per chunk of amplitudes, between its jet chain and every
+    nested :func:`leaf_b1` evaluation of its stencil values; without a memo
+    nothing outlives the call.
     """
     b0 = np.asarray(b0, dtype=float)
     g1 = 1.0 + p.delta**2
@@ -66,6 +83,7 @@ def _leaf_jets(b0, p: Params, b1_fn=None) -> np.ndarray:
     if np.any(1.0 - g1 * reach * reach <= 0.0):
         raise ValueError("amplitude outside the slow branch (or too close to "
                          "its edge for the slaving stencils)")
+    memo = {} if memo is None else memo
 
     def astar(b):
         return np.sqrt(1.0 - g1 * b * b)
@@ -74,6 +92,7 @@ def _leaf_jets(b0, p: Params, b1_fn=None) -> np.ndarray:
         return _leaf_b1_principal(b, p)
 
     bchain = b1_fn or b1p
+    chain = "leaf" if b1_fn else "principal"
 
     def a1_0(b):
         # analytic first chain derivative: d(astar)/db * dB/dx
@@ -89,17 +108,10 @@ def _leaf_jets(b0, p: Params, b1_fn=None) -> np.ndarray:
     def eta(b):
         return -_fd(a3_0, b) * b1p(b) / (2.0 * astar(b) ** 2)
 
-    def a0_fn(b):
-        return astar(b) + eta(b)
-
-    def a1_fn(b):
-        return _fd(a0_fn, b) * bchain(b)
-
-    def a2_fn(b):
-        return _fd(a1_fn, b) * bchain(b)
-
-    def a3_fn(b):
-        return _fd(a2_fn, b) * bchain(b)
+    a0_fn = _memoized(memo, "a0", lambda b: astar(b) + eta(b))
+    a1_fn = _memoized(memo, ("a1", chain), lambda b: _fd(a0_fn, b) * bchain(b))
+    a2_fn = _memoized(memo, ("a2", chain), lambda b: _fd(a1_fn, b) * bchain(b))
+    a3_fn = _memoized(memo, ("a3", chain), lambda b: _fd(a2_fn, b) * bchain(b))
 
     return np.array([a0_fn(b0), a1_fn(b0), a2_fn(b0), a3_fn(b0)])
 
@@ -113,11 +125,18 @@ def _bracket_vec(jets: np.ndarray, b0, p: Params):
             - 2.0 * a2**2 + 4.0 * a1 * a3)
 
 
-def leaf_b1(b0, p: Params):
-    """B' on the slow leaf: the W = 0 root of the level-0 slaved jet."""
+def leaf_b1(b0, p: Params, memo=None):
+    """B' on the slow leaf: the W = 0 root of the level-0 slaved jet.
+
+    ``memo`` is handed to :func:`_leaf_jets`.
+    """
     b0 = np.asarray(b0, dtype=float)
-    br = _bracket_vec(_leaf_jets(b0, p), b0, p)
+    br = _bracket_vec(_leaf_jets(b0, p, memo=memo), b0, p)
     return p.epsilon / math.sqrt(2.0) * np.sqrt(br)
+
+
+# amplitudes per memo in leaf_states: bounds the memo's memory
+_LEAF_CHUNK = 512
 
 
 def leaf_states(b0, p: Params) -> np.ndarray:
@@ -129,8 +148,14 @@ def leaf_states(b0, p: Params) -> np.ndarray:
     :func:`leaf_b1` while W vanishes to the slaving accuracy.
     """
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
-    jets = _leaf_jets(b0, p, b1_fn=lambda bb: leaf_b1(bb, p))
-    return np.column_stack([jets.T, b0, leaf_b1(b0, p)])
+    out = np.empty((b0.size, 6))
+    for lo in range(0, b0.size, _LEAF_CHUNK):
+        chunk = b0[lo:lo + _LEAF_CHUNK]
+        memo = {}
+        b1_fn = _memoized(memo, "b1", lambda bb: leaf_b1(bb, p, memo))
+        jets = _leaf_jets(chunk, p, b1_fn=b1_fn, memo=memo)
+        out[lo:lo + chunk.size] = np.column_stack([jets.T, chunk, b1_fn(chunk)])
+    return out
 
 
 def slow_leaf_state(b0: float, p: Params) -> np.ndarray:

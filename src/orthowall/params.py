@@ -271,7 +271,8 @@ def working_scaling(p: Params, nu_minus: float | None = None,
     return sc
 
 
-#: (boundary condition label, minimal g, minimal delta, minimal Prandtl number)
+#: (boundary condition label, minimal g, minimal Prandtl number); the minimal
+#: delta is derived from g by :func:`physical_regimes`
 _REGIME_ROWS = (
     ("rigid-rigid", 1.227, 0.5308),
     ("rigid-free", 1.332, 0.6222),

@@ -183,13 +183,34 @@ def test_report_and_csv(tmp_path, profile15):
     assert np.array_equal(states, prof.states)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_corner_window_backoff():
     # delta just above 1/3 with eps at the ceiling: the default right window
     # overshoots the match basin and the solver must back off toward the
-    # amplification floor
-    p = derive_params(0.25, 1.115)
-    prof = connect.heteroclinic_solve(p)
-    assert prof.junction_mismatch < 1e-6
-    assert prof.sup_w < 1e-8
-    assert prof.min_b1 > 0.0
-    assert abs(prof.b0_at_zero - p.inv_sqrt_g) < 1e-10
+    # amplification floor.  At g = 1.12 junction line-search trials step
+    # below beta = 1/sqrt(g); they must be rejected as invalid seeds, not
+    # evaluated as NaN
+    for g in (1.115, 1.12):
+        p = derive_params(0.25, g)
+        prof = connect.heteroclinic_solve(p)
+        assert prof.junction_mismatch < 1e-6
+        assert prof.sup_w < 1e-8
+        assert prof.min_b1 > 0.0
+        assert abs(prof.b0_at_zero - p.inv_sqrt_g) < 1e-10
+
+
+def test_junction_work_guard(monkeypatch, p15):
+    # side-aware junction columns and value-only difference shots keep the
+    # anchor solve near 38k field evaluations; re-integrating both cores per
+    # junction column with dense output takes 64k and fails the bound
+    calls = 0
+    field = dynamics.vector_field
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return field(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "vector_field", counted)
+    connect.heteroclinic_solve(p15)
+    assert 0 < calls < 45_000

@@ -164,3 +164,79 @@ def test_b1_positive_along_unstable_shot(p, sc, profile15):
     st = prof.sample(xs)
     assert np.all(st[:, 5] > 0.0)
     assert np.all((st[:, 4] > 0) & (st[:, 4] < sc.b00 * (1 + 1e-9)))
+
+
+# -- reference: the unshared nested central-difference recursion ------------
+
+def _reference_leaf_jets(b0, p, b1_fn=None):
+    b0 = np.asarray(b0, dtype=float)
+    g1 = 1.0 + p.delta**2
+    h = outer._FD_STEP
+
+    def fd(fn, b):
+        return (fn(b + h) - fn(b - h)) / (2.0 * h)
+
+    def astar(b):
+        return np.sqrt(1.0 - g1 * b * b)
+
+    def b1p(b):
+        c2 = 1.0 + 0.5 * p.delta**2
+        return p.epsilon * p.delta * b * np.sqrt(1.0 - c2 * b * b)
+
+    bchain = b1_fn or b1p
+
+    def a1_0(b):
+        return -g1 * b / astar(b) * b1p(b)
+
+    def a2_0(b):
+        hc = 1e-100
+        return (a1_0(b + 1j * hc)).imag / hc * b1p(b)
+
+    def a3_0(b):
+        return fd(a2_0, b) * b1p(b)
+
+    def eta(b):
+        return -fd(a3_0, b) * b1p(b) / (2.0 * astar(b) ** 2)
+
+    def a0_fn(b):
+        return astar(b) + eta(b)
+
+    def a1_fn(b):
+        return fd(a0_fn, b) * bchain(b)
+
+    def a2_fn(b):
+        return fd(a1_fn, b) * bchain(b)
+
+    def a3_fn(b):
+        return fd(a2_fn, b) * bchain(b)
+
+    return np.array([a0_fn(b0), a1_fn(b0), a2_fn(b0), a3_fn(b0)])
+
+
+def _reference_leaf_b1(b0, p):
+    b0 = np.asarray(b0, dtype=float)
+    a0, a1, a2, a3 = _reference_leaf_jets(b0, p)
+    d2 = p.delta**2
+    br = ((1.0 - b0**2) ** 2
+          + a0**2 * (a0**2 + 2.0 * d2 * b0**2 + 2.0 * (b0**2 - 1.0))
+          - 2.0 * a2**2 + 4.0 * a1 * a3)
+    return p.epsilon / math.sqrt(2.0) * np.sqrt(br)
+
+
+def _reference_leaf_states(b0, p):
+    b0 = np.atleast_1d(np.asarray(b0, dtype=float))
+    jets = _reference_leaf_jets(b0, p, b1_fn=lambda bb: _reference_leaf_b1(bb, p))
+    return np.column_stack([jets.T, b0, _reference_leaf_b1(b0, p)])
+
+
+def test_leaf_states_match_unshared_recursion(p, sc):
+    # shared stencil values must reproduce the plain recursion bit for bit,
+    # for a scalar and across several chunks (the last one partial)
+    b_edge = 0.9 / math.sqrt(p.g1)
+    for b0 in (0.35, np.linspace(1e-4, b_edge, 3 * outer._LEAF_CHUNK + 37)):
+        got = outer.leaf_states(b0, p)
+        ref = _reference_leaf_states(b0, p)
+        assert got.shape == ref.shape
+        assert np.all(np.isfinite(ref))
+        assert np.array_equal(got, ref)
+    assert np.array_equal(outer.leaf_b1(b0, p), _reference_leaf_b1(b0, p))
