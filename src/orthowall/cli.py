@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, connect, inner, linop, verify
-from .integrate import read_profile_csv
+from .integrate import read_profile_csv, write_json
 from .params import AdmissibilityError, derive_params, load_config
 
 _DEFAULT_CONFIG = {
@@ -64,7 +64,9 @@ def _resolve_config(args) -> dict:
 
 
 def _solve_config(cfg: dict) -> connect.SolveConfig:
-    tol = cfg["tolerances"]
+    tol, grid = cfg["tolerances"], cfg["grid"]
+    if not (isinstance(tol, dict) and isinstance(grid, dict)):
+        raise ConfigError("config entries 'tolerances' and 'grid' must be objects")
     return connect.SolveConfig(
         nu_minus=cfg.get("nu_minus"),
         nu_plus=cfg.get("nu_plus"),
@@ -73,8 +75,8 @@ def _solve_config(cfg: dict) -> connect.SolveConfig:
         ode_rtol=tol["ode_rtol"],
         ode_atol=tol["ode_atol"],
         refine_tol=tol["refine"],
-        inner_grid_points=cfg["grid"]["inner_points"],
-        profile_points=cfg["grid"]["profile_points"],
+        inner_grid_points=grid["inner_points"],
+        profile_points=grid["profile_points"],
         tail_efolds=cfg["tail_efolds"],
     )
 
@@ -88,13 +90,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
 def _manifest(out: Path, cfg: dict, outputs: list[str], metrics: dict) -> None:
-    _write_json(out / "manifest.json", {
+    write_json(out / "manifest.json", {
         "tool": "orthowall",
         "version": __version__,
         "command": sys.argv,
@@ -121,7 +118,7 @@ def cmd_solve(args) -> int:
         name: {"rate": fit.rate, "target": fit.target, "rel_err": fit.rel_err}
         for name, fit in verify.fit_decay_rates(profile).items()
     }
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     _manifest(out, cfg, ["profile.csv", "report.json", "manifest.json"], {
         "b0_at_zero": report["b0_at_zero"],
         "a0_at_zero": report["a0_at_zero"],
@@ -142,38 +139,11 @@ def cmd_sweep(args) -> int:
     if not eps_list or len(eps_list) < 4:
         raise ConfigError("sweep needs an epsilon_list with at least 4 values")
 
-    def run_member(eps):
-        # per-member artifacts go to distinct subdirectories, so concurrent
-        # members never contend on writes
-        p = derive_params(eps, cfg["g"])
-        profile = connect.heteroclinic_solve(p, _solve_config(cfg))
-        sub = out / f"eps_{eps:g}"
-        sub.mkdir(exist_ok=True)
-        profile.to_csv(str(sub / "profile.csv"))
-        _write_json(sub / "report.json", profile.report())
-        return {
-            "epsilon": eps,
-            "a0_at_zero": profile.a0_at_zero,
-            "corner_half_width": abs(profile.x_star_left),
-            "b0_at_zero": profile.b0_at_zero,
-        }
-
-    rows, excluded = [], []
-    members = sorted(eps_list)
     workers = max(1, int(getattr(args, "workers", 1) or 1))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {eps: pool.submit(run_member, eps) for eps in members}
-        results = {eps: fut for eps, fut in futures.items()}
-    else:
-        results = None
-    for eps in members:
-        try:
-            rows.append(results[eps].result() if results else run_member(eps))
-        except Exception as exc:  # noqa: BLE001 - recorded per member
-            excluded.append({"epsilon": eps, "error": str(exc)})
-            _say(args, f"sweep: epsilon = {eps:g} failed: {exc}")
+    rows, excluded = verify.solve_members(cfg["g"], eps_list, _solve_config(cfg),
+                                          workers, out_dir=out)
+    for rec in excluded:
+        _say(args, f"sweep: epsilon = {rec['epsilon']:g} failed: {rec['error']}")
     scaling = {"rows": rows, "excluded": excluded}
     if len(rows) >= 2:
         le = np.log([r["epsilon"] for r in rows])
@@ -181,7 +151,7 @@ def cmd_sweep(args) -> int:
             le, np.log([abs(r["a0_at_zero"]) for r in rows]), 1)[0])
         scaling["slope_width"] = float(np.polyfit(
             le, np.log([r["corner_half_width"] for r in rows]), 1)[0])
-    _write_json(out / "scaling.json", scaling)
+    write_json(out / "scaling.json", scaling)
     _manifest(out, cfg, ["scaling.json"], {
         "converged": len(rows), "failed": len(excluded),
         "slope_a0": scaling.get("slope_a0"),
@@ -212,7 +182,7 @@ def cmd_inner(args) -> int:
         "contraction_constant": inner.contraction_constant(args.a_plus),
         "max_delta_ratio": max(sol.delta_ratios(floor=1e-13), default=0.0),
     }
-    _write_json(out / "inner_report.json", payload)
+    write_json(out / "inner_report.json", payload)
     _manifest(out, {"inner": payload}, ["inner.csv", "inner_report.json"],
               {"residual": residual})
     _say(args, f"inner: residual {residual:.3e} over {len(sol.segments)} sweeps")
@@ -253,7 +223,7 @@ def cmd_spectrum(args) -> int:
             "L_plus": linop.asymptotic_spectrum(p.g, "plus", "L"),
         },
     }
-    _write_json(out / "spectrum.json", payload)
+    write_json(out / "spectrum.json", payload)
     _manifest(out, {"profile": str(args.profile)}, ["spectrum.json"],
               {"kernel_angle": diag.kernel_angle})
     _say(args, f"spectrum: kernel angle {diag.kernel_angle:.3e} rad, "
@@ -290,7 +260,7 @@ def cmd_verify(args) -> int:
                    2.0**0.5 * eps)
         window_fit(guard, 0.9 * x[-1], states[:, 0], "right_a_envelope",
                    (delta / 2.0) ** 0.5, envelope=True)
-    _write_json(out / "verify.json", rep.to_dict())
+    write_json(out / "verify.json", rep.to_dict())
     _manifest(out, {"profile": str(args.profile)}, ["verify.json"],
               {"passed": rep.passed})
     _say(args, f"verify: {'PASS' if rep.passed else 'FAIL'} "
@@ -327,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--epsilons", help="comma-separated epsilon list")
     sp.add_argument("--workers", type=int, default=1,
-                    help="worker pool size for concurrent member solves")
+                    help="solve members in this many forked worker processes; "
+                         "the output is byte-identical to a serial run")
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("inner", help="solve the rescaled corner-layer problem")

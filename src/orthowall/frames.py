@@ -180,20 +180,6 @@ def z1_resolve(c4, frame: SlowFrame, p: Params) -> float:
     return math.sqrt(rhs) / a
 
 
-def scaled_coords(c: np.ndarray, alpha: float, p: Params) -> np.ndarray:
-    """Optional rescaled view of slow coordinates.
-
-    The fast pairs carry the natural size alpha^(3/2) * delta and the
-    neutral coordinate eps * delta; dividing them out gives order-one
-    quantities for ball checks and reporting.
-    """
-    c = np.asarray(c, dtype=float)
-    out = c.copy()
-    out[:4] = c[:4] / (alpha**1.5 * p.delta)
-    out[4] = c[4] / (p.epsilon * p.delta)
-    return out
-
-
 @dataclass(frozen=True)
 class FastFrame:
     """Basis data on the fast side, where (1+delta^2) B^2 > 1."""

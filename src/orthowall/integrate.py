@@ -7,7 +7,9 @@ quantity W at its nodes; the drift is reported, never projected out.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -108,6 +110,12 @@ def read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if data.ndim == 1:
         data = data[None, :]
     return data[:, 0], data[:, 1:7], data[:, 7]
+
+
+def write_json(path, payload: dict) -> None:
+    """Write a JSON report with sorted keys, two-space indent and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def integrate(s0: np.ndarray, span: tuple[float, float], p: Params,

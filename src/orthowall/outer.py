@@ -163,12 +163,6 @@ def slow_leaf_state(b0: float, p: Params) -> np.ndarray:
     return leaf_states(b0, p)[0]
 
 
-def left_tail_states(x, b00: float, p: Params, x_star: float) -> np.ndarray:
-    """Slow-leaf states sampled along the closed-form left B-profile."""
-    b0s = np.atleast_1d(b0_left_profile(x, b00, p, x_star))
-    return leaf_states(b0s, p)
-
-
 # -- right reduced profile ------------------------------------------------
 
 def v_right_profile(x, p: Params):

@@ -10,12 +10,13 @@ fitted constant reported against a generous sanity ceiling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import connect
+from .integrate import write_json
 from .params import derive_params
 
 
@@ -237,6 +238,75 @@ class ScalingFit:
         }
 
 
+def solve_member(g: float, eps: float, solve_cfg: connect.SolveConfig | None = None,
+                 out_dir=None) -> dict:
+    """Solve one sweep member; never raises.
+
+    Returns the scaling row ``{epsilon, a0_at_zero, corner_half_width,
+    b0_at_zero}``, or ``{epsilon, error}`` with the error text when the solve
+    or the writing of its files fails.  With ``out_dir`` the member also
+    writes ``eps_{eps:g}/profile.csv`` and ``report.json`` there.  Errors
+    are caught and files written here, in the worker process, because an
+    exception may not unpickle in the parent (``AdmissibilityError`` takes
+    two arguments) and a profile cannot be pickled at all (its pieces hold
+    closures).
+    """
+    try:
+        prof = connect.heteroclinic_solve(derive_params(eps, g), solve_cfg)
+        if out_dir is not None:
+            sub = Path(out_dir) / f"eps_{eps:g}"
+            sub.mkdir(exist_ok=True)
+            prof.to_csv(str(sub / "profile.csv"))
+            write_json(sub / "report.json", prof.report())
+        return {
+            "epsilon": eps,
+            "a0_at_zero": prof.a0_at_zero,
+            "corner_half_width": abs(prof.x_star_left),
+            "b0_at_zero": prof.b0_at_zero,
+        }
+    except Exception as exc:  # noqa: BLE001 - recorded per member
+        return {"epsilon": eps, "error": str(exc)}
+
+
+def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = None,
+                  workers: int = 1, out_dir=None) -> tuple[list[dict], list[dict]]:
+    """Run :func:`solve_member` for each eps; returns ``(rows, excluded)``.
+
+    Both lists follow the sorted eps order.  With ``workers > 1`` the members
+    run in at most that many forked worker processes; the records match a
+    serial run's byte for byte.  Fork shares the parent's imported numpy and
+    scipy, which a fresh interpreter per worker would have to load again;
+    where the platform has no fork, the members run serially.  A fork copies
+    only the calling thread, so call this from a process that runs no other
+    threads of its own; the CLI runs none.
+    """
+    members = sorted(eps_list)
+    workers = min(workers, len(members))
+    if workers > 1:
+        # imported here so that a process that never sweeps in parallel
+        # does not load (and hold in memory) the pool machinery
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers > 1:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            futures = [pool.submit(solve_member, g, eps, solve_cfg, out_dir)
+                       for eps in members]
+            records = []
+            for eps, fut in zip(members, futures):
+                try:
+                    records.append(fut.result())
+                except Exception as exc:  # noqa: BLE001 - a worker died
+                    records.append({"epsilon": eps, "error": str(exc)})
+    else:
+        records = [solve_member(g, eps, solve_cfg, out_dir) for eps in members]
+    rows = [r for r in records if "error" not in r]
+    excluded = [r for r in records if "error" in r]
+    return rows, excluded
+
+
 def scaling_study(g: float, eps_list, solve_cfg: connect.SolveConfig | None = None,
                   workers: int = 1) -> ScalingFit:
     """Exponents of A(0) and of the corner half-width across an eps sweep.
@@ -245,40 +315,16 @@ def scaling_study(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     phase-fixed profile (the right-junction crossing is polluted at desk
     scale by the slower-decaying flow corrections on that side).  Requires
     at least 4 values spanning at least 3 octaves.  Failed member solves
-    are excluded from the fits and reported.
+    are excluded from the fits and reported.  ``workers > 1`` solves the
+    members in forked processes (see :func:`solve_members`); the result is
+    identical to a serial run.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 4:
         raise ValueError(f"need at least 4 epsilon values, got {len(eps_list)}")
     if eps_list[-1] / eps_list[0] < 8.0 * (1.0 - 1e-9):
         raise ValueError("epsilon values must span at least 3 octaves")
-
-    def run(eps):
-        p = derive_params(eps, g)
-        prof = connect.heteroclinic_solve(p, solve_cfg)
-        return {
-            "epsilon": eps,
-            "a0_at_zero": prof.a0_at_zero,
-            "corner_half_width": abs(prof.x_star_left),
-            "b0_at_zero": prof.b0_at_zero,
-        }
-
-    rows, excluded = [], []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {eps: pool.submit(run, eps) for eps in eps_list}
-        results = {eps: fut for eps, fut in futures.items()}
-        for eps in eps_list:
-            try:
-                rows.append(results[eps].result())
-            except Exception as exc:  # noqa: BLE001 - recorded per member
-                excluded.append({"epsilon": eps, "error": str(exc)})
-    else:
-        for eps in eps_list:
-            try:
-                rows.append(run(eps))
-            except Exception as exc:  # noqa: BLE001
-                excluded.append({"epsilon": eps, "error": str(exc)})
+    rows, excluded = solve_members(g, eps_list, solve_cfg, workers)
     if len(rows) < 2:
         raise RuntimeError("fewer than 2 converged members; cannot fit slopes")
     le = np.log([r["epsilon"] for r in rows])

@@ -74,18 +74,40 @@ def test_inner_zero_data(tmp_path):
 
 
 def test_sweep_with_fault_injection(tmp_path):
+    # serial and forked-worker runs: the failing member is recorded with its
+    # own message and both write the same bytes
     cfgp = write_config(tmp_path / "c.json",
                         epsilon_list=[0.2, 0.1, 0.05, 0.025, 0.26])
-    out = tmp_path / "sweep"
-    rc = cli.main(["sweep", "--config", cfgp, "--out", str(out), "--quiet"])
-    assert rc == 0
-    scaling = json.loads((out / "scaling.json").read_text())
-    assert len(scaling["rows"]) == 4
-    assert len(scaling["excluded"]) == 1
-    assert scaling["excluded"][0]["epsilon"] == 0.26
-    assert abs(scaling["slope_a0"] - 0.40) <= 0.08
-    assert abs(scaling["slope_width"] + 0.20) <= 0.05
-    assert (out / "eps_0.1" / "profile.csv").exists()
+    written = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"sweep{workers}"
+        rc = cli.main(["sweep", "--config", cfgp, "--out", str(out), "--quiet",
+                       "--workers", workers])
+        assert rc == 0
+        scaling = json.loads((out / "scaling.json").read_text())
+        assert [r["epsilon"] for r in scaling["rows"]] == [0.025, 0.05, 0.1, 0.2]
+        assert len(scaling["excluded"]) == 1
+        assert scaling["excluded"][0]["epsilon"] == 0.26
+        assert scaling["excluded"][0]["error"].startswith("epsilon_ceiling: ")
+        assert abs(scaling["slope_a0"] - 0.40) <= 0.08
+        assert abs(scaling["slope_width"] + 0.20) <= 0.05
+        assert (out / "eps_0.1" / "profile.csv").exists()
+        assert not (out / "eps_0.26").exists()
+        written[workers] = {
+            str(f.relative_to(out)): f.read_bytes()
+            for f in sorted(out.rglob("*"))
+            if f.is_file() and f.name != "manifest.json"
+        }
+    assert written["1"] == written["2"]
+    assert len(written["1"]) == 9
+
+
+def test_sweep_rejects_malformed_grid(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "c.json", grid=4001,
+                        epsilon_list=[0.2, 0.1, 0.05, 0.025])
+    rc = cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "'grid' must be objects" in capsys.readouterr().err
 
 
 def test_sweep_too_few_points(tmp_path):

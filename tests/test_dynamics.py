@@ -29,6 +29,29 @@ def test_vector_field_value(p):
     assert f[5] == pytest.approx(-0.0035355339, abs=1e-9)
 
 
+def _vector_field_numpy_scalars(s, p):
+    """Reference: the same expressions evaluated on numpy float64 scalars."""
+    a0, a1, a2, a3, b0, b1 = s
+    return np.array([
+        a1,
+        a2,
+        a3,
+        a0 * (1.0 - a0 * a0 - p.g * b0 * b0),
+        b1,
+        p.epsilon**2 * b0 * (-1.0 + p.g * a0 * a0 + b0 * b0),
+    ])
+
+
+def test_vector_field_matches_numpy_scalar_reference():
+    for eps, g in ((0.1, 2.0), (0.25, 1.12), (0.01, 1.5)):
+        q = derive_params(eps, g)
+        states = np.vstack([dynamics.M_MINUS, dynamics.M_PLUS,
+                            random_states(1000, scale=1.5, seed=6)])
+        for s in states:
+            assert np.array_equal(dynamics.vector_field(s, q),
+                                  _vector_field_numpy_scalars(s, q))
+
+
 def test_first_integral_values(p):
     assert dynamics.first_integral(dynamics.M_MINUS, p) == 0.0
     assert dynamics.first_integral(dynamics.M_PLUS, p) == 0.0

@@ -91,8 +91,15 @@ def test_scaling_study_slopes(sweep15):
 
 
 def test_scaling_study_excludes_failures():
-    # one member beyond the epsilon ceiling fails and is reported
-    fit = verify.scaling_study(1.5, [0.2, 0.1, 0.05, 0.025, 0.26])
-    assert len(fit.excluded) == 1
-    assert fit.excluded[0]["epsilon"] == 0.26
-    assert len(fit.rows) == 4
+    # one member beyond the epsilon ceiling fails and is reported, also
+    # when the members run in forked worker processes
+    fits = {}
+    for workers in (1, 2):
+        fit = verify.scaling_study(1.5, [0.2, 0.1, 0.05, 0.025, 0.26],
+                                   workers=workers)
+        assert len(fit.excluded) == 1
+        assert fit.excluded[0]["epsilon"] == 0.26
+        assert fit.excluded[0]["error"].startswith("epsilon_ceiling: ")
+        assert len(fit.rows) == 4
+        fits[workers] = fit.to_dict()
+    assert fits[1] == fits[2]
