@@ -12,27 +12,31 @@ import datetime
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+from scipy.interpolate import CubicHermiteSpline
 
-from . import __version__, connect, inner, linop, verify
+from . import __version__, connect, dynamics, inner, linop, verify
 from .integrate import read_profile_csv, write_json
 from .params import AdmissibilityError, derive_params, load_config
 
+_SOLVE_DEFAULTS = connect.SolveConfig()
 _DEFAULT_CONFIG = {
     "epsilon": 0.1,
     "g": 1.5,
-    "nu_minus": None,
-    "nu_plus": None,
+    "nu_minus": _SOLVE_DEFAULTS.nu_minus,
+    "nu_plus": _SOLVE_DEFAULTS.nu_plus,
     "tolerances": {
-        "newton": 1e-10,
-        "inner": 1e-12,
-        "ode_rtol": 1e-12,
-        "ode_atol": 1e-14,
-        "refine": 2e-7,
+        "newton": _SOLVE_DEFAULTS.newton_tol,
+        "inner": _SOLVE_DEFAULTS.inner_tol,
+        "ode_rtol": _SOLVE_DEFAULTS.ode_rtol,
+        "ode_atol": _SOLVE_DEFAULTS.ode_atol,
+        "refine": _SOLVE_DEFAULTS.refine_tol,
     },
-    "grid": {"inner_points": 2048, "profile_points": 4001},
-    "tail_efolds": 8.0,
+    "grid": {"inner_points": _SOLVE_DEFAULTS.inner_grid_points,
+             "profile_points": _SOLVE_DEFAULTS.profile_points},
+    "tail_efolds": _SOLVE_DEFAULTS.tail_efolds,
 }
 
 
@@ -112,12 +116,14 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     p = derive_params(cfg["epsilon"], cfg["g"])
     profile = connect.heteroclinic_solve(p, _solve_config(cfg))
-    profile.to_csv(str(out / "profile.csv"))
+    # the report is complete before any file is written, so a failed rate
+    # fit leaves no profile.csv without its report.json
     report = profile.report()
     report["tail_rates"] = {
         name: {"rate": fit.rate, "target": fit.target, "rel_err": fit.rel_err}
         for name, fit in verify.fit_decay_rates(profile).items()
     }
+    profile.to_csv(str(out / "profile.csv"))
     write_json(out / "report.json", report)
     _manifest(out, cfg, ["profile.csv", "report.json", "manifest.json"], {
         "b0_at_zero": report["b0_at_zero"],
@@ -146,11 +152,7 @@ def cmd_sweep(args) -> int:
         _say(args, f"sweep: epsilon = {rec['epsilon']:g} failed: {rec['error']}")
     scaling = {"rows": rows, "excluded": excluded}
     if len(rows) >= 2:
-        le = np.log([r["epsilon"] for r in rows])
-        scaling["slope_a0"] = float(np.polyfit(
-            le, np.log([abs(r["a0_at_zero"]) for r in rows]), 1)[0])
-        scaling["slope_width"] = float(np.polyfit(
-            le, np.log([r["corner_half_width"] for r in rows]), 1)[0])
+        scaling["slope_a0"], scaling["slope_width"] = verify.fit_slopes(rows)
     write_json(out / "scaling.json", scaling)
     _manifest(out, cfg, ["scaling.json"], {
         "converged": len(rows), "failed": len(excluded),
@@ -193,19 +195,17 @@ def _load_profile(args):
     path = Path(args.profile)
     if not path.exists():
         raise ConfigError(f"profile file {path} not found")
+    rp = Path(args.report) if args.report else path.parent / "report.json"
+    if not rp.exists():
+        raise ConfigError(f"{args.command} needs the report.json of the solve; "
+                          f"{rp} not found")
     x, states, w = read_profile_csv(str(path))
-    report = None
-    rp = Path(args.report) if getattr(args, "report", None) else path.parent / "report.json"
-    if rp.exists():
-        report = json.loads(rp.read_text(encoding="utf-8"))
-    return x, states, w, report
+    return x, states, w, json.loads(rp.read_text(encoding="utf-8"))
 
 
 def cmd_spectrum(args) -> int:
     out = _out_dir(args)
     x, states, w, report = _load_profile(args)
-    if report is None:
-        raise ConfigError("spectrum needs the report.json written next to the profile")
     p = derive_params(report["epsilon"], report["g"])
     op = linop.assemble_Mg(x, states, p)
     diag = linop.kernel_diagnostics(op, states, p)
@@ -231,35 +231,23 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _csv_profile(x, states, w, report) -> SimpleNamespace:
+    """A written profile read back for :func:`verify.verify_profile`.
+
+    The CSV columns are the state and the vector field is their
+    x-derivative, so ``sample`` is the cubic Hermite interpolant of the grid
+    states with those derivatives.
+    """
+    p = derive_params(report["epsilon"], report["g"])
+    dydx = np.array([dynamics.vector_field(s, p) for s in states])
+    return SimpleNamespace(p=p, x_star_plus=report["x_star_plus"], x=x,
+                           states=states, w=w,
+                           sample=CubicHermiteSpline(x, states, dydx, axis=0))
+
+
 def cmd_verify(args) -> int:
     out = _out_dir(args)
-    x, states, w, report = _load_profile(args)
-    rep = verify.VerificationReport()
-    rep.add("first_integral", "sup |W| < 1e-8 over the profile",
-            float(np.abs(w).max()), 1e-8, 0.0, one_sided=True)
-    rep.add("b_prime_positive", "B' > 0 at every sample",
-            float(-states[:, 5].min()), 0.0, 0.0, one_sided=True)
-    rep.add("b_monotone", "B strictly increasing over the grid",
-            float(-np.min(np.diff(states[:, 4]))), 0.0, 0.0, one_sided=True)
-    if report is not None:
-        p = derive_params(report["epsilon"], report["g"])
-        eps, delta = p.epsilon, p.delta
-        xsp = report["x_star_plus"]
-        guard = 2.0 * xsp
-
-        def window_fit(lo, hi, values, name, target, envelope=False):
-            mask = (x >= lo) & (x <= hi)
-            fit = verify.fit_exponential_rate(x[mask], values[mask],
-                                              envelope=envelope, name=name,
-                                              target=target)
-            rep.add(f"rate_{name}", f"{name} rate within 10% of {target:.6g}",
-                    fit.rate, fit.target, 0.1 * abs(target))
-
-        window_fit(0.9 * x[0], -guard, states[:, 4], "left_b", eps * delta)
-        window_fit(guard, 0.9 * x[-1], 1.0 - states[:, 4], "right_b",
-                   2.0**0.5 * eps)
-        window_fit(guard, 0.9 * x[-1], states[:, 0], "right_a_envelope",
-                   (delta / 2.0) ** 0.5, envelope=True)
+    rep = verify.verify_profile(_csv_profile(*_load_profile(args)))
     write_json(out / "verify.json", rep.to_dict())
     _manifest(out, {"profile": str(args.profile)}, ["verify.json"],
               {"passed": rep.passed})
@@ -316,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", help="report.json path (default: next to profile)")
     sp.set_defaults(fn=cmd_spectrum)
 
-    sp = sub.add_parser("verify", help="check quantitative claims on a profile")
+    sp = sub.add_parser("verify", help="run the full check battery on a solved profile")
     common(sp, profile=True)
     sp.add_argument("profile", help="profile.csv path")
     sp.add_argument("--report", help="report.json path (default: next to profile)")

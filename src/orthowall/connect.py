@@ -33,7 +33,11 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import dynamics, frames, inner, outer
-from .params import Params, ScalingConfig, scaling_from_epsilon, working_scaling
+from .params import Params, ScalingConfig, working_scaling
+
+NEWTON_MAX_ITER = 25          # matching Newton iterations
+REFINE_MAX_ITER = 40          # junction-match Gauss-Newton iterations
+AMPLIFICATION_BUDGET = 9.0    # fast exponent accumulated over a core window
 
 
 class MatchingError(RuntimeError):
@@ -151,7 +155,7 @@ def _fd_jacobian(fn, u, r0, step=1e-7):
 
 
 def newton_match(ctx: MatchContext, u0, tol: float = 1e-10,
-                 max_iter: int = 25) -> tuple[MatchingUnknowns, dict]:
+                 max_iter: int = NEWTON_MAX_ITER) -> tuple[MatchingUnknowns, dict]:
     """Damped Newton iteration on :func:`boundary_map`."""
     u = np.asarray(u0, dtype=float).copy()
     fn = lambda v: boundary_map(v, ctx)
@@ -219,18 +223,13 @@ class SolveConfig:
     nu_minus: float | None = None
     nu_plus: float | None = None
     newton_tol: float = 1e-10
-    newton_max_iter: int = 25
     inner_grid_points: int = 2048
     inner_tol: float = 1e-12
     ode_rtol: float = 1e-12
     ode_atol: float = 1e-14
     refine_tol: float = 2e-7
-    refine_max_iter: int = 40
     tail_efolds: float = 8.0
     profile_points: int = 4001
-    amplification_budget: float = 9.0
-    right_window: float | None = None
-    strict_scaling: bool = False
 
 
 @dataclass
@@ -263,10 +262,6 @@ class HeteroclinicProfile:
     def sample(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return _sample_pieces(x + self.x_shift, self._pieces, self.p)
-
-    def w_of(self, x) -> np.ndarray:
-        states = self.sample(x)
-        return np.array([dynamics.first_integral(s, self.p) for s in states])
 
     @property
     def blend_windows(self) -> list[tuple[float, float]]:
@@ -445,18 +440,14 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
         raise ValueError(
             "the eps = 0 limit is singular; use dynamics.singular_limit instead")
     cfg = cfg or SolveConfig()
-    if cfg.strict_scaling:
-        scaling = scaling_from_epsilon(p, cfg.nu_minus, cfg.nu_plus, strict=True)
-    else:
-        scaling = working_scaling(p, cfg.nu_minus, cfg.nu_plus)
+    scaling = working_scaling(p, cfg.nu_minus, cfg.nu_plus)
 
     # ---- matching stage -------------------------------------------------
     ctx = MatchContext(p=p, scaling=scaling, grid_points=cfg.inner_grid_points,
                        inner_tol=cfg.inner_tol)
     u0 = matching_closed_form(scaling.rho).as_array() if initial_guess is None \
         else np.asarray(initial_guess, dtype=float)
-    unknowns, info = newton_match(ctx, u0, tol=cfg.newton_tol,
-                                  max_iter=cfg.newton_max_iter)
+    unknowns, info = newton_match(ctx, u0, tol=cfg.newton_tol)
 
     # ---- realization stage ----------------------------------------------
     eps, delta = p.epsilon, p.delta
@@ -467,7 +458,7 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
     # accumulated fast exponent reaches the amplification budget
     acc, xa = 0.0, -x_star
     dx = 0.25
-    while acc < cfg.amplification_budget and (-x_star - xa) < 120.0:
+    while acc < AMPLIFICATION_BUDGET and (-x_star - xa) < 120.0:
         xa -= dx
         b_here = float(outer.b0_left_profile(xa, b00, p, x_star))
         lam_r, _ = frames.lambda_pair(b_here, p)
@@ -535,9 +526,8 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
     # right anchor: fast stable offset on the A = 0 tail; the window is long
     # enough to expose several oscillation maxima past the corner guard
     rate_plus = math.sqrt(delta / 2.0)
-    t_r_floor = max(8.0, cfg.amplification_budget / rate_plus)
-    t_r_base = cfg.right_window or max(
-        t_r_floor, 2.0 * x_hat + 5.5 * math.pi / rate_plus)
+    t_r_floor = max(8.0, AMPLIFICATION_BUDGET / rate_plus)
+    t_r_base = max(t_r_floor, 2.0 * x_hat + 5.5 * math.pi / rate_plus)
     K = inner.scale_constant(delta)
     floor = np.array([
         K**2 * eps**0.4, K**3 * eps**0.6, K**4 * eps**0.8, K**5 * eps, 1.0, eps,
@@ -583,7 +573,7 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
 
         r, sl, sr = residual(theta)
         mismatch = float(np.abs(r).max())
-        for _ in range(cfg.refine_max_iter):
+        for _ in range(REFINE_MAX_ITER):
             if mismatch < cfg.refine_tol:
                 break
             # each column moves one core: columns 0-1 the left, 2-4 the right

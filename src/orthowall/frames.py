@@ -3,8 +3,8 @@
 The slow frame diagonalizes the linearization transported along the branch
 A = sqrt(1 - (1+delta^2) B^2); the fast frame does the same along A = 0 for
 (1+delta^2) B^2 > 1.  Both come with mutually inverse coordinate changes,
-the first-integral resolution of the neutral coordinate, and a bound check
-for the transition (monodromy) operator of the slow rotation block.
+and the slow side with a bound check for the transition (monodromy)
+operator of its rotation block.
 """
 
 from __future__ import annotations
@@ -143,41 +143,6 @@ def from_slow_coords(c: np.ndarray, frame: SlowFrame) -> np.ndarray:
     return np.array([
         frame.a_star + dev[0], dev[1], dev[2], dev[3], frame.b0, dev[4],
     ])
-
-
-def z1_resolve(c4, frame: SlowFrame, p: Params) -> float:
-    """Neutral coordinate z1 >= 0 resolved from the first integral W = 0.
-
-    ``c4`` holds (x1, x2, y1, y2); the positive square root is selected so
-    that the reconstructed B' is positive along the growing branch.
-    """
-    x1, x2, y1, y2 = (float(v) for v in c4)
-    lr, li, a, b0 = frame.lam_r, frame.lam_i, frame.a_star, frame.b0
-    dd = lr * lr - li * li
-    e2 = p.epsilon**2
-    g1 = p.g1
-
-    # deviation components divided by their common B0 factor
-    a0t = (-lr * (lr * lr - 3.0 * li * li) * (x1 - y1)
-           - li * (3.0 * lr * lr - li * li) * (x2 + y2)) / (2.0 * a * a)
-    a2 = lr * (x1 - y1) + li * (x2 + y2)
-    a3 = dd * (x1 + y1) + 2.0 * lr * li * (x2 - y2)
-
-    rhs = (
-        e2 * p.delta**2 * a * a * frame.zbar10**2
-        + 2.0 * e2 * a3 * (x1 + y1)
-        - e2**2 * g1**2 * a3 * a3 * b0 * b0 / (a * a)
-        - e2 * a2 * a2
-        + 2.0 * e2 * a * a * a0t * a0t
-        + 2.0 * e2 * a * a0t**3 * b0
-        + 0.5 * e2 * a0t**4 * b0 * b0
-    )
-    if rhs < 0.0:
-        raise ValueError(
-            f"first-integral residual negative ({rhs:.3e}); state off the "
-            "admissible region of W = 0"
-        )
-    return math.sqrt(rhs) / a
 
 
 @dataclass(frozen=True)

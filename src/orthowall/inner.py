@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .params import Params
-
 
 class ContractionViolated(ValueError):
     pass
@@ -68,17 +66,6 @@ def assemble_boundary(side: str, tangent, a: float, k: float | None = None) -> n
             r2 * a**1.25 * t2,
         ])
     raise ValueError("side must be 'plus' or 'minus'")
-
-
-def validate_boundary_bounds(jet: np.ndarray, a_plus: float, k1: float) -> None:
-    """Check |Abar_j| <= a+^((j+2)/4) * k1 for the jet at z = a+."""
-    for j in range(4):
-        bound = a_plus ** ((j + 2) / 4.0) * k1
-        if abs(jet[j]) > bound * (1.0 + 1e-9):
-            raise ValueError(
-                f"boundary derivative {j} magnitude {abs(jet[j]):.4g} exceeds "
-                f"a_plus^({j + 2}/4)*k1 = {bound:.4g}"
-            )
 
 
 @dataclass(frozen=True)
@@ -272,18 +259,6 @@ def _extend_left(z: np.ndarray, jets: np.ndarray, deltas: list[list[float]],
     return z, jets
 
 
-def picard_extend(sol: InnerSolution, to: float) -> InnerSolution:
-    """Extend a solution leftward to z = ``to`` by re-anchored sweeps."""
-    if to >= sol.z[0] - 1e-13:
-        return sol
-    deltas = [list(d) for d in sol.deltas]
-    segments = list(sol.segments)
-    z, jets = _extend_left(sol.z.copy(), sol.jets.copy(), deltas, segments,
-                           to, sol.problem)
-    return InnerSolution(z=z, jets=jets, deltas=deltas, segments=segments,
-                         problem=sol.problem)
-
-
 def solve_inner(problem: InnerProblem) -> InnerSolution:
     """Solve on the full interval [-a-, a+], subdividing as needed.
 
@@ -341,29 +316,3 @@ def inner_residual(sol: InnerSolution, return_array: bool = False):
         return float(res.max()), resampled
     return float(res.max())
 
-
-def inner_scale(a_jet: np.ndarray, x, p: Params):
-    """Map outer jet values at abscissa x to layer variables (z, jet_bar).
-
-    z = K eps^(1/5) x and the j-th derivative scales by K^(2+j) eps^((2+j)/5).
-    """
-    K = scale_constant(p.delta)
-    e5 = p.epsilon**0.2
-    z = K * e5 * np.asarray(x, dtype=float)
-    jet = np.asarray(a_jet, dtype=float)
-    fac = np.array([(K * e5) ** (2 + j) for j in range(4)])
-    if jet.ndim == 1:
-        return z, jet / fac
-    return z, jet / fac[:, None]
-
-
-def inner_unscale(jet_bar: np.ndarray, z, p: Params):
-    """Inverse of :func:`inner_scale`; returns (x, jet)."""
-    K = scale_constant(p.delta)
-    e5 = p.epsilon**0.2
-    x = np.asarray(z, dtype=float) / (K * e5)
-    jet = np.asarray(jet_bar, dtype=float)
-    fac = np.array([(K * e5) ** (2 + j) for j in range(4)])
-    if jet.ndim == 1:
-        return x, jet * fac
-    return x, jet * fac[:, None]

@@ -1,11 +1,13 @@
-"""Outer-region machinery: reduced profiles, invariant-leaf states, seeds.
+"""Outer-region machinery: tail B-profiles, invariant-leaf states, section seeds.
 
 The left outer region rides the slow branch A = sqrt(1 - (1+delta^2) B^2);
-its leading B-profile integrates in closed form to a sech shape.  The right
-outer region rides A = 0, where the W = 0 reduction turns the B-equation
-into the exactly solvable dB/dx = (eps/sqrt(2)) (1 - B^2).  Seed states on
-the two matching sections realize the tangent traces of the unstable and
-stable manifolds, projected onto W = 0 through the positive root of B'.
+its leading B-profile integrates in closed form to a sech shape, and the
+slow-leaf states carry the slaved A-jet with B' from the W = 0 root.  The
+right outer region rides A = 0, where the W = 0 reduction turns the
+B-equation into the exactly solvable dB/dx = (eps/sqrt(2)) (1 - B^2), whose
+tanh solution is the right tail.  Seed states on the two matching sections
+realize the tangent traces of the unstable and stable manifolds, projected
+onto W = 0 through the positive root of B'.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from . import dynamics
-from .dynamics import b1_from_invariant, jacobian, M_MINUS, M_PLUS
+from .dynamics import b1_from_invariant
 from .params import Params, ScalingConfig
 
 
@@ -165,33 +166,6 @@ def slow_leaf_state(b0: float, p: Params) -> np.ndarray:
 
 # -- right reduced profile ------------------------------------------------
 
-def v_right_profile(x, p: Params):
-    """Leading right profile of v = B - 1 (tanh relaxation through 1/sqrt(g)).
-
-    Equivalent to B = tanh(atanh(1/sqrt(g)) + eps x / sqrt(2)), the exact
-    solution of the reduced flow; the tail rate is sqrt(2) eps, consistent
-    with the linearization at the end state and with the a priori envelope.
-    """
-    rg = math.sqrt(p.g1)
-    t = np.tanh(p.epsilon / math.sqrt(2.0) * np.asarray(x, dtype=float))
-    return (1.0 - rg) * (1.0 - t) / (rg + t)
-
-
-def v_envelope(x, x_star: float, b00: float, p: Params):
-    """A priori two-sided envelope for v = B - 1 right of the left section.
-
-    Returns (lower, upper); rates carry the 3/4 and 5/4 factors of the
-    leading relaxation rate.
-    """
-    v0 = b00 - 1.0
-    xs = np.asarray(x, dtype=float) + x_star
-    out = []
-    for fac in (3.0, 5.0):
-        t = np.tanh(fac * p.epsilon * xs / (4.0 * math.sqrt(2.0)))
-        out.append(v0 * (1.0 - t) / (1.0 + b00 * t))
-    return out[0], out[1]
-
-
 def right_leaf_state(b0: float, p: Params) -> np.ndarray:
     """State on the A = 0 leaf at amplitude b0 < 1 (W = 0 exactly)."""
     if not 0.0 < b0 < 1.0:
@@ -252,66 +226,3 @@ def stable_seed(scaling: ScalingConfig, p: Params, xbar=(0.0, 0.0),
     ])
     return np.concatenate([jet, [b01, b1_from_invariant(jet, b01, p)]])
 
-
-def eigen_basis(which: str, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Real basis of the unstable (minus) or stable (plus) eigenspace.
-
-    Returns (rates, basis) where basis rows are unit vectors; the first row
-    is the real slow direction, the next two span the fast rotation plane.
-    """
-    eq = M_MINUS if which == "minus" else M_PLUS
-    sign = 1.0 if which == "minus" else -1.0
-    vals, vecs = np.linalg.eig(jacobian(eq, p))
-    sel = [i for i in range(6) if sign * vals[i].real > 1e-12]
-    reps = []
-    for i in sel:
-        if abs(vals[i].imag) < 1e-12:
-            reps.append((0.0, vals[i].real, i))
-        elif vals[i].imag > 0:
-            reps.append((1.0, vals[i].real, i))
-    reps.sort()
-    basis, rates = [], []
-    for kind, _, i in reps:
-        if kind == 0.0:
-            v = vecs[:, i].real
-            v = v / np.linalg.norm(v)
-            if v[np.argmax(np.abs(v))] < 0:
-                v = -v
-            basis.append(v)
-            rates.append(vals[i].real)
-        else:
-            for part in (vecs[:, i].real, vecs[:, i].imag):
-                w = part / np.linalg.norm(part)
-                if w[np.argmax(np.abs(w))] < 0:
-                    w = -w
-                basis.append(w)
-                rates.append(vals[i].real)
-    return np.array(rates), np.array(basis)
-
-
-def eigen_seed(which: str, p: Params, coeffs=(1.0, 0.0, 0.0),
-               h: float = 1e-4) -> np.ndarray:
-    """Equilibrium plus a small eigenspace offset, projected onto W = 0.
-
-    ``which`` selects M- (offset in its unstable eigenspace) or M+ (offset
-    in its stable eigenspace).  ``h = 0`` returns the exact equilibrium.
-    """
-    eq = (M_MINUS if which == "minus" else M_PLUS).copy()
-    if h == 0.0:
-        return eq
-    _, basis = eigen_basis(which, p)
-    direction = np.asarray(coeffs, dtype=float) @ basis
-    nrm = np.linalg.norm(direction)
-    if nrm == 0.0:
-        raise ValueError("eigenspace coefficients give a zero direction")
-    s = eq + h * direction / nrm
-    for _ in range(60):
-        w = dynamics.first_integral(s, p)
-        grad = dynamics.first_integral_gradient(s, p)
-        g2 = float(grad @ grad)
-        if abs(w) < 1e-18 or g2 < 1e-300:
-            break
-        s = s - w / g2 * grad
-    else:
-        raise RuntimeError("W = 0 projection did not converge")
-    return s

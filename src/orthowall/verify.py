@@ -199,13 +199,17 @@ def envelope_bounds(profile, delta_star_fraction: float = 0.9,
 
 def verify_profile(profile, rate_tol: float = 0.10,
                    envelope_ceiling: float = 50.0) -> VerificationReport:
-    """Full deterministic check battery for one profile."""
+    """Full deterministic check battery for one profile.
+
+    ``profile`` needs ``p``, ``x_star_plus``, the grid ``x``, ``states`` and
+    ``w``, and ``sample(x)`` returning states of shape (n, 6).
+    """
     rep = VerificationReport()
     st = profile.states
     rep.add("first_integral", "sup |W| < 1e-8 over the profile",
-            profile.sup_w, 1e-8, 0.0, one_sided=True)
+            float(np.abs(profile.w).max()), 1e-8, 0.0, one_sided=True)
     rep.add("b_prime_positive", "B' > 0 at every sample",
-            -profile.min_b1, 0.0, 0.0, one_sided=True)
+            -float(st[:, 5].min()), 0.0, 0.0, one_sided=True)
     mono = float(np.min(np.diff(st[:, 4])))
     rep.add("b_monotone", "B strictly increasing over the grid",
             -mono, 0.0, 0.0, one_sided=True)
@@ -236,6 +240,17 @@ class ScalingFit:
             "rows": self.rows,
             "excluded": self.excluded,
         }
+
+
+def fit_slopes(rows) -> tuple[float, float]:
+    """Log-log slopes of |A(0)| and of the corner half-width against eps.
+
+    ``rows`` are scaling rows of :func:`solve_member`, at least two of them.
+    """
+    le = np.log([r["epsilon"] for r in rows])
+    slope_a0 = float(np.polyfit(le, np.log([abs(r["a0_at_zero"]) for r in rows]), 1)[0])
+    slope_w = float(np.polyfit(le, np.log([r["corner_half_width"] for r in rows]), 1)[0])
+    return slope_a0, slope_w
 
 
 def solve_member(g: float, eps: float, solve_cfg: connect.SolveConfig | None = None,
@@ -327,8 +342,6 @@ def scaling_study(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     rows, excluded = solve_members(g, eps_list, solve_cfg, workers)
     if len(rows) < 2:
         raise RuntimeError("fewer than 2 converged members; cannot fit slopes")
-    le = np.log([r["epsilon"] for r in rows])
-    slope_a0 = float(np.polyfit(le, np.log([abs(r["a0_at_zero"]) for r in rows]), 1)[0])
-    slope_w = float(np.polyfit(le, np.log([r["corner_half_width"] for r in rows]), 1)[0])
+    slope_a0, slope_w = fit_slopes(rows)
     return ScalingFit(slope_a0=slope_a0, slope_width=slope_w,
                       rows=rows, excluded=excluded)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from orthowall import cli
+from orthowall import cli, connect, verify
 from orthowall.integrate import read_profile_csv
 
 
@@ -32,6 +32,23 @@ def test_solve_outputs(solve_dir):
     manifest = json.loads((solve_dir / "manifest.json").read_text())
     assert manifest["tool"] == "orthowall"
     assert "profile.csv" in manifest["outputs"]
+
+
+def test_default_config_is_solve_config():
+    assert cli._solve_config(cli._DEFAULT_CONFIG) == connect.SolveConfig()
+
+
+def test_solve_writes_nothing_when_rate_fit_fails(tmp_path, monkeypatch, profile15):
+    def no_tail(profile):
+        raise verify.InsufficientTail("right_a_envelope: only 2 usable envelope maxima")
+
+    monkeypatch.setattr(connect, "heteroclinic_solve", lambda p, cfg=None: profile15.value)
+    monkeypatch.setattr(verify, "fit_decay_rates", no_tail)
+    out = tmp_path / "corner"
+    rc = cli.main(["solve", "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert not (out / "profile.csv").exists()
+    assert not (out / "report.json").exists()
 
 
 def test_csv_round_trip_exact(solve_dir):
@@ -134,6 +151,26 @@ def test_verify_command_pass(tmp_path, solve_dir):
     assert rc == 0
     rep = json.loads((out / "verify.json").read_text())
     assert rep["passed"] is True
+
+
+def test_verify_command_matches_library(tmp_path, solve_dir, profile15):
+    out = tmp_path / "ver"
+    cli.main(["verify", "--out", str(out), "--quiet", str(solve_dir / "profile.csv")])
+    got = json.loads((out / "verify.json").read_text())["checks"]
+    want = verify.verify_profile(profile15.value).entries
+    assert [c["name"] for c in got] == [e.name for e in want]
+    assert [c["passed"] for c in got] == [e.passed for e in want]
+    for c, e in zip(got, want):
+        assert c["measured"] == pytest.approx(e.measured, rel=1e-4), c["name"]
+
+
+def test_verify_needs_report(tmp_path, solve_dir, capsys):
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    (lone / "profile.csv").write_bytes((solve_dir / "profile.csv").read_bytes())
+    rc = cli.main(["verify", "--out", str(tmp_path / "v"), str(lone / "profile.csv")])
+    assert rc == 1
+    assert "report.json" in capsys.readouterr().err
 
 
 def test_verify_command_tampered(tmp_path, solve_dir):

@@ -88,33 +88,12 @@ def test_z1_resolve_example():
     fr = frames.slow_frame(0.5, p)
     assert fr.a_star**2 == pytest.approx(0.5, rel=1e-14)
     assert fr.zbar10 == pytest.approx(1.1180340, abs=1e-7)
-    z1 = frames.z1_resolve([0, 0, 0, 0], fr, p)
-    assert z1 == pytest.approx(p.epsilon * p.delta * fr.zbar10, rel=1e-13)
 
 
 def test_z1_limit_at_small_b():
     p = derive_params(0.1, 2.0)
     fr = frames.slow_frame(1e-6, p)
     assert fr.zbar10 == pytest.approx(1.0, abs=1e-9)
-
-
-def test_z1_negativity_error():
-    p = derive_params(0.1, 2.0)
-    fr = frames.slow_frame(0.3, p)
-    with pytest.raises(ValueError):
-        frames.z1_resolve([0.0, 1.0, 0.0, 1.0], fr, p)
-
-
-def test_z1_reconstructed_b1_positive():
-    p = derive_params(0.1, 1.5)
-    sc = working_scaling(p)
-    rng = np.random.default_rng(11)
-    for b0 in np.linspace(0.05, 0.95 * sc.b00, 12):
-        fr = frames.slow_frame(float(b0), p)
-        c4 = rng.uniform(-0.02, 0.02, size=4)
-        z1 = frames.z1_resolve(c4, fr, p)
-        s = frames.from_slow_coords(np.append(c4, z1), fr)
-        assert s[5] > 0.0
 
 
 def test_fast_frame_values():

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from orthowall import dynamics, integrate, outer
+from orthowall import connect, dynamics, frames, integrate, outer
 from orthowall.params import derive_params, working_scaling
 
 
@@ -12,62 +13,67 @@ def p():
     return derive_params(0.1, 1.5)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        integrate.IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        integrate.IntegratorConfig(max_step=-1.0)
-    with pytest.raises(ValueError):
-        integrate.EventSpec(fn=lambda s: s[4], direction=0)
+def shot(s0, span, p, **kw):
+    kw.setdefault("rtol", 1e-10)
+    kw.setdefault("atol", 1e-12)
+    kw.setdefault("method", "DOP853")
+    sol = solve_ivp(lambda x, y: dynamics.vector_field(y, p), span, s0, **kw)
+    assert sol.success
+    return sol
+
+
+def w_of(states, p):
+    return np.array([dynamics.first_integral(s, p) for s in states])
 
 
 def test_equilibrium_constant(p):
-    tr = integrate.integrate(dynamics.M_MINUS, (0.0, 50.0), p)
-    assert np.abs(tr.states - dynamics.M_MINUS).max() < 1e-12
-    assert tr.w_drift == 0.0
+    sol = shot(dynamics.M_MINUS, (0.0, 50.0), p)
+    assert np.abs(sol.y.T - dynamics.M_MINUS).max() < 1e-12
+    w = w_of(sol.y.T, p)
+    assert np.abs(w - w[0]).max() == 0.0
 
 
 def test_tanh_branch_oracle(p):
     s0 = outer.right_leaf_state(p.inv_sqrt_g, p)
-    span = (0.0, 10.0 / p.epsilon)
-    tr = integrate.integrate(s0, span, p,
-                             integrate.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
-    ref = outer.right_tail_b0(tr.x, 0.0, p.inv_sqrt_g, p)
-    assert np.abs(tr.states[:, 4] - ref).max() < 1e-8
-    assert np.abs(tr.states[:, :4]).max() == 0.0
+    sol = shot(s0, (0.0, 10.0 / p.epsilon), p, rtol=1e-12, atol=1e-14)
+    ref = outer.right_tail_b0(sol.t, 0.0, p.inv_sqrt_g, p)
+    assert np.abs(sol.y[4] - ref).max() < 1e-8
+    assert np.abs(sol.y[:4]).max() == 0.0
 
 
 def test_event_location_against_bisection(p):
     sc = working_scaling(p)
     b_start = 0.9 * sc.b00
     seed = outer.slow_leaf_state(b_start, p)
-    fr_cols = None
     # nudge the fast pair so the orbit actually leaves the branch and crosses
-    from orthowall import frames
     fr = frames.slow_frame(b_start, p)
     dev = fr._coord_matrix()[:, :2] @ np.array([1e-3, 0.0])
     seed[:4] += dev[:4]
     seed[5] = dynamics.b1_from_invariant(seed[:4], b_start, p)
     target = p.inv_sqrt_g
-    ev = integrate.EventSpec(fn=lambda s: s[4] - target, direction=1,
-                             terminal=True, name="mid")
-    cfg = integrate.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, events=(ev,))
-    tr = integrate.integrate(seed, (0.0, 60.0), p, cfg)
-    assert tr.events and tr.events[0].name == "mid"
-    xe = tr.events[0].x
+
+    def mid(x, y):
+        return y[4] - target
+    mid.direction = 1
+    mid.terminal = True
+
+    sol = shot(seed, (0.0, 60.0), p, rtol=1e-12, atol=1e-14,
+               dense_output=True, events=mid)
+    assert sol.t_events[0].size == 1
+    xe = sol.t_events[0][0]
     # independent bisection on the dense output
     lo, hi = xe - 0.5, xe + 0.5
 
     def fn(x):
-        return tr.sol(x)[4] - target
+        return sol.sol(x)[4] - target
 
     assert fn(lo) < 0 < fn(hi)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > 0:
-            hi = mid
+        m = 0.5 * (lo + hi)
+        if fn(m) > 0:
+            hi = m
         else:
-            lo = mid
+            lo = m
     assert abs(0.5 * (lo + hi) - xe) < 1e-10
 
 
@@ -75,14 +81,11 @@ def test_step_halving_order(p):
     s0 = outer.right_leaf_state(p.inv_sqrt_g, p)
     s0 = s0 + np.array([1e-3, 0, 0, 0, 0, 0])
     s0[5] = dynamics.b1_from_invariant(s0[:4], s0[4], p)
-    ref = integrate.integrate(
-        s0, (0.0, 4.0), p,
-        integrate.IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)).states[-1]
+    ref = shot(s0, (0.0, 4.0), p, rtol=1e-13, atol=1e-15).y[:, -1]
     errs = []
     for h in (0.5, 0.25):
-        cfg = integrate.IntegratorConfig(rel_tol=1e-2, abs_tol=1e12,
-                                         max_step=h, method="RK45")
-        end = integrate.integrate(s0, (0.0, 4.0), p, cfg).states[-1]
+        end = shot(s0, (0.0, 4.0), p, rtol=1e-2, atol=1e12, max_step=h,
+                   method="RK45").y[:, -1]
         errs.append(np.abs(end - ref).max())
     order = math.log2(errs[0] / errs[1])
     assert order >= 4.0
@@ -90,32 +93,32 @@ def test_step_halving_order(p):
 
 def test_w_drift_bound(p):
     s0 = outer.right_leaf_state(0.8, p) + np.array([0.05, 0, 0.01, 0, 0, 0.002])
-    cfg = integrate.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    tr = integrate.integrate(s0, (0.0, 10.0), p, cfg)
-    assert tr.w_drift <= 100.0 * 1e-10 * (1.0 + 10.0)
+    w = w_of(shot(s0, (0.0, 10.0), p).y.T, p)
+    assert np.abs(w - w[0]).max() <= 100.0 * 1e-10 * (1.0 + 10.0)
 
 
 def test_backward_return(p):
     s0 = outer.right_leaf_state(0.75, p)
-    cfg = integrate.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    fwd = integrate.integrate(s0, (0.0, 5.0), p, cfg)
-    back = integrate.integrate(fwd.states[-1], (5.0, 0.0), p, cfg)
+    fwd = shot(s0, (0.0, 5.0), p)
+    back = shot(fwd.y[:, -1], (5.0, 0.0), p)
     tol = 1e-10 * np.abs(s0).max() + 1e-12
-    assert np.abs(back.states[-1] - s0).max() <= 10.0 * tol * 1e3  # margin
+    assert np.abs(back.y[:, -1] - s0).max() <= 10.0 * tol * 1e3  # margin
 
 
 def test_blowup_reports_error(p):
     s0 = np.array([0, 0, 0, 0, 2.0, 1.0])
-    with pytest.raises(integrate.IntegrationError):
-        integrate.integrate(s0, (0.0, 500.0), p)
+    with pytest.raises(connect.RealizationError):
+        connect._shoot(s0, (0.0, 500.0), p, 1e-10, 1e-12)
 
 
 def test_csv_round_trip(tmp_path, p):
     s0 = outer.right_leaf_state(0.8, p)
-    tr = integrate.integrate(s0, (0.0, 3.0), p)
+    sol = shot(s0, (0.0, 3.0), p)
+    states = sol.y.T
+    w = w_of(states, p)
     path = tmp_path / "traj.csv"
-    tr.to_csv(str(path))
-    x, states, w = integrate.read_profile_csv(str(path))
-    assert np.array_equal(x, tr.x)
-    assert np.array_equal(states, tr.states)
-    assert np.array_equal(w, tr.w)
+    integrate.write_profile_csv(str(path), sol.t, states, w)
+    x, states2, w2 = integrate.read_profile_csv(str(path))
+    assert np.array_equal(x, sol.t)
+    assert np.array_equal(states2, states)
+    assert np.array_equal(w2, w)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from orthowall import dynamics, integrate, outer
+from orthowall import dynamics, outer
 from orthowall.params import derive_params, working_scaling
 
 
@@ -44,25 +44,20 @@ def test_b0_left_profile_solves_principal_equation(p, sc):
 
 
 def test_v_right_profile_values():
+    # v = B - 1 on the closed-form A = 0 tail through B(0) = 1/sqrt(1+delta^2)
     p2 = derive_params(0.1, 2.0)
-    assert 1.0 + outer.v_right_profile(0.0, p2) == pytest.approx(
-        0.70710678, abs=1e-8)
-    v5 = outer.v_right_profile(5.0, p2)
-    assert v5 == pytest.approx(-0.15599747, abs=1e-7)
+    b_ref = 1.0 / math.sqrt(p2.g1)
+
+    def v(x):
+        return outer.right_tail_b0(x, 0.0, b_ref, p2) - 1.0
+
+    assert 1.0 + v(0.0) == pytest.approx(0.70710678, abs=1e-8)
+    assert v(5.0) == pytest.approx(-0.15599747, abs=1e-7)
     # tail rate consistency: matches the end-state linearization
     xs = np.linspace(40.0, 90.0, 200)
-    rate = -np.polyfit(xs, np.log(-outer.v_right_profile(xs, p2)), 1)[0]
+    rate = -np.polyfit(xs, np.log(-v(xs)), 1)[0]
     assert rate == pytest.approx(math.sqrt(2.0) * p2.epsilon, rel=1e-3)
-    assert outer.v_right_profile(1e5, p2) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_v_envelope_brackets_leading_profile(p, sc):
-    xs = np.linspace(-sc.x_star, 60.0, 400)
-    v = outer.v_right_profile(xs, p)
-    b00 = 1.0 + outer.v_right_profile(-sc.x_star, p)
-    lo, hi = outer.v_envelope(xs, sc.x_star, b00, p)
-    assert np.all(v >= lo - 1e-12)
-    assert np.all(v <= hi + 1e-12)
+    assert v(1e5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unstable_seed(p, sc):
@@ -99,31 +94,6 @@ def test_stable_seed(p, sc):
         outer.stable_seed(sc, p, (0.06, 0.0))
 
 
-def test_eigen_seed_trivial(p):
-    assert np.array_equal(outer.eigen_seed("minus", p, h=0.0), dynamics.M_MINUS)
-
-
-def test_eigen_seed_slow_rate(p):
-    s = outer.eigen_seed("minus", p, coeffs=(1.0, 0.0, 0.0), h=1e-4)
-    assert abs(dynamics.first_integral(s, p)) < 1e-14
-    # the window stays short of the horizon where the quadratic seed
-    # contamination of the fast pair takes over
-    tr = integrate.integrate(s, (0.0, 14.0), p,
-                             integrate.IntegratorConfig(rel_tol=1e-12,
-                                                        abs_tol=1e-16))
-    xs = np.linspace(2.0, 14.0, 100)
-    b = tr.sample(xs)[:, 4]
-    rate = np.polyfit(xs, np.log(np.abs(b)), 1)[0]
-    assert abs(rate - p.epsilon * p.delta) < 0.02 * p.epsilon * p.delta
-
-
-def test_eigen_seed_stable_backward(p):
-    s = outer.eigen_seed("plus", p, coeffs=(-1.0, 0.0, 0.0), h=1e-4)
-    tr = integrate.integrate(s, (0.0, -15.0), p)
-    assert tr.states[-1][4] < 1.0 - 5e-4
-    assert np.all(tr.states[:, 4] <= 1.0 + 1e-9)
-
-
 def test_slow_leaf_flow_consistency(p):
     s0 = outer.slow_leaf_state(0.35, p)
     assert abs(dynamics.first_integral(s0, p)) < 1e-10
@@ -147,15 +117,14 @@ def test_left_tail_matches_leading_profile_to_first_order(p, sc, profile15):
 
 def test_right_tail_rate(p, sc):
     s0 = outer.stable_seed(sc, p, (0.0, 0.0))
-    tr = integrate.integrate(s0, (0.0, 60.0), p,
-                             integrate.IntegratorConfig(rel_tol=1e-12,
-                                                        abs_tol=1e-14))
+    sol = solve_ivp(lambda x, y: dynamics.vector_field(y, p), (0.0, 60.0), s0,
+                    method="DOP853", dense_output=True, rtol=1e-12, atol=1e-14)
     xs = np.linspace(5.0, 50.0, 200)
-    one_minus_b = 1.0 - tr.sample(xs)[:, 4]
-    rate = -np.polyfit(xs, np.log(one_minus_b), 1)[0]
+    b = sol.sol(xs)[4]
+    rate = -np.polyfit(xs, np.log(1.0 - b), 1)[0]
     assert abs(rate - math.sqrt(2.0) * p.epsilon) < 0.1 * math.sqrt(2.0) * p.epsilon
     ref = outer.right_tail_b0(xs, 0.0, sc.b01, p)
-    assert np.abs(tr.sample(xs)[:, 4] - ref).max() < 1e-9
+    assert np.abs(b - ref).max() < 1e-9
 
 
 def test_b1_positive_along_unstable_shot(p, sc, profile15):
