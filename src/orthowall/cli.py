@@ -94,11 +94,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _manifest(out: Path, cfg: dict, outputs: list[str], metrics: dict) -> None:
+def _manifest(args, out: Path, cfg: dict, outputs: list[str], metrics: dict) -> None:
     write_json(out / "manifest.json", {
         "tool": "orthowall",
         "version": __version__,
-        "command": sys.argv,
+        "command": ["orthowall", *args.argv],
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg,
         "outputs": outputs,
@@ -125,7 +125,7 @@ def cmd_solve(args) -> int:
     }
     profile.to_csv(str(out / "profile.csv"))
     write_json(out / "report.json", report)
-    _manifest(out, cfg, ["profile.csv", "report.json", "manifest.json"], {
+    _manifest(args, out, cfg, ["profile.csv", "report.json", "manifest.json"], {
         "b0_at_zero": report["b0_at_zero"],
         "a0_at_zero": report["a0_at_zero"],
         "sup_w": report["sup_w"],
@@ -154,7 +154,7 @@ def cmd_sweep(args) -> int:
     if len(rows) >= 2:
         scaling["slope_a0"], scaling["slope_width"] = verify.fit_slopes(rows)
     write_json(out / "scaling.json", scaling)
-    _manifest(out, cfg, ["scaling.json"], {
+    _manifest(args, out, cfg, ["scaling.json"], {
         "converged": len(rows), "failed": len(excluded),
         "slope_a0": scaling.get("slope_a0"),
         "slope_width": scaling.get("slope_width"),
@@ -185,7 +185,7 @@ def cmd_inner(args) -> int:
         "max_delta_ratio": max(sol.delta_ratios(floor=1e-13), default=0.0),
     }
     write_json(out / "inner_report.json", payload)
-    _manifest(out, {"inner": payload}, ["inner.csv", "inner_report.json"],
+    _manifest(args, out, {"inner": payload}, ["inner.csv", "inner_report.json"],
               {"residual": residual})
     _say(args, f"inner: residual {residual:.3e} over {len(sol.segments)} sweeps")
     return 0
@@ -224,7 +224,7 @@ def cmd_spectrum(args) -> int:
         },
     }
     write_json(out / "spectrum.json", payload)
-    _manifest(out, {"profile": str(args.profile)}, ["spectrum.json"],
+    _manifest(args, out, {"profile": str(args.profile)}, ["spectrum.json"],
               {"kernel_angle": diag.kernel_angle})
     _say(args, f"spectrum: kernel angle {diag.kernel_angle:.3e} rad, "
                f"separation {diag.separation:.3e}")
@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     rep = verify.verify_profile(_csv_profile(*_load_profile(args)))
     write_json(out / "verify.json", rep.to_dict())
-    _manifest(out, {"profile": str(args.profile)}, ["verify.json"],
+    _manifest(args, out, {"profile": str(args.profile)}, ["verify.json"],
               {"passed": rep.passed})
     _say(args, f"verify: {'PASS' if rep.passed else 'FAIL'} "
                f"({sum(e.passed for e in rep.entries)}/{len(rep.entries)} checks)")
@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.fn(args)
     except (ConfigError, AdmissibilityError, ValueError) as exc:

@@ -54,9 +54,6 @@ class GridOperator:
         d = self.matrix - self.matrix.T
         return d.nnz == 0 or abs(d.data).max() == 0.0
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
 
 def _check_grid(x: np.ndarray, p: Params) -> float:
     x = np.asarray(x, dtype=float)

@@ -132,7 +132,6 @@ class ScalingConfig:
     x_star_plus: float
     k0: float = 0.1
     k1: float = 0.05
-    kappa: float = 0.0
     violations: tuple[str, ...] = ()
     epsilon: float = 0.0
     delta: float = 0.0
@@ -200,9 +199,6 @@ def scaling_from_epsilon(
     p: Params,
     nu_minus: float | None = None,
     nu_plus: float | None = None,
-    k0: float = 0.1,
-    k1: float = 0.05,
-    kappa_fraction: float = 0.9,
     strict: bool = True,
 ) -> ScalingConfig:
     """Build the two-sided scaling from (epsilon, nu_minus, nu_plus).
@@ -232,9 +228,6 @@ def scaling_from_epsilon(
         a_plus=_half_width(d, nu_plus),
         x_star=_x_star(d, nu_minus, eps),
         x_star_plus=_x_star(d, nu_plus, eps),
-        k0=float(k0),
-        k1=float(k1),
-        kappa=kappa_fraction * eps * d,
         violations=tuple(name for name, _ in violations),
         epsilon=eps,
         delta=d,
@@ -242,7 +235,7 @@ def scaling_from_epsilon(
 
 
 def working_scaling(p: Params, nu_minus: float | None = None,
-                    nu_plus: float | None = None, **kwargs) -> ScalingConfig:
+                    nu_plus: float | None = None) -> ScalingConfig:
     """Scaling used by the global solver at desk-scale epsilon.
 
     The fully admissible nu_minus is so small that at practical epsilon the
@@ -255,7 +248,7 @@ def working_scaling(p: Params, nu_minus: float | None = None,
         nu_plus = default_nu_plus(p.delta)
     if nu_minus is None:
         nu_minus = nu_plus
-    sc = scaling_from_epsilon(p, nu_minus, nu_plus, strict=False, **kwargs)
+    sc = scaling_from_epsilon(p, nu_minus, nu_plus, strict=False)
     if sc.alpha_minus * sc.delta >= 0.95:
         raise AdmissibilityError(
             "slow_range",

@@ -34,6 +34,20 @@ def test_solve_outputs(solve_dir):
     assert "profile.csv" in manifest["outputs"]
 
 
+def test_manifest_records_parsed_command(tmp_path, solve_dir, monkeypatch):
+    # the command is the argument list main parsed, under the tool's name,
+    # not the host process's argv
+    manifest = json.loads((solve_dir / "manifest.json").read_text())
+    assert manifest["command"] == ["orthowall", "solve", "--out", str(solve_dir),
+                                   "--epsilon", "0.1", "--g", "1.5", "--quiet"]
+    out = tmp_path / "layer"
+    argv = ["inner", "--out", str(out), "--a-plus", "1.0", "--a-minus", "1.0", "--quiet"]
+    monkeypatch.setattr("sys.argv", ["/somewhere/orthowall/cli.py", *argv])
+    assert cli.main() == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == ["orthowall", *argv]
+
+
 def test_default_config_is_solve_config():
     assert cli._solve_config(cli._DEFAULT_CONFIG) == connect.SolveConfig()
 

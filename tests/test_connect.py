@@ -1,10 +1,14 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orthowall import connect, dynamics
+from orthowall import connect, dynamics, verify
 from orthowall.params import derive_params, working_scaling
+
+BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline_report.json"
 
 
 def test_matching_closed_form_frozen_values():
@@ -82,6 +86,61 @@ def test_newton_match(p15):
     assert info["residual"] < 1e-10
     r = connect.boundary_map(u.as_array(), ctx)
     assert np.abs(r).max() < 1e-10
+
+
+def test_damped_newton_square_converges():
+    # scalar Newton for sqrt(2) from 1: residuals 0.25, 7e-3, 6e-6, 5e-12
+    x, r, aux, steps, J, status = connect._damped_newton(
+        lambda x: (x * x - 2.0, "aux"), lambda x, r, aux: np.array([[2.0 * x[0]]]),
+        np.array([1.0]), tol=1e-10, max_iter=25, halvings=30)
+    assert status == "converged" and steps == 4
+    assert abs(x[0] - math.sqrt(2.0)) < 1e-11
+    assert abs(r[0]) < 1e-10 and aux == "aux" and J.shape == (1, 1)
+
+
+def test_damped_newton_least_squares():
+    # a consistent 3x2 system: one Gauss-Newton step reaches the solution
+    A = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, -1.0]])
+    b = A @ np.array([0.3, -0.7])
+    x, r, _, steps, J, status = connect._damped_newton(
+        lambda x: (A @ x - b, None), lambda x, r, aux: A, np.zeros(2),
+        tol=1e-12, max_iter=5, halvings=4)
+    assert status == "converged" and steps == 1
+    assert np.allclose(x, [0.3, -0.7], rtol=0.0, atol=1e-14)
+
+
+def test_damped_newton_raising_trial_is_halved():
+    # the Jacobian is half the true slope, so the full step lands on x = 2,
+    # where the residual raises; the half step reaches the root
+    trials = []
+
+    def residual(x):
+        trials.append(float(x[0]))
+        if x[0] > 1.5:
+            raise connect.RealizationError("outside the domain")
+        return x - 1.0, None
+
+    x, r, _, steps, _, status = connect._damped_newton(
+        residual, lambda x, r, aux: np.array([[0.5]]), np.array([0.0]),
+        tol=1e-12, max_iter=5, halvings=4)
+    assert trials == [0.0, 2.0, 1.0]
+    assert status == "converged" and steps == 1 and x[0] == 1.0
+
+
+def test_damped_newton_stalls_without_descent():
+    # r = (x, 1): the least-squares step is zero and max|r| cannot fall below 1
+    calls = []
+
+    def residual(x):
+        calls.append(x.copy())
+        return np.array([x[0], 1.0]), None
+
+    x, r, _, steps, J, status = connect._damped_newton(
+        residual, lambda x, r, aux: np.array([[1.0], [0.0]]), np.array([0.0]),
+        tol=1e-10, max_iter=5, halvings=3)
+    assert status == "stalled" and steps == 0
+    assert x[0] == 0.0 and np.array_equal(r, [0.0, 1.0]) and J.shape == (2, 1)
+    assert len(calls) == 1 + 3
 
 
 def test_neg_a_counterpart_same_residual(p15):
@@ -167,6 +226,33 @@ def test_condition_number_stable_under_refinement(p15, profile15):
         sv = np.linalg.svd(info["jacobian"], compute_uv=False)
         conds.append(sv.max() / sv.min())
     assert abs(conds[1] - conds[0]) <= 0.2 * conds[0]
+
+
+def _flatten(obj, prefix=""):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _flatten(v, f"{prefix}{k}.")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _flatten(v, f"{prefix}{i}.")
+    elif isinstance(obj, (bool, int, float)):
+        yield prefix[:-1], float(obj)
+
+
+def test_anchor_report_matches_baseline(profile15):
+    # same-behaviour guard: every scalar of the anchor's report and tail
+    # rates equals the values recorded with the benchmark
+    prof = profile15.value
+    report = prof.report()
+    report["tail_rates"] = {
+        name: {"rate": fit.rate, "target": fit.target, "rel_err": fit.rel_err}
+        for name, fit in verify.fit_decay_rates(prof).items()
+    }
+    got = dict(_flatten(report))
+    want = json.loads(BASELINE.read_text(encoding="utf-8"))["g=1.5,eps=0.1"]
+    assert sorted(got) == sorted(want) and len(got) == 49
+    for key, value in want.items():
+        assert math.isclose(got[key], value, rel_tol=1e-9, abs_tol=1e-12), key
 
 
 def test_report_and_csv(tmp_path, profile15):
