@@ -9,18 +9,20 @@ by the closed-form solution of the pure equating system, which is eps-free).
 region and calibrates it onto the unstable seed at the left section.
 (3) The right anchor starts a backward core on the far-right A = 0 leaf, and
 a 5-parameter least-squares match joins the two cores at the right junction,
-shortening the right window (factors 1.0, 0.7, 0.5) when the match fails.
+shortening the right window (factors 1.0, 0.7, 0.5) while the match does not
+reach its tolerance; the last window accepts a stall up to 1e-4.
 (4) The tail pieces are analytic invariant leaves far out on both tails.
 (5) Phase fixing translates x so that B(0) = 1/sqrt(g); the default grid is
 then sampled.  The matching Newton, the left calibration and the junction
 match all run through the one damped Newton driver :func:`_damped_newton`.
 
-The shooting Jacobians are forward differences.  Each junction column
-re-integrates only the core it moves and reuses the other core's junction
-value from the current iterate.  A shot read at one abscissa only (a
-difference column, a right-anchor calibration shot) is value-only: it
-evaluates the step interpolant there and builds no dense output, which costs
-three extra field evaluations per step.
+The shooting Jacobians are exact.  A core shot can carry tangent columns
+through the variational equation Phi' = J(s) Phi (Hairer, Norsett & Wanner,
+Solving ODEs I, sec. I.14), so one augmented shot per core and iterate gives
+both a residual and its Jacobian: the left calibration reads it at the left
+section, the right-anchor calibration and the junction match at x_hat.  Such
+a shot stops at its read point and builds no dense output; the dense cores
+are shot once, at the accepted junction parameters.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from . import dynamics, frames, inner, outer
 from .params import Params, ScalingConfig, working_scaling
 
 NEWTON_MAX_ITER = 25          # matching Newton iterations
-REFINE_MAX_ITER = 40          # junction-match Gauss-Newton iterations
+REFINE_MAX_ITER = 15          # junction-match Gauss-Newton iterations
 AMPLIFICATION_BUDGET = 9.0    # fast exponent accumulated over a core window
 
 
@@ -351,19 +353,49 @@ class HeteroclinicProfile:
         }
 
 
-def _shoot(s0, span, p, rtol, atol, at=None):
-    """Core shot over ``span``: the dense solution, or only the state at ``at``.
+def _shoot(s0, span, p, rtol, atol, at=None, tangents=None):
+    """Core shot from ``span[0]``: the dense solution over ``span``, or the
+    state at the read point ``at``, where the shot stops.
 
-    A value-only shot takes the same steps, and its value is the same step
-    interpolant evaluated at the same point, so it equals ``shot(at)`` of the
-    dense shot bit for bit.
+    With ``tangents``, a 6 x k matrix of seed derivatives, the shot carries
+    them through the variational equation Phi' = J(s) Phi and returns the
+    state and its 6 x k tangent columns at ``at``.  The tangent components
+    get an absolute tolerance of 1e300, which takes them out of DOP853's RMS
+    error norm, and the state tolerances are scaled by sqrt(6 / (6 + 6k)),
+    so the norm, and with it the step control, is that of a plain shot.
     """
-    out = {"dense_output": True} if at is None else {"t_eval": [at]}
-    sol = solve_ivp(lambda x, y: dynamics.vector_field(y, p), span, s0,
-                    method="DOP853", rtol=rtol, atol=atol, **out)
+    if tangents is None:
+        fun = lambda x, y: dynamics.vector_field(y, p)
+        y0 = s0
+    else:
+        k = tangents.shape[1]
+        fun = lambda x, y: dynamics._variational_field(y, p)
+        y0 = np.concatenate([s0, np.ravel(tangents)])
+        scale = math.sqrt(6.0 / (6.0 + 6.0 * k))
+        rtol = np.full(y0.size, rtol * scale)
+        atol = np.concatenate([np.full(6, atol * scale), np.full(6 * k, 1e300)])
+    end = span[1] if at is None else at
+    sol = solve_ivp(fun, (span[0], end), y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=at is None)
     if not sol.success:
         raise RealizationError(f"core integration failed: {sol.message}")
-    return sol.sol if at is None else sol.y[:, 0]
+    if at is None:
+        return sol.sol
+    y = sol.y[:, -1]
+    return y if tangents is None else (y[:6], y[6:].reshape(6, k))
+
+
+def _seed(jet, b0: float, d_free, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Seed on the growing branch of W = 0 and its derivative.
+
+    ``d_free`` (5 x k) is the derivative of (jet, b0) in the k parameters.
+    B' follows from W = 0, so its derivative is grad W . d(jet, b0) / (2 B')
+    (W carries -B'^2).
+    """
+    b1 = dynamics.b1_from_invariant(jet, b0, p)
+    state = np.concatenate([jet, [b0, b1]])
+    row = dynamics.first_integral_gradient(state, p)[:5] @ d_free / (2.0 * b1)
+    return state, np.vstack([d_free, row])
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,16 +413,18 @@ class _Shooting:
     atol: float
     w_h: float = 1.0        # half-width of the junction blend
 
-    def left_seed(self, c) -> np.ndarray:
+    def left_seed(self, c) -> tuple[np.ndarray, np.ndarray]:
+        """Left-core seed and its 6 x 2 derivative in c."""
         jet = self.leaf_a[:4] + self.cols_a @ np.asarray(c, dtype=float)
-        return np.concatenate(
-            [jet, [self.b0_a, dynamics.b1_from_invariant(jet, self.b0_a, self.p)]])
+        return _seed(jet, self.b0_a, np.vstack([self.cols_a, np.zeros(2)]), self.p)
 
-    def left_shot(self, c, at=None):
-        return _shoot(self.left_seed(c), (self.x_a, self.x_hat + self.w_h + 0.25),
-                      self.p, self.rtol, self.atol, at)
+    def left_shot(self, c, at=None, tangents=False):
+        seed, d_seed = self.left_seed(c)
+        return _shoot(seed, (self.x_a, self.x_hat + self.w_h + 0.25), self.p,
+                      self.rtol, self.atol, at, d_seed if tangents else None)
 
-    def right_shot(self, x_r, d1, d2, beta, at=None):
+    def right_seed(self, d1, d2, beta) -> tuple[np.ndarray, np.ndarray]:
+        """Right-core seed and its 6 x 3 derivative in (d1, d2, beta)."""
         gap = self.p.g1 * beta * beta - 1.0
         if gap <= 0.0:
             # the fast stable pair of the A = 0 leaf needs B > 1/sqrt(g1)
@@ -398,10 +432,17 @@ class _Shooting:
                              f"above 1/sqrt(1+delta^2) = {self.p.g1**-0.5:.6g}")
         mu = -gap ** 0.25 / math.sqrt(2.0) * (1.0 + 1.0j)
         pows = np.array([mu**k for k in range(4)])
-        jet = d1 * pows.real + d2 * pows.imag
-        seed = np.concatenate([jet, [beta, dynamics.b1_from_invariant(jet, beta, self.p)]])
-        return _shoot(seed, (x_r, self.x_hat - self.w_h - 0.25),
-                      self.p, self.rtol, self.atol, at)
+        # d mu / d beta = mu g1 beta / (2 gap)
+        d_pows = np.array([k * mu**k for k in range(4)]) * (self.p.g1 * beta / (2.0 * gap))
+        d_jet = np.column_stack([pows.real, pows.imag,
+                                 d1 * d_pows.real + d2 * d_pows.imag])
+        return _seed(d1 * pows.real + d2 * pows.imag, beta,
+                     np.vstack([d_jet, [0.0, 0.0, 1.0]]), self.p)
+
+    def right_shot(self, x_r, d1, d2, beta, at=None, tangents=False):
+        seed, d_seed = self.right_seed(d1, d2, beta)
+        return _shoot(seed, (x_r, self.x_hat - self.w_h - 0.25), self.p,
+                      self.rtol, self.atol, at, d_seed if tangents else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,27 +576,21 @@ def _left_anchor(p: Params, scaling: ScalingConfig, cfg: SolveConfig,
     frame00 = frames.slow_frame(b00, p)
     seed_target = outer.unstable_seed(scaling, p, (unknowns.x1u, unknowns.x2u),
                                       k0=math.inf)
-    measure = lambda state: frames.to_slow_coords(state, frame00)[:2]
-    target_xy = measure(seed_target)
+    target_xy = frames.to_slow_coords(seed_target, frame00)[:2]
+    coords = frame00._coord_matrix()
 
-    def residual(c):
-        sol = geo.left_shot(c)
-        return target_xy - measure(sol(-x_star)), sol
-
-    # the Jacobian is re-evaluated because the window amplifies the leaf's
+    # to_slow_coords is affine, so one shot to the section gives the
+    # residual and, from the tangent columns, its exact Jacobian; the
+    # Jacobian is re-evaluated because the window amplifies the leaf's
     # slaving error into the weakly nonlinear range
-    h_cal = 1e-8
-
-    def jacobian(c, r, sol):
-        m_l = measure(sol(-x_star))
-        return -np.column_stack([
-            (measure(geo.left_shot(c + e, at=-x_star)) - m_l) / h_cal
-            for e in ([h_cal, 0.0], [0.0, h_cal])
-        ])
+    def residual(c):
+        state, phi = geo.left_shot(c, at=-x_star, tangents=True)
+        jac = -np.linalg.solve(coords, phi[list(frames._SLOW_ROWS)])[:2]
+        return target_xy - frames.to_slow_coords(state, frame00)[:2], jac
 
     cal_tol = 1e-8 * (1.0 + np.abs(target_xy).max())
-    c, r, _, _, _, status = _damped_newton(residual, jacobian, np.zeros(2), cal_tol,
-                                           max_iter=16, halvings=20)
+    c, r, _, _, _, status = _damped_newton(residual, lambda c, r, jac: jac, np.zeros(2),
+                                           cal_tol, max_iter=16, halvings=20)
     if status == "stalled":
         raise RealizationError("left-section calibration stalled")
     if status == "max_iter":
@@ -564,50 +599,44 @@ def _left_anchor(p: Params, scaling: ScalingConfig, cfg: SolveConfig,
     return geo, c
 
 
-def _junction_window(geo: _Shooting, t_r: float, c, target_jet, floor, b01: float,
-                     refine_tol: float) -> _Junction:
-    """Calibrate the right anchor at window t_r and run the junction match."""
+def _junction_scale(p: Params) -> np.ndarray:
+    """Component scales of the junction mismatch: the corner-layer sizes of
+    the A-jet, then B and B'."""
+    K, eps = inner.scale_constant(p.delta), p.epsilon
+    return np.array([K**2 * eps**0.4, K**3 * eps**0.6, K**4 * eps**0.8, K**5 * eps,
+                     1.0, eps])
+
+
+def _junction_residual(geo: _Shooting, x_r: float, th) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled mismatch of the two cores at x_hat for theta = (c1, c2, d1, d2,
+    beta), and its exact 6 x 5 Jacobian from the cores' tangent columns."""
+    scale = _junction_scale(geo.p)
+    y_l, phi_l = geo.left_shot(th[:2], at=geo.x_hat, tangents=True)
+    y_r, phi_r = geo.right_shot(x_r, th[2], th[3], th[4], at=geo.x_hat, tangents=True)
+    return (y_l - y_r) / scale, np.hstack([phi_l, -phi_r]) / scale[:, None]
+
+
+def _junction_window(geo: _Shooting, t_r: float, c, target_jet, b01: float,
+                     refine_tol: float, last: bool) -> _Junction:
+    """Calibrate the right anchor at window t_r and run the junction match.
+
+    A match that does not reach ``refine_tol`` fails, unless this is the
+    ``last`` window, which accepts a stalled mismatch up to 1e-4."""
     eps, x_hat = geo.p.epsilon, geo.x_hat
     x_r = x_hat + t_r
     beta0 = math.tanh(math.atanh(b01) + eps / math.sqrt(2.0) * t_r)
-    g0 = geo.right_shot(x_r, 0.0, 0.0, beta0, at=x_hat)[:4]
-    h_d = 1e-9
-    n_cal = np.column_stack([
-        (geo.right_shot(x_r, h_d, 0.0, beta0, at=x_hat)[:4] - g0) / h_d,
-        (geo.right_shot(x_r, 0.0, h_d, beta0, at=x_hat)[:4] - g0) / h_d,
-    ])
-    d0, *_ = np.linalg.lstsq(n_cal, target_jet - g0, rcond=None)
+    g0, phi = geo.right_shot(x_r, 0.0, 0.0, beta0, at=x_hat, tangents=True)
+    d0, *_ = np.linalg.lstsq(phi[:4, :2], target_jet - g0[:4], rcond=None)
     theta = np.array([c[0], c[1], d0[0], d0[1], beta0])
-    th_floor = np.array([1e-6, 1e-6, 1e-10, 1e-10, 1e-7])
 
-    def residual(th):
-        sl = geo.left_shot((th[0], th[1]))
-        sr = geo.right_shot(x_r, th[2], th[3], th[4])
-        return (sl(x_hat) - sr(x_hat)) / floor, (sl, sr)
-
-    def jacobian(th, r, cores):
-        # each column moves one core: columns 0-1 the left, 2-4 the right
-        y_l, y_r = cores[0](x_hat), cores[1](x_hat)
-        J = np.empty((6, 5))
-        for j in range(5):
-            tp = th.copy()
-            step = 1e-6 * (abs(th[j]) + th_floor[j])
-            tp[j] += step
-            if j < 2:
-                diff = geo.left_shot((tp[0], tp[1]), at=x_hat) - y_r
-            else:
-                diff = y_l - geo.right_shot(x_r, tp[2], tp[3], tp[4], at=x_hat)
-            J[:, j] = (diff / floor - r) / step
-        return J
-
-    # a stalled line search ends the match as well; the mismatch decides
-    theta, r, (sl, sr), _, _, _ = _damped_newton(
-        residual, jacobian, theta, refine_tol, REFINE_MAX_ITER, halvings=12)
+    theta, r, _, _, _, _ = _damped_newton(
+        lambda th: _junction_residual(geo, x_r, th), lambda th, r, jac: jac,
+        theta, refine_tol, REFINE_MAX_ITER, halvings=12)
     mismatch = float(np.abs(r).max())
-    if mismatch > 1e-4:
-        raise RealizationError(
-            f"junction match stalled at scaled mismatch {mismatch:.3e}")
-    return _Junction(theta=theta, mismatch=mismatch, sol_left=sl, sol_right=sr, x_r=x_r)
+    if mismatch >= refine_tol and (not last or mismatch > 1e-4):
+        raise RealizationError(f"junction match stalled at scaled mismatch {mismatch:.3e}")
+    return _Junction(theta=theta, mismatch=mismatch, sol_left=geo.left_shot(theta[:2]),
+                     sol_right=geo.right_shot(x_r, *theta[2:]), x_r=x_r)
 
 
 def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUnknowns,
@@ -617,22 +646,19 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
     The right anchor is a fast stable offset on the A = 0 tail; its window
     exposes several oscillation maxima past the corner guard."""
     p = geo.p
-    eps, delta = p.epsilon, p.delta
-    rate_plus = math.sqrt(delta / 2.0)
+    rate_plus = math.sqrt(p.delta / 2.0)
     t_r_floor = max(8.0, AMPLIFICATION_BUDGET / rate_plus)
     t_r_base = max(t_r_floor, 2.0 * geo.x_hat + 5.5 * math.pi / rate_plus)
-    K = inner.scale_constant(delta)
-    floor = np.array([K**2 * eps**0.4, K**3 * eps**0.6, K**4 * eps**0.8, K**5 * eps,
-                      1.0, eps])
     target_jet = outer.stable_seed(scaling, p, (unknowns.x10s, unknowns.x20s),
                                    k1=math.inf)[:4]
     # the long window can leave the calibrated start outside the match basin
     # at extreme parameters; back off toward the amplification floor then
+    windows = list(dict.fromkeys(max(t_r_floor, t_r_base * f) for f in (1.0, 0.7, 0.5)))
     last_exc = None
-    for t_r in dict.fromkeys(max(t_r_floor, t_r_base * f) for f in (1.0, 0.7, 0.5)):
+    for i, t_r in enumerate(windows):
         try:
-            return _junction_window(geo, t_r, c, target_jet, floor, scaling.b01,
-                                    refine_tol)
+            return _junction_window(geo, t_r, c, target_jet, scaling.b01, refine_tol,
+                                    last=i == len(windows) - 1)
         except RealizationError as exc:
             last_exc = exc
     raise last_exc
@@ -691,7 +717,7 @@ def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, inf
         matching_residual=info["residual"], matching_jacobian=info["jacobian"],
         x_shift=x_shift, x_star_left=x_star_left, x_star_plus=x_star_plus,
         junction_mismatch=jn.mismatch,
-        leaf_handoff_mismatch=float(np.abs(geo.left_seed(jn.theta[:2]) - geo.leaf_a).max()),
+        leaf_handoff_mismatch=float(np.abs(geo.left_seed(jn.theta[:2])[0] - geo.leaf_a).max()),
         x_left_leaf_end=x_a - x_shift, x_right_leaf_start=x_r - x_shift,
         x=np.zeros(1), states=np.zeros((1, 6)), w=np.zeros(1), _pieces=pc)
     grid = np.linspace(-l_left, l_right, cfg.profile_points)

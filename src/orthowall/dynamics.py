@@ -42,20 +42,52 @@ def vector_field(s: np.ndarray, p: Params) -> np.ndarray:
     ])
 
 
+def _coupling(a0: float, b0: float, p: Params) -> tuple[float, float, float, float]:
+    """Entries (J30, J34, J50, J54) of the two nontrivial Jacobian rows."""
+    e2 = p.epsilon**2
+    return (
+        1.0 - 3.0 * a0 * a0 - p.g * b0 * b0,
+        -2.0 * p.g * a0 * b0,
+        2.0 * e2 * p.g * a0 * b0,
+        e2 * (-1.0 + p.g * a0 * a0 + 3.0 * b0 * b0),
+    )
+
+
 def jacobian(s: np.ndarray, p: Params) -> np.ndarray:
     """Analytic Jacobian of :func:`vector_field`."""
-    a0, _, _, _, b0, _ = s
-    e2 = p.epsilon**2
     J = np.zeros((6, 6))
     J[0, 1] = 1.0
     J[1, 2] = 1.0
     J[2, 3] = 1.0
-    J[3, 0] = 1.0 - 3.0 * a0 * a0 - p.g * b0 * b0
-    J[3, 4] = -2.0 * p.g * a0 * b0
     J[4, 5] = 1.0
-    J[5, 0] = 2.0 * e2 * p.g * a0 * b0
-    J[5, 4] = e2 * (-1.0 + p.g * a0 * a0 + 3.0 * b0 * b0)
+    J[3, 0], J[3, 4], J[5, 0], J[5, 4] = _coupling(float(s[0]), float(s[4]), p)
     return J
+
+
+def _variational_field(y: np.ndarray, p: Params) -> np.ndarray:
+    """Vector field of the state and k tangent columns, Phi' = J(s) Phi.
+
+    ``y`` holds the state followed by the 6 x k tangent matrix in row order.
+    Rows 0-2 and 4 of J shift the tangent rows; rows 3 and 5 couple rows 0
+    and 4 through :func:`_coupling`.  Like :func:`vector_field` it runs on
+    Python floats, and its first six components equal that field bit for bit.
+    """
+    a0, a1, a2, a3, b0, b1, *v = y.tolist()
+    k = len(v) // 6
+    j30, j34, j50, j54 = _coupling(a0, b0, p)
+    r0, r4 = v[:k], v[4 * k:5 * k]
+    return np.array([
+        a1,
+        a2,
+        a3,
+        a0 * (1.0 - a0 * a0 - p.g * b0 * b0),
+        b1,
+        p.epsilon**2 * b0 * (-1.0 + p.g * a0 * a0 + b0 * b0),
+        *v[k:4 * k],
+        *[j30 * u + j34 * w for u, w in zip(r0, r4)],
+        *v[5 * k:],
+        *[j50 * u + j54 * w for u, w in zip(r0, r4)],
+    ])
 
 
 def first_integral(s: np.ndarray, p: Params) -> float:

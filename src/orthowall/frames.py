@@ -216,10 +216,6 @@ class MonodromyReport:
     closed_form_error: float
     n_samples: int
 
-    @property
-    def bound_satisfied(self) -> bool:
-        return self.max_ratio <= 1.0 + 1e-8
-
 
 def monodromy_check(b0_path, p: Params, x_lo: float, x_hi: float,
                     n_samples: int = 200, rtol: float = 1e-12) -> MonodromyReport:

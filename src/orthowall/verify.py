@@ -94,6 +94,36 @@ def _window(profile, side: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _tail_fits(profile):
+    """Yield ``(name, target, fit)`` per tail rate, in the order of
+    :func:`fit_decay_rates`; ``fit`` is the :class:`DecayFit`, or the
+    :class:`InsufficientTail` that stopped it."""
+    p = profile.p
+    sides = (
+        ("left", 1200, (
+            ("left_b", p.epsilon * p.delta, lambda st: st[:, 4], False),
+            ("left_a", 2.0 * p.epsilon * p.delta, lambda st: 1.0 - st[:, 0], False))),
+        ("right", 2400, (
+            ("right_b", math.sqrt(2.0) * p.epsilon, lambda st: 1.0 - st[:, 4], False),
+            ("right_a_envelope", math.sqrt(p.delta / 2.0), lambda st: st[:, 0], True))),
+    )
+    for side, n, specs in sides:
+        try:
+            xs = np.linspace(*_window(profile, side), n)
+        except InsufficientTail as exc:
+            for name, target, _, _ in specs:
+                yield name, target, exc
+            continue
+        st = profile.sample(xs)
+        for name, target, column, envelope in specs:
+            try:
+                fit = fit_exponential_rate(xs, column(st), envelope=envelope,
+                                           name=name, target=target)
+            except InsufficientTail as exc:
+                fit = exc
+            yield name, target, fit
+
+
 def fit_decay_rates(profile) -> dict[str, DecayFit]:
     """Tail rates of a computed profile against their linear predictions.
 
@@ -101,26 +131,13 @@ def fit_decay_rates(profile) -> dict[str, DecayFit]:
     |x| <= 2 x*+.  Targets: B approaches its end values at eps*delta (left)
     and sqrt(2) eps (right); the right A-oscillation envelope decays at
     sqrt(delta/2); the left approach of A to 1 is slaved to B^2 and runs at
-    2 eps*delta.
+    2 eps*delta.  Raises :class:`InsufficientTail` when a rate cannot be fitted.
     """
-    p = profile.p
     fits: dict[str, DecayFit] = {}
-    lo, hi = _window(profile, "left")
-    xs = np.linspace(lo, hi, 1200)
-    st = profile.sample(xs)
-    fits["left_b"] = fit_exponential_rate(
-        xs, st[:, 4], name="left_b", target=p.epsilon * p.delta)
-    fits["left_a"] = fit_exponential_rate(
-        xs, 1.0 - st[:, 0], name="left_a", target=2.0 * p.epsilon * p.delta)
-
-    lo, hi = _window(profile, "right")
-    xs = np.linspace(lo, hi, 2400)
-    st = profile.sample(xs)
-    fits["right_b"] = fit_exponential_rate(
-        xs, 1.0 - st[:, 4], name="right_b", target=math.sqrt(2.0) * p.epsilon)
-    fits["right_a_envelope"] = fit_exponential_rate(
-        xs, st[:, 0], envelope=True, name="right_a_envelope",
-        target=math.sqrt(p.delta / 2.0))
+    for name, _, fit in _tail_fits(profile):
+        if isinstance(fit, InsufficientTail):
+            raise fit
+        fits[name] = fit
     return fits
 
 
@@ -203,8 +220,10 @@ def envelope_bounds(profile) -> VerificationReport:
 def verify_profile(profile) -> VerificationReport:
     """Full deterministic check battery for one profile.
 
-    ``profile`` needs ``p``, ``x_star_plus``, the grid ``x``, ``states`` and
-    ``w``, and ``sample(x)`` returning states of shape (n, 6).
+    A tail rate that cannot be fitted (:class:`InsufficientTail`) is recorded
+    as a failed ``rate_*`` entry with a NaN measurement.  ``profile`` needs
+    ``p``, ``x_star_plus``, the grid ``x``, ``states`` and ``w``, and
+    ``sample(x)`` returning states of shape (n, 6).
     """
     rep = VerificationReport()
     st = profile.states
@@ -219,10 +238,13 @@ def verify_profile(profile) -> VerificationReport:
     rep.add("b_interior", "B strictly inside (0, 1) in the interior",
             float(max(interior.max() - 1.0, -interior.min())), 0.0, 0.0,
             one_sided=True)
-    for fit in fit_decay_rates(profile).values():
-        rep.add(f"rate_{fit.name}",
-                f"{fit.name} rate within {RATE_TOL:.0%} of {fit.target:.6g}",
-                fit.rate, fit.target, RATE_TOL * abs(fit.target))
+    for name, target, fit in _tail_fits(profile):
+        claim = f"{name} rate within {RATE_TOL:.0%} of {target:.6g}"
+        if isinstance(fit, InsufficientTail):
+            rep.add(f"rate_{name}", f"{claim} (not fitted: {fit})", math.nan, target,
+                    RATE_TOL * abs(target))
+        else:
+            rep.add(f"rate_{name}", claim, fit.rate, target, RATE_TOL * abs(target))
     rep.entries.extend(envelope_bounds(profile).entries)
     return rep
 

@@ -207,6 +207,25 @@ def test_verify_command_tampered(tmp_path, solve_dir):
     assert names["b_monotone"] is False
 
 
+def test_verify_command_records_unfittable_rate(tmp_path, solve_dir):
+    # no A oscillation right of the corner: the rate cannot be fitted, which
+    # is a failed check (exit 2), not an input error
+    x, states, w = read_profile_csv(str(solve_dir / "profile.csv"))
+    states = states.copy()
+    states[x > 0.0, :4] = 0.0
+    from orthowall.integrate import write_profile_csv
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    write_profile_csv(str(flat / "profile.csv"), x, states, w)
+    (flat / "report.json").write_text((solve_dir / "report.json").read_text())
+    out = tmp_path / "ver3"
+    rc = cli.main(["verify", "--out", str(out), "--quiet", str(flat / "profile.csv")])
+    assert rc == 2
+    rep = json.loads((out / "verify.json").read_text())
+    failed = [e["name"] for e in rep["checks"] if not e["passed"]]
+    assert "rate_right_a_envelope" in failed
+
+
 def test_missing_profile(tmp_path):
     rc = cli.main(["verify", "--out", str(tmp_path / "v"),
                    str(tmp_path / "nope.csv")])

@@ -63,6 +63,35 @@ def test_envelope_violation_flagged(p15, profile15):
     assert not rep.passed
 
 
+def test_unfittable_rate_is_a_failed_entry(profile15):
+    # with A zeroed right of the corner the envelope has no maxima: the
+    # battery records a failed rate entry and keeps every other check
+    prof = profile15.value
+
+    class Flat:
+        p = prof.p
+        x = prof.x
+        x_star_plus = prof.x_star_plus
+        states = prof.states
+        w = prof.w
+
+        @staticmethod
+        def sample(xs):
+            st = prof.sample(xs).copy()
+            st[np.asarray(xs) > 0.0, :4] = 0.0
+            return st
+
+    with pytest.raises(verify.InsufficientTail, match="right_a_envelope"):
+        verify.fit_decay_rates(Flat())
+    rep = verify.verify_profile(Flat())
+    entries = {e.name: e for e in rep.entries}
+    assert list(entries) == [e.name for e in verify.verify_profile(prof).entries]
+    failed = entries["rate_right_a_envelope"]
+    assert not failed.passed and np.isnan(failed.measured)
+    assert "not fitted" in failed.claim
+    assert [n for n, e in entries.items() if not e.passed] == ["rate_right_a_envelope"]
+
+
 def test_verify_profile_battery(profile15):
     rep = verify.verify_profile(profile15.value)
     assert rep.passed
