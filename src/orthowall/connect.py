@@ -9,9 +9,10 @@ by the closed-form solution of the pure equating system, which is eps-free).
 region and calibrates it onto the unstable seed at the left section.
 (3) The right anchor starts a backward core on the far-right A = 0 leaf, and
 a 5-parameter least-squares match joins the two cores at the right junction,
-shortening the right window (factors 1.0, 0.7, 0.5) while the match does not
-reach its tolerance; the last window accepts a stall up to 1e-4.
-(4) The tail pieces are analytic invariant leaves far out on both tails.
+shortening the right window (factors 1.0, 0.7, 0.5) when the match fails.
+(4) The tail pieces are analytic invariant leaves far out on both tails; the
+right one carries the right core's fast stable offset past x_r by
+Liouville-Green transport (Olver, Asymptotics and Special Functions, ch. 6).
 (5) Phase fixing translates x so that B(0) = 1/sqrt(g); the default grid is
 then sampled.  The matching Newton, the left calibration and the junction
 match all run through the one damped Newton driver :func:`_damped_newton`.
@@ -430,7 +431,7 @@ class _Shooting:
             # the fast stable pair of the A = 0 leaf needs B > 1/sqrt(g1)
             raise ValueError(f"right anchor amplitude {float(beta):.6g} is not "
                              f"above 1/sqrt(1+delta^2) = {self.p.g1**-0.5:.6g}")
-        mu = -gap ** 0.25 / math.sqrt(2.0) * (1.0 + 1.0j)
+        mu = complex(_leaf_exponent(beta, self.p))
         pows = np.array([mu**k for k in range(4)])
         # d mu / d beta = mu g1 beta / (2 gap)
         d_pows = np.array([k * mu**k for k in range(4)]) * (self.p.g1 * beta / (2.0 * gap))
@@ -460,7 +461,10 @@ class _Junction:
 class _Pieces:
     """Stitched representation: the left leaf follows the B-profile
     ``tail_back``/``tail_fwd`` (left/right of x_a) and carries the section
-    correction, transported by the fast exponents ``phi_r``, ``phi_i``."""
+    correction, transported by the fast exponents ``phi_r``, ``phi_i``; the
+    right tail carries the right core's fast stable offset, which decays by
+    ``kappa_r``, the integral of the leaf's decay rate from x_r (zero past
+    its last knot, where the offset is below rounding)."""
 
     geo: _Shooting
     junction: _Junction
@@ -469,9 +473,17 @@ class _Pieces:
     phi_i: CubicSpline
     tail_back: object
     tail_fwd: object
+    kappa_r: CubicSpline
     w_a: float = 2.5
     w_r: float = 4.0
     dev_reach: float = 18.0
+
+
+def _leaf_exponent(b, p: Params):
+    """Fast stable exponent -kappa (1 + i) of the A = 0 leaf at amplitude b,
+    kappa = (g1 b^2 - 1)^(1/4) / sqrt(2)."""
+    kappa = np.maximum(p.g1 * np.asarray(b) ** 2 - 1.0, 0.0) ** 0.25 / math.sqrt(2.0)
+    return -kappa * (1.0 + 1.0j)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -517,8 +529,19 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
     core_r = lambda xs: jn.sol_right(xs).T
 
     def tail(xs):
+        # the A = 0 leaf, plus the right core's fast stable offset carried
+        # past its seed at x_r by Liouville-Green transport along the leaf
         b0 = np.atleast_1d(outer.right_tail_b0(xs, x_r, float(jn.theta[4]), p))
-        return np.array([outer.right_leaf_state(float(b), p) for b in b0])
+        states = np.array([outer.right_leaf_state(float(b), p) for b in b0])
+        mu, mu0 = _leaf_exponent(b0, p), _leaf_exponent(float(jn.theta[4]), p)
+        # A'''' = -4 kappa^4 A with kappa slowly varying: A ~ kappa^(-3/2) e^(int mu)
+        x_end = pc.kappa_r.x[-1]
+        z = (jn.theta[2] - 1.0j * jn.theta[3]) * (mu.real / mu0.real) ** -1.5 * np.exp(
+            -(1.0 + 1.0j) * pc.kappa_r(np.minimum(xs, x_end)))
+        z[xs > x_end] = 0.0
+        for k in range(4):
+            states[:, k] = (z * mu**k).real
+        return states
 
     regions = [
         (raw < x_a, leaf, None, None),
@@ -617,11 +640,9 @@ def _junction_residual(geo: _Shooting, x_r: float, th) -> tuple[np.ndarray, np.n
 
 
 def _junction_window(geo: _Shooting, t_r: float, c, target_jet, b01: float,
-                     refine_tol: float, last: bool) -> _Junction:
-    """Calibrate the right anchor at window t_r and run the junction match.
-
-    A match that does not reach ``refine_tol`` fails, unless this is the
-    ``last`` window, which accepts a stalled mismatch up to 1e-4."""
+                     refine_tol: float) -> _Junction:
+    """Calibrate the right anchor at window t_r and run the junction match;
+    a match that ends above a scaled mismatch of 1e-4 fails."""
     eps, x_hat = geo.p.epsilon, geo.x_hat
     x_r = x_hat + t_r
     beta0 = math.tanh(math.atanh(b01) + eps / math.sqrt(2.0) * t_r)
@@ -629,11 +650,12 @@ def _junction_window(geo: _Shooting, t_r: float, c, target_jet, b01: float,
     d0, *_ = np.linalg.lstsq(phi[:4, :2], target_jet - g0[:4], rcond=None)
     theta = np.array([c[0], c[1], d0[0], d0[1], beta0])
 
+    # a stalled line search ends the match as well; the mismatch decides
     theta, r, _, _, _, _ = _damped_newton(
         lambda th: _junction_residual(geo, x_r, th), lambda th, r, jac: jac,
         theta, refine_tol, REFINE_MAX_ITER, halvings=12)
     mismatch = float(np.abs(r).max())
-    if mismatch >= refine_tol and (not last or mismatch > 1e-4):
+    if mismatch > 1e-4:
         raise RealizationError(f"junction match stalled at scaled mismatch {mismatch:.3e}")
     return _Junction(theta=theta, mismatch=mismatch, sol_left=geo.left_shot(theta[:2]),
                      sol_right=geo.right_shot(x_r, *theta[2:]), x_r=x_r)
@@ -655,10 +677,9 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
     # at extreme parameters; back off toward the amplification floor then
     windows = list(dict.fromkeys(max(t_r_floor, t_r_base * f) for f in (1.0, 0.7, 0.5)))
     last_exc = None
-    for i, t_r in enumerate(windows):
+    for t_r in windows:
         try:
-            return _junction_window(geo, t_r, c, target_jet, scaling.b01, refine_tol,
-                                    last=i == len(windows) - 1)
+            return _junction_window(geo, t_r, c, target_jet, scaling.b01, refine_tol)
         except RealizationError as exc:
             last_exc = exc
     raise last_exc
@@ -690,10 +711,22 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
         float(outer.b0_left_profile(x, b00, p, x_star)), p) for x in phi_x])
     phi_r = inner._cumquad_right(lam[:, 0], hphi)
     phi_i = inner._cumquad_right(lam[:, 1], hphi)
+
+    # the right tail's decay exponent, integrated from x_r over the blend
+    # and the sampled tail
+    x_r, w_r = junction.x_r, _Pieces.w_r
+    tail_r = tail_efolds / (p.epsilon * math.sqrt(2.0)) + 25.0
+    hk = (tail_r + w_r + 1.0) / 4000.0
+    n_blend = math.ceil((w_r + 1.0) / hk)
+    k_x = x_r + hk * np.arange(-n_blend, math.floor(tail_r / hk) + 1)
+    kappa = -_leaf_exponent(outer.right_tail_b0(k_x, x_r, float(junction.theta[4]), p),
+                            p).real
+    k_int = inner._cumquad_right(kappa, hk)
     return _Pieces(geo=geo, junction=junction, phi_floor=float(phi_r[0]),
                    phi_r=CubicSpline(phi_x, phi_r - phi_r[n_back]),
                    phi_i=CubicSpline(phi_x, phi_i - phi_i[n_back]),
-                   tail_back=sol_back.sol, tail_fwd=sol_fwd.sol)
+                   tail_back=sol_back.sol, tail_fwd=sol_fwd.sol,
+                   kappa_r=CubicSpline(k_x, k_int[n_blend] - k_int))
 
 
 def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, info: dict,

@@ -151,9 +151,11 @@ class CheckEntry:
     tol: float
 
     def to_dict(self) -> dict:
+        # JSON has no NaN: a measurement that could not be made is null
+        measured = self.measured if math.isfinite(self.measured) else None
         return {
             "name": self.name, "claim": self.claim, "passed": self.passed,
-            "measured": self.measured, "target": self.target, "tol": self.tol,
+            "measured": measured, "target": self.target, "tol": self.tol,
         }
 
 
@@ -221,7 +223,7 @@ def verify_profile(profile) -> VerificationReport:
     """Full deterministic check battery for one profile.
 
     A tail rate that cannot be fitted (:class:`InsufficientTail`) is recorded
-    as a failed ``rate_*`` entry with a NaN measurement.  ``profile`` needs
+    as a failed ``rate_*`` entry with a NaN measurement (null in JSON).  ``profile`` needs
     ``p``, ``x_star_plus``, the grid ``x``, ``states`` and ``w``, and
     ``sample(x)`` returning states of shape (n, 6).
     """
