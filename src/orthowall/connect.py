@@ -460,7 +460,8 @@ class _Junction:
 @dataclass(frozen=True, eq=False)
 class _Pieces:
     """Stitched representation: the left leaf follows the B-profile
-    ``tail_back``/``tail_fwd`` (left/right of x_a) and carries the section
+    ``tail_back``/``tail_fwd`` (left/right of x_a), takes its states from
+    ``leaf``, the slow leaf tabulated once per solve, and carries the section
     correction, transported by the fast exponents ``phi_r``, ``phi_i``; the
     right tail carries the right core's fast stable offset, which decays by
     ``kappa_r``, the integral of the leaf's decay rate from x_r (zero past
@@ -474,6 +475,7 @@ class _Pieces:
     tail_back: object
     tail_fwd: object
     kappa_r: CubicSpline
+    leaf: outer.LeafTable
     w_a: float = 2.5
     w_r: float = 4.0
     dev_reach: float = 18.0
@@ -497,7 +499,10 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
 
     The four pieces overlap near their seams and are joined by the C^4
     smoothstep, so grid stencils up to fourth order see a smooth curve;
-    the seam mismatches themselves sit at the solver tolerances.
+    the seam mismatches themselves sit at the solver tolerances.  Each
+    piece is evaluated on the whole array of its abscissae: the leaf from
+    the Chebyshev table and the slow frames of the section correction from
+    :func:`frames.slow_coord_matrices`, the tail as closed forms.
     """
     out = np.empty((raw.size, 6))
     geo, jn = pc.geo, pc.junction
@@ -506,23 +511,21 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
 
     def leaf(xs):
         b0s = np.where(xs <= x_a, pc.tail_back(xs)[0], pc.tail_fwd(xs)[0])
-        states = outer.leaf_states(b0s, p)
+        states = pc.leaf(b0s)
         # transport of the calibrated section correction: the fast pair
         # decays backward through the exact scaled-rotation transition map
         phi_r, phi_i = pc.phi_r(xs), pc.phi_i(xs)
         taper = _smoothstep((xs - (x_a - pc.dev_reach)) / 6.0)
-        for i, x in enumerate(xs):
-            if taper[i] == 0.0 or phi_r[i] > min(40.0, pc.phi_floor):
-                continue
-            rot = np.array([
-                [math.cos(phi_i[i]), -math.sin(phi_i[i])],
-                [math.sin(phi_i[i]), math.cos(phi_i[i])],
-            ])
-            c = taper[i] * math.exp(-phi_r[i]) * rot @ jn.theta[:2]
-            fr = frames.slow_frame(float(states[i, 4]), p)
-            full = fr._coord_matrix()[:, :2] @ c
-            states[i, :4] += full[:4]
-            states[i, 5] += full[4]
+        on = (taper != 0.0) & (phi_r <= min(40.0, pc.phi_floor))
+        if on.any():
+            amp = taper[on] * np.exp(-phi_r[on])
+            cos, sin = np.cos(phi_i[on]), np.sin(phi_i[on])
+            c1, c2 = jn.theta[:2]
+            cols = frames.slow_coord_matrices(b0s[on], p)
+            full = (cols[:, :, 0] * (amp * (cos * c1 - sin * c2))[:, None]
+                    + cols[:, :, 1] * (amp * (sin * c1 + cos * c2))[:, None])
+            states[on, :4] += full[:, :4]
+            states[on, 5] += full[:, 4]
         return states
 
     core_l = lambda xs: jn.sol_left(xs).T
@@ -532,7 +535,7 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
         # the A = 0 leaf, plus the right core's fast stable offset carried
         # past its seed at x_r by Liouville-Green transport along the leaf
         b0 = np.atleast_1d(outer.right_tail_b0(xs, x_r, float(jn.theta[4]), p))
-        states = np.array([outer.right_leaf_state(float(b), p) for b in b0])
+        states = outer.right_leaf_states(b0, p)
         mu, mu0 = _leaf_exponent(b0, p), _leaf_exponent(float(jn.theta[4]), p)
         # A'''' = -4 kappa^4 A with kappa slowly varying: A ~ kappa^(-3/2) e^(int mu)
         x_end = pc.kappa_r.x[-1]
@@ -688,13 +691,15 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
 def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
                  tail_efolds: float) -> _Pieces:
     """Stage 4: the left tail B-profile, the flow b' = leaf_b1(b) from (x_a,
-    b0_a) (so the tail columns are derivative-consistent), and the transport
-    exponents of the section correction."""
+    b0_a) (so the tail columns are derivative-consistent), the slow leaf
+    tabulated over the same amplitude range, and the transport exponents of
+    the section correction."""
     p, x_a = geo.p, geo.x_a
     b00, x_star = scaling.b00, scaling.x_star
     tail_len = tail_efolds / (p.epsilon * p.delta) + 25.0
-    b_hi = float(outer.b0_left_profile(x_a + 7.0, b00, p, x_star)) + 0.02
-    b_nodes = np.linspace(0.0, min(b_hi, 0.97 / math.sqrt(p.g1)), 1500)
+    b_hi = min(float(outer.b0_left_profile(x_a + 7.0, b00, p, x_star)) + 0.02,
+               0.97 / math.sqrt(p.g1))
+    b_nodes = np.linspace(0.0, b_hi, 1500)
     b1_spline = CubicSpline(b_nodes, outer.leaf_b1(b_nodes, p))
     rhs = lambda x, b: [float(b1_spline(b[0]))]
     sol_back, sol_fwd = (
@@ -707,10 +712,9 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
     n_back = math.ceil(tail_len / hphi)
     n_fwd = math.floor(6.5 / hphi)
     phi_x = x_a + hphi * np.arange(-n_back, n_fwd + 1)
-    lam = np.array([frames.lambda_pair(
-        float(outer.b0_left_profile(x, b00, p, x_star)), p) for x in phi_x])
-    phi_r = inner._cumquad_right(lam[:, 0], hphi)
-    phi_i = inner._cumquad_right(lam[:, 1], hphi)
+    lam_r, lam_i = frames.lambda_pair(outer.b0_left_profile(phi_x, b00, p, x_star), p)
+    phi_r = inner._cumquad_right(lam_r, hphi)
+    phi_i = inner._cumquad_right(lam_i, hphi)
 
     # the right tail's decay exponent, integrated from x_r over the blend
     # and the sampled tail
@@ -726,7 +730,8 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
                    phi_r=CubicSpline(phi_x, phi_r - phi_r[n_back]),
                    phi_i=CubicSpline(phi_x, phi_i - phi_i[n_back]),
                    tail_back=sol_back.sol, tail_fwd=sol_fwd.sol,
-                   kappa_r=CubicSpline(k_x, k_int[n_blend] - k_int))
+                   kappa_r=CubicSpline(k_x, k_int[n_blend] - k_int),
+                   leaf=outer.leaf_table(b_hi, p))
 
 
 def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, info: dict,
@@ -757,7 +762,7 @@ def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, inf
     states = profile.sample(grid)
     profile.x = grid
     profile.states = states
-    profile.w = np.array([dynamics.first_integral(s, p) for s in states])
+    profile.w = dynamics.first_integral(states.T, p)
     return profile
 
 

@@ -45,66 +45,79 @@ class SlowFrame:
         """Leading factor of the resolved neutral coordinate."""
         return math.sqrt(1.0 + self.delta**2 * self.b0**2 / (2.0 * self.a_star**2))
 
-    def basis_matrix(self) -> np.ndarray:
-        """Columns (Z0, Z1, Vr+, Vi+, Vr-, Vi-) of the frame basis."""
-        lr, li, a, b0, d = self.lam_r, self.lam_i, self.a_star, self.b0, self.delta
-        g1 = 1.0 + d**2
-        e2 = self.eps**2
-        # regular forms of the entries carrying 1/B0 factors
-        w1 = e2 * b0 * g1 / a
-        w2 = e2**2 * b0**3 * g1**3 / a
-        z0 = np.array([0.0, 0.0, 0.0, 0.0, a, 0.0])
-        z1 = np.array([0.0, -g1 * b0, 0.0, 0.0, 0.0, a])
-        dd = lr * lr - li * li
-
-        def vr(s):
-            return np.array([
-                -s * lr * (lr * lr - 3.0 * li * li) / (2.0 * a * a),
-                1.0,
-                s * lr,
-                dd,
-                -s * lr * w1,
-                -w2,
-            ])
-
-        def vi(s):
-            return np.array([
-                -(3.0 * lr * lr - li * li) / (2.0 * a * a),
-                0.0,
-                1.0,
-                s * 2.0 * lr,
-                -w1,
-                -s * 2.0 * lr * w1,
-            ])
-
-        return np.column_stack([z0, z1, vr(1.0), vi(1.0), vr(-1.0), vi(-1.0)])
-
     def _coord_matrix(self) -> np.ndarray:
         """5x5 map (x1, x2, y1, y2, z1) -> deviation rows (A0~, A1, A2, A3, B1)."""
-        basis = self.basis_matrix()
-        cols = np.column_stack([
-            basis[:, 2],                 # Vr+
-            self.lam_i * basis[:, 3],    # lam_i Vi+
-            basis[:, 4],                 # Vr-
-            self.lam_i * basis[:, 5],    # lam_i Vi-
-            basis[:, 1],                 # Z1
-        ])
-        return self.b0 * cols[list(_SLOW_ROWS), :]
+        return _coord_matrices(self.b0, self.a_star, self.lam_r, self.lam_i,
+                               self.eps, self.delta)
 
 
-def lambda_pair(b0: float, p: Params) -> tuple[float, float]:
-    """(lam_r, lam_i) of the slow-frame rotation block at base point b0."""
-    astar2 = 1.0 - p.g1 * b0 * b0
-    if astar2 <= 0.0:
-        raise FrameDomainError(f"1 - (1+delta^2) B^2 = {astar2:.3e} <= 0 at B = {b0}")
-    astar = math.sqrt(astar2)
-    q = p.epsilon**2 * b0 * b0 * p.g1**2
-    if q > astar:
+def _cube(b: np.ndarray) -> np.ndarray:
+    """b**3 through the libm pow of Python floats, element by element, so an
+    array of base points gets the bits of the scalar frame, whose matrix the
+    left calibration solves with; numpy's vectorized power differs from
+    libm in the last bit for about one argument in twenty."""
+    return np.array([v**3 for v in b.ravel().tolist()]).reshape(b.shape)
+
+
+def _coord_matrices(b0, a, lr, li, eps: float, delta: float) -> np.ndarray:
+    """Coordinate maps at base points b0 from the frame data (a_star, lam_r,
+    lam_i), broadcast together; shape b0.shape + (5, 5).
+
+    The columns are (Vr+, lam_i Vi+, Vr-, lam_i Vi-, Z1) of the frame basis,
+    restricted to the rows (A0, A1, A2, A3, B1) and scaled by B0.
+    """
+    b0, a, lr, li = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (b0, a, lr, li)))
+    g1 = 1.0 + delta**2
+    e2 = eps**2
+    # regular forms of the entries carrying 1/B0 factors
+    w1 = e2 * b0 * g1 / a
+    w2 = e2**2 * _cube(b0) * g1**3 / a
+    zero, one = np.zeros_like(b0), np.ones_like(b0)
+    dd = lr * lr - li * li
+
+    def vr(s):
+        return [-s * lr * (lr * lr - 3.0 * li * li) / (2.0 * a * a), one, s * lr, dd, -w2]
+
+    def lam_i_vi(s):
+        return [li * v for v in (-(3.0 * lr * lr - li * li) / (2.0 * a * a), zero, one,
+                                 s * 2.0 * lr, -s * 2.0 * lr * w1)]
+
+    z1 = [zero, -g1 * b0, zero, zero, a]
+    cols = [vr(1.0), lam_i_vi(1.0), vr(-1.0), lam_i_vi(-1.0), z1]
+    return b0[..., None, None] * np.stack([np.stack(c, axis=-1) for c in cols], axis=-1)
+
+
+def slow_coord_matrices(b0, p: Params) -> np.ndarray:
+    """``slow_frame(b, p)._coord_matrix()`` for every b in the array ``b0``,
+    bit for bit; shape b0.shape + (5, 5)."""
+    b0 = np.asarray(b0, dtype=float)
+    lam_r, lam_i = lambda_pair(b0, p)
+    return _coord_matrices(b0, np.sqrt(1.0 - p.g1 * b0 * b0), lam_r, lam_i,
+                           p.epsilon, p.delta)
+
+
+def lambda_pair(b0, p: Params):
+    """(lam_r, lam_i) of the slow-frame rotation block at base point b0:
+    floats for a scalar b0, elementwise arrays for an array."""
+    b = np.asarray(b0, dtype=float)
+    astar2 = 1.0 - p.g1 * b * b
+    if np.any(astar2 <= 0.0):
+        i = np.argmin(astar2)
+        raise FrameDomainError(
+            f"1 - (1+delta^2) B^2 = {astar2.flat[i]:.3e} <= 0 at B = {b.flat[i]}")
+    astar = np.sqrt(astar2)
+    q = p.epsilon**2 * b * b * p.g1**2
+    if np.any(q > astar):
+        i = np.argmax(q - astar)
         raise FrameDegeneracyError(
-            f"eps^2 B^2 (1+delta^2)^2 = {q:.3e} exceeds {astar:.3e}; complex pairs lost"
+            f"eps^2 B^2 (1+delta^2)^2 = {q.flat[i]:.3e} exceeds {astar.flat[i]:.3e}; "
+            "complex pairs lost"
         )
-    lam_r = math.sqrt(0.5 * (math.sqrt(2.0) * astar + q))
-    lam_i = math.sqrt(0.5 * (math.sqrt(2.0) * astar - q))
+    lam_r = np.sqrt(0.5 * (math.sqrt(2.0) * astar + q))
+    lam_i = np.sqrt(0.5 * (math.sqrt(2.0) * astar - q))
+    if b.ndim == 0:
+        return float(lam_r), float(lam_i)
     return lam_r, lam_i
 
 

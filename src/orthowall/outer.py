@@ -2,7 +2,8 @@
 
 The left outer region rides the slow branch A = sqrt(1 - (1+delta^2) B^2);
 its leading B-profile integrates in closed form to a sech shape, and the
-slow-leaf states carry the slaved A-jet with B' from the W = 0 root.  The
+slow-leaf states carry the slaved A-jet with B' from the W = 0 root; a
+solve tabulates them once on Chebyshev nodes in B (:func:`leaf_table`).  The
 right outer region rides A = 0, where the W = 0 reduction turns the
 B-equation into the exactly solvable dB/dx = (eps/sqrt(2)) (1 - B^2), whose
 tanh solution is the right tail.  Seed states on the two matching sections
@@ -13,7 +14,11 @@ onto W = 0 through the positive root of B'.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
+from scipy.fft import dct
 
 from .dynamics import b1_from_invariant
 from .params import Params, ScalingConfig
@@ -164,14 +169,75 @@ def slow_leaf_state(b0: float, p: Params) -> np.ndarray:
     return leaf_states(b0, p)[0]
 
 
+# Chebyshev nodes of a leaf table: the A, A' and B' columns reach the
+# rounding of leaf_states well before this many on the supported box
+LEAF_TABLE_NODES = 96
+
+
+@dataclass(frozen=True, eq=False)
+class LeafTable:
+    """Chebyshev interpolant of :func:`leaf_states` on 0 < B < ``b_hi``.
+
+    ``coef`` holds the Chebyshev coefficients, in t = 2 B / b_hi - 1, of
+    the columns (A, A', A'', A''', B'); calling the table evaluates them by
+    Clenshaw's recurrence.  Amplitudes outside (0, b_hi) go to
+    :func:`leaf_states` itself, so the table can stand in for it anywhere.
+    """
+
+    p: Params
+    b_hi: float
+    coef: np.ndarray
+
+    def __call__(self, b0) -> np.ndarray:
+        """Slow-leaf states at amplitudes ``b0``, shape (n, 6)."""
+        b0 = np.atleast_1d(np.asarray(b0, dtype=float))
+        inside = (b0 > 0.0) & (b0 < self.b_hi)
+        out = np.empty((b0.size, 6))
+        cols = chebval(2.0 * b0[inside] / self.b_hi - 1.0, self.coef, tensor=True)
+        out[inside, :4] = cols[:4].T
+        out[inside, 4] = b0[inside]
+        out[inside, 5] = cols[4]
+        if not inside.all():
+            out[~inside] = leaf_states(b0[~inside], self.p)
+        return out
+
+
+def leaf_table(b_hi: float, p: Params) -> LeafTable:
+    """Tabulate :func:`leaf_states` on LEAF_TABLE_NODES first-kind Chebyshev
+    nodes of [0, b_hi].
+
+    The leaf is analytic in B below the branch edge 1/sqrt(1+delta^2), so
+    the interpolant converges geometrically (Trefethen, Approximation Theory
+    and Approximation Practice, ch. 7-8) until it meets the rounding noise
+    of the nested differences, which grows with eps: about 1e-15 on A, up to
+    3e-13 on A' and B', and 1e-12 to 7e-9 on A'' and A'''.  The coefficients are the type-II DCT of the node values;
+    the Vandermonde sum of ``chebinterpolate`` loses two digits on A.
+    """
+    n = LEAF_TABLE_NODES
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    values = leaf_states(0.5 * b_hi * (1.0 + np.cos(theta)), p)
+    coef = dct(values[:, [0, 1, 2, 3, 5]], type=2, axis=0) / n
+    coef[0] *= 0.5
+    return LeafTable(p=p, b_hi=float(b_hi), coef=coef)
+
+
 # -- right reduced profile ------------------------------------------------
+
+def right_leaf_states(b0, p: Params) -> np.ndarray:
+    """States on the A = 0 leaf at amplitudes ``b0`` (vectorized, shape
+    (n, 6)); W = 0 exactly."""
+    b0 = np.atleast_1d(np.asarray(b0, dtype=float))
+    out = np.zeros((b0.size, 6))
+    out[:, 4] = b0
+    out[:, 5] = p.epsilon * (1.0 - b0 * b0) / math.sqrt(2.0)
+    return out
+
 
 def right_leaf_state(b0: float, p: Params) -> np.ndarray:
     """State on the A = 0 leaf at amplitude b0 < 1 (W = 0 exactly)."""
     if not 0.0 < b0 < 1.0:
         raise ValueError(f"b0 must lie in (0, 1), got {b0}")
-    b1 = p.epsilon * (1.0 - b0 * b0) / math.sqrt(2.0)
-    return np.array([0.0, 0.0, 0.0, 0.0, b0, b1])
+    return right_leaf_states(b0, p)[0]
 
 
 def right_tail_b0(x, x_ref: float, b0_ref: float, p: Params):

@@ -1,11 +1,12 @@
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orthowall import connect, dynamics, verify
+from orthowall import connect, dynamics, outer, verify
 from orthowall.params import derive_params, working_scaling
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline_report.json"
@@ -385,3 +386,29 @@ def test_junction_work_guard(monkeypatch, p15):
     connect.heteroclinic_solve(p15)
     assert 0 < len(nfev) <= 20
     assert sum(nfev) < 16_000
+
+
+def test_leaf_table_work_guard(monkeypatch, p15):
+    # the slow leaf is tabulated once per solve (96 Chebyshev nodes) and
+    # every later sample reads the table: with the seed that is 97
+    # amplitudes, where sampling through the difference tree took 2,364
+    amplitudes = []
+    leaf_states = outer.leaf_states
+
+    def counted(b0, p):
+        amplitudes.append(np.atleast_1d(b0).size)
+        return leaf_states(b0, p)
+
+    monkeypatch.setattr(outer, "leaf_states", counted)
+    connect.heteroclinic_solve(p15)
+    assert 0 < sum(amplitudes) <= 200
+
+
+def test_profile_pickle_round_trip(profile15):
+    # sweep workers send their results across processes; a profile must
+    # survive pickling with its pieces, the leaf table included
+    prof = profile15.value
+    copy = pickle.loads(pickle.dumps(prof))
+    xs = np.linspace(prof.x[0], prof.x[-1], 501)
+    assert np.array_equal(copy.sample(xs), prof.sample(xs))
+    assert np.array_equal(copy.states, prof.states)

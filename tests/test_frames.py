@@ -152,3 +152,55 @@ def test_monodromy_degenerate_interval():
     p = derive_params(0.1, 1.5)
     rep = frames.monodromy_check(lambda x: 0.3, p, -1e-9, 0.0, n_samples=3)
     assert rep.max_ratio == pytest.approx(1.0, abs=1e-8)
+
+
+# -- reference: the scalar frame expressions, one amplitude at a time -------
+
+def _reference_coord_matrix(b0, p):
+    # slow_frame and lambda_pair
+    a = math.sqrt(1.0 - p.g1 * b0 * b0)
+    q = p.epsilon**2 * b0 * b0 * p.g1**2
+    lr = math.sqrt(0.5 * (math.sqrt(2.0) * a + q))
+    li = math.sqrt(0.5 * (math.sqrt(2.0) * a - q))
+    # the basis columns and their restriction to the coordinate rows
+    g1 = 1.0 + p.delta**2
+    e2 = p.epsilon**2
+    w1 = e2 * b0 * g1 / a
+    w2 = e2**2 * b0**3 * g1**3 / a
+    z1 = np.array([0.0, -g1 * b0, 0.0, 0.0, 0.0, a])
+    dd = lr * lr - li * li
+
+    def vr(s):
+        return np.array([-s * lr * (lr * lr - 3.0 * li * li) / (2.0 * a * a), 1.0,
+                         s * lr, dd, -s * lr * w1, -w2])
+
+    def vi(s):
+        return np.array([-(3.0 * lr * lr - li * li) / (2.0 * a * a), 0.0, 1.0,
+                         s * 2.0 * lr, -w1, -s * 2.0 * lr * w1])
+
+    cols = np.column_stack([vr(1.0), li * vi(1.0), vr(-1.0), li * vi(-1.0), z1])
+    return b0 * cols[[0, 1, 2, 3, 5], :]
+
+
+@pytest.mark.parametrize("eps, g", [(0.1, 1.5), (0.25, 1.2), (0.02, 2.0)])
+def test_coord_matrices_match_scalar_expressions(eps, g):
+    # the array frames feed the sampler, the scalar frame the left
+    # calibration: both must keep the bits of the scalar expressions
+    p = derive_params(eps, g)
+    bs = np.linspace(1e-4, 0.95 / math.sqrt(p.g1), 1200)
+    ref = np.array([_reference_coord_matrix(float(b), p) for b in bs])
+    assert np.array_equal(frames.slow_coord_matrices(bs, p), ref)
+    for i in (0, 600, 1199):
+        assert np.array_equal(frames.slow_frame(float(bs[i]), p)._coord_matrix(), ref[i])
+    lam_r, lam_i = frames.lambda_pair(bs, p)
+    pairs = [frames.lambda_pair(float(b), p) for b in bs]
+    assert np.array_equal(lam_r, [lr for lr, _ in pairs])
+    assert np.array_equal(lam_i, [li for _, li in pairs])
+
+
+def test_lambda_pair_array_errors():
+    p = derive_params(0.1, 1.25)
+    with pytest.raises(frames.FrameDomainError):
+        frames.lambda_pair(np.array([0.2, 1.0, 0.3]), p)
+    with pytest.raises(frames.FrameDegeneracyError):
+        frames.lambda_pair(np.array([0.2, 0.81]), derive_params(0.9, 1.5, eps_ceiling=1.0))

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from orthowall import dynamics, outer
+from orthowall import connect, dynamics, outer
 from orthowall.params import derive_params, working_scaling
 
 
@@ -209,3 +210,40 @@ def test_leaf_states_match_unshared_recursion(p, sc):
         assert np.all(np.isfinite(ref))
         assert np.array_equal(got, ref)
     assert np.array_equal(outer.leaf_b1(b0, p), _reference_leaf_b1(b0, p))
+
+
+# -- the per-solve leaf table ----------------------------------------------
+
+def test_leaf_table_matches_leaf_states(p, profile15):
+    # on the anchor's own leaf range the table reproduces the difference
+    # tree to rounding on A, A' and B', and to its noise on A'' and A'''
+    prof = profile15.value
+    table = prof._pieces.leaf
+    bs = np.linspace(prof.states[0, 4], table.b_hi, 2001)[:-1]
+    got, ref = table(bs), outer.leaf_states(bs, p)
+    assert np.array_equal(got[:, 4], bs)
+    err = np.abs(got - ref).max(axis=0)
+    assert err[[0, 1, 5]].max() < 1e-13
+    assert err[[2, 3]].max() < 1e-8
+
+
+def test_sample_outside_table_range_is_leaf_states_plus_correction(p, profile15):
+    # with every amplitude above the table's range, the leaf piece is
+    # leaf_states itself plus the transported section correction
+    prof = profile15.value
+    pc = prof._pieces
+    xs = np.linspace(prof.x_left_leaf_end - 16.0, prof.x_left_leaf_end, 60)
+    b_min = prof.sample(xs)[:, 4].min()
+    narrow = dataclasses.replace(pc, leaf=outer.leaf_table(0.5 * b_min, p))
+    direct = dataclasses.replace(pc, leaf=lambda b: outer.leaf_states(b, p))
+    got = connect._sample_pieces(xs + prof.x_shift, narrow, p)
+    assert np.array_equal(got, connect._sample_pieces(xs + prof.x_shift, direct, p))
+    correction = got - outer.leaf_states(got[:, 4], p)
+    assert np.abs(correction).max() > 0.0
+    assert np.abs(correction[:, 4]).max() == 0.0
+
+
+def test_right_leaf_states_match_scalar(p):
+    bs = np.linspace(0.05, 0.95, 37)
+    assert np.array_equal(outer.right_leaf_states(bs, p),
+                          [outer.right_leaf_state(float(b), p) for b in bs])
