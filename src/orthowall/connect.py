@@ -5,25 +5,27 @@
 traces: the layer problem is integrated for the stable-side pair and its
 jet at the left end is equated to the unstable-side boundary family (seeded
 by the closed-form solution of the pure equating system, which is eps-free).
-(2) The left anchor starts a forward core on the slow leaf deep in the slow
-region and calibrates it onto the unstable seed at the left section.
+(2) The core geometry: a forward left core starts on the slow leaf deep in
+the slow region, with two fast parameters c that start at c = 0, the leaf
+itself.
 (3) The right anchor starts a backward core on the far-right A = 0 leaf, and
-a 5-parameter least-squares match joins the two cores at the right junction,
-shortening the right window (factors 1.0, 0.7, 0.5) when the match fails.
+a 5-parameter least-squares match of (c, right-core parameters) joins the
+two cores at the right junction: the intersection of the 3-dimensional
+unstable manifold of M- with the 3-dimensional stable manifold of M+.
 (4) The tail pieces are analytic invariant leaves far out on both tails; the
 right one carries the right core's fast stable offset past x_r by
 Liouville-Green transport (Olver, Asymptotics and Special Functions, ch. 6).
 (5) Phase fixing translates x so that B(0) = 1/sqrt(g); the default grid is
-then sampled.  The matching Newton, the left calibration and the junction
-match all run through the one damped Newton driver :func:`_damped_newton`.
+then sampled.  The matching Newton and the junction match run through the
+one damped Newton driver :func:`_damped_newton`.
 
 The shooting Jacobians are exact.  A core shot can carry tangent columns
 through the variational equation Phi' = J(s) Phi (Hairer, Norsett & Wanner,
 Solving ODEs I, sec. I.14), so one augmented shot per core and iterate gives
-both a residual and its Jacobian: the left calibration reads it at the left
-section, the right-anchor calibration and the junction match at x_hat.  Such
-a shot stops at its read point and builds no dense output; the dense cores
-are shot once, at the accepted junction parameters.
+both a residual and its Jacobian: the right-anchor calibration and the
+junction match read them at x_hat.  Such a shot stops at its read point and
+builds no dense output; the dense cores are shot once, at the accepted
+junction parameters.
 """
 
 from __future__ import annotations
@@ -131,6 +133,22 @@ class MatchContext:
         return inner.solve_inner(prob)
 
 
+def _left_jet(u, ctx: MatchContext) -> np.ndarray:
+    """Layer jet at the left end for the stable-side pair (u[2], u[3])."""
+    if ctx.ignore_ode:
+        return ctx.sign * inner.assemble_boundary("plus", (u[2], u[3]), ctx.scaling.a_plus)
+    return ctx.inner_solution(u[2], u[3]).jet_left
+
+
+def _unstable_mismatch(u, left_jet: np.ndarray, ctx: MatchContext) -> np.ndarray:
+    """``left_jet`` minus the unstable boundary family at (u[0], u[1]),
+    divided componentwise by (a-^(1/2), a-^(3/4), a-, a-^(5/4))."""
+    a_m = ctx.scaling.a_minus
+    scales = np.array([a_m**0.5, a_m**0.75, a_m, a_m**1.25])
+    fam_minus = ctx.sign * inner.assemble_boundary("minus", (u[0], u[1]), a_m)
+    return (left_jet - fam_minus) / scales
+
+
 def boundary_map(u, ctx: MatchContext) -> np.ndarray:
     """Matching residual of the four tangent parameters.
 
@@ -138,23 +156,20 @@ def boundary_map(u, ctx: MatchContext) -> np.ndarray:
     divided componentwise by (a-^(1/2), a-^(3/4), a-, a-^(5/4)).
     """
     u = np.asarray(u, dtype=float)
-    a_m = ctx.scaling.a_minus
-    scales = np.array([a_m**0.5, a_m**0.75, a_m, a_m**1.25])
-    fam_minus = ctx.sign * inner.assemble_boundary("minus", (u[0], u[1]), a_m)
-    if ctx.ignore_ode:
-        left_jet = ctx.sign * inner.assemble_boundary(
-            "plus", (u[2], u[3]), ctx.scaling.a_plus)
-    else:
-        left_jet = ctx.inner_solution(u[2], u[3]).jet_left
-    return (left_jet - fam_minus) / scales
+    return _unstable_mismatch(u, _left_jet(u, ctx), ctx)
 
 
-def _fd_jacobian(fn, u, r0, step=1e-7):
-    J = np.empty((r0.size, u.size))
+def _match_jacobian(u, r, left_jet, ctx: MatchContext, step: float = 1e-7) -> np.ndarray:
+    """Forward-difference Jacobian of :func:`boundary_map` at ``u``, where it
+    is ``r`` with layer jet ``left_jet``.  The (x1u, x2u) columns move only
+    the unstable family, so they reuse ``left_jet``; the (x10s, x20s) columns
+    solve the layer problem again."""
+    J = np.empty((r.size, u.size))
     for j in range(u.size):
         up = u.copy()
         up[j] += step
-        J[:, j] = (fn(up) - r0) / step
+        r_up = _unstable_mismatch(up, left_jet, ctx) if j < 2 else boundary_map(up, ctx)
+        J[:, j] = (r_up - r) / step
     return J
 
 
@@ -197,10 +212,16 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, halvings):
 
 def newton_match(ctx: MatchContext, u0, tol: float = 1e-10,
                  max_iter: int = NEWTON_MAX_ITER) -> tuple[MatchingUnknowns, dict]:
-    """Damped Newton iteration on :func:`boundary_map`."""
-    fn = lambda v: boundary_map(v, ctx)
-    u, r, _, iterations, J, status = _damped_newton(
-        lambda v: (fn(v), None), lambda v, r, _: _fd_jacobian(fn, v, r),
+    """Damped Newton iteration on :func:`boundary_map`.  The residual hands
+    its layer jet to the Jacobian, so an iteration whose full step is taken
+    solves the layer problem three times: two stable-side columns and the
+    trial."""
+    def residual(v):
+        jet = _left_jet(v, ctx)
+        return _unstable_mismatch(v, jet, ctx), jet
+
+    u, r, jet, iterations, J, status = _damped_newton(
+        residual, lambda v, r, jet: _match_jacobian(v, r, jet, ctx),
         np.asarray(u0, dtype=float).copy(), tol, max_iter, halvings=30)
     if status == "stalled":
         raise MatchingError("line search stalled", last_iterate=u, jacobian=J)
@@ -210,7 +231,7 @@ def newton_match(ctx: MatchContext, u0, tol: float = 1e-10,
             last_iterate=u, jacobian=J,
         )
     info = {"iterations": iterations, "residual": float(np.abs(r).max()),
-            "jacobian": _fd_jacobian(fn, u, r), "converged": True}
+            "jacobian": _match_jacobian(u, r, jet, ctx), "converged": True}
     return MatchingUnknowns.from_array(u), info
 
 
@@ -461,11 +482,12 @@ class _Junction:
 class _Pieces:
     """Stitched representation: the left leaf follows the B-profile
     ``tail_back``/``tail_fwd`` (left/right of x_a), takes its states from
-    ``leaf``, the slow leaf tabulated once per solve, and carries the section
-    correction, transported by the fast exponents ``phi_r``, ``phi_i``; the
-    right tail carries the right core's fast stable offset, which decays by
-    ``kappa_r``, the integral of the leaf's decay rate from x_r (zero past
-    its last knot, where the offset is below rounding)."""
+    ``leaf``, the slow leaf tabulated once per solve, and carries the left
+    core's fast offset c off the leaf, transported back from x_a by the fast
+    exponents ``phi_r``, ``phi_i``; the right tail carries the right core's
+    fast stable offset, which decays by ``kappa_r``, the integral of the
+    leaf's decay rate from x_r (zero past its last knot, where the offset is
+    below rounding)."""
 
     geo: _Shooting
     junction: _Junction
@@ -501,8 +523,8 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
     smoothstep, so grid stencils up to fourth order see a smooth curve;
     the seam mismatches themselves sit at the solver tolerances.  Each
     piece is evaluated on the whole array of its abscissae: the leaf from
-    the Chebyshev table and the slow frames of the section correction from
-    :func:`frames.slow_coord_matrices`, the tail as closed forms.
+    the Chebyshev table and the slow frames of the left core's fast offset
+    from :func:`frames.slow_coord_matrices`, the tail as closed forms.
     """
     out = np.empty((raw.size, 6))
     geo, jn = pc.geo, pc.junction
@@ -512,8 +534,9 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
     def leaf(xs):
         b0s = np.where(xs <= x_a, pc.tail_back(xs)[0], pc.tail_fwd(xs)[0])
         states = pc.leaf(b0s)
-        # transport of the calibrated section correction: the fast pair
-        # decays backward through the exact scaled-rotation transition map
+        # transport of the left core's fast offset c, fitted by the junction
+        # match: the fast pair decays backward through the exact
+        # scaled-rotation transition map
         phi_r, phi_i = pc.phi_r(xs), pc.phi_i(xs)
         taper = _smoothstep((xs - (x_a - pc.dev_reach)) / 6.0)
         on = (taper != 0.0) & (phi_r <= min(40.0, pc.phi_floor))
@@ -580,10 +603,9 @@ def _matching(p: Params, scaling: ScalingConfig, cfg: SolveConfig,
     return newton_match(ctx, u0, tol=cfg.newton_tol)
 
 
-def _left_anchor(p: Params, scaling: ScalingConfig, cfg: SolveConfig,
-                 unknowns: MatchingUnknowns) -> tuple[_Shooting, np.ndarray]:
-    """Stage 2: the core geometry, and the left parameters c that put the
-    left core on the unstable seed at the left section x = -x*."""
+def _core_geometry(p: Params, scaling: ScalingConfig, cfg: SolveConfig) -> _Shooting:
+    """Stage 2: the core geometry.  The left core starts on the slow leaf at
+    x_a; the junction match starts its fast parameters at c = 0, the leaf."""
     b00, x_star = scaling.b00, scaling.x_star
     # walk back along the closed-form slow profile until the accumulated
     # fast exponent reaches the amplification budget
@@ -594,35 +616,10 @@ def _left_anchor(p: Params, scaling: ScalingConfig, cfg: SolveConfig,
         lam_r, _ = frames.lambda_pair(b_here, p)
         acc += lam_r * dx
     b0_a = float(outer.b0_left_profile(xa, b00, p, x_star))
-    geo = _Shooting(p=p, x_a=xa, b0_a=b0_a,
-                    cols_a=frames.slow_frame(b0_a, p)._coord_matrix()[:4, :2],
-                    leaf_a=outer.slow_leaf_state(b0_a, p),
-                    x_hat=scaling.x_star_plus, rtol=cfg.ode_rtol, atol=cfg.ode_atol)
-
-    frame00 = frames.slow_frame(b00, p)
-    seed_target = outer.unstable_seed(scaling, p, (unknowns.x1u, unknowns.x2u),
-                                      k0=math.inf)
-    target_xy = frames.to_slow_coords(seed_target, frame00)[:2]
-    coords = frame00._coord_matrix()
-
-    # to_slow_coords is affine, so one shot to the section gives the
-    # residual and, from the tangent columns, its exact Jacobian; the
-    # Jacobian is re-evaluated because the window amplifies the leaf's
-    # slaving error into the weakly nonlinear range
-    def residual(c):
-        state, phi = geo.left_shot(c, at=-x_star, tangents=True)
-        jac = -np.linalg.solve(coords, phi[list(frames._SLOW_ROWS)])[:2]
-        return target_xy - frames.to_slow_coords(state, frame00)[:2], jac
-
-    cal_tol = 1e-8 * (1.0 + np.abs(target_xy).max())
-    c, r, _, _, _, status = _damped_newton(residual, lambda c, r, jac: jac, np.zeros(2),
-                                           cal_tol, max_iter=16, halvings=20)
-    if status == "stalled":
-        raise RealizationError("left-section calibration stalled")
-    if status == "max_iter":
-        raise RealizationError(
-            f"left-section calibration did not converge (residual {np.abs(r).max():.3e})")
-    return geo, c
+    return _Shooting(p=p, x_a=xa, b0_a=b0_a,
+                     cols_a=frames.slow_frame(b0_a, p)._coord_matrix()[:4, :2],
+                     leaf_a=outer.slow_leaf_state(b0_a, p),
+                     x_hat=scaling.x_star_plus, rtol=cfg.ode_rtol, atol=cfg.ode_atol)
 
 
 def _junction_scale(p: Params) -> np.ndarray:
@@ -642,16 +639,17 @@ def _junction_residual(geo: _Shooting, x_r: float, th) -> tuple[np.ndarray, np.n
     return (y_l - y_r) / scale, np.hstack([phi_l, -phi_r]) / scale[:, None]
 
 
-def _junction_window(geo: _Shooting, t_r: float, c, target_jet, b01: float,
+def _junction_window(geo: _Shooting, t_r: float, target_jet, b01: float,
                      refine_tol: float) -> _Junction:
-    """Calibrate the right anchor at window t_r and run the junction match;
-    a match that ends above a scaled mismatch of 1e-4 fails."""
+    """Calibrate the right anchor at window t_r and run the junction match
+    from the left core on the leaf (c = 0); a match that ends above a scaled
+    mismatch of 1e-4 fails."""
     eps, x_hat = geo.p.epsilon, geo.x_hat
     x_r = x_hat + t_r
     beta0 = math.tanh(math.atanh(b01) + eps / math.sqrt(2.0) * t_r)
     g0, phi = geo.right_shot(x_r, 0.0, 0.0, beta0, at=x_hat, tangents=True)
     d0, *_ = np.linalg.lstsq(phi[:4, :2], target_jet - g0[:4], rcond=None)
-    theta = np.array([c[0], c[1], d0[0], d0[1], beta0])
+    theta = np.array([0.0, 0.0, d0[0], d0[1], beta0])
 
     # a stalled line search ends the match as well; the mismatch decides
     theta, r, _, _, _, _ = _damped_newton(
@@ -665,27 +663,19 @@ def _junction_window(geo: _Shooting, t_r: float, c, target_jet, b01: float,
 
 
 def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUnknowns,
-                    c, refine_tol: float) -> _Junction:
+                    refine_tol: float) -> _Junction:
     """Stage 3: anchor the right core and join it to the left core at x_hat.
 
     The right anchor is a fast stable offset on the A = 0 tail; its window
-    exposes several oscillation maxima past the corner guard."""
+    keeps the amplification floor and exposes several oscillation maxima
+    past the corner guard."""
     p = geo.p
     rate_plus = math.sqrt(p.delta / 2.0)
-    t_r_floor = max(8.0, AMPLIFICATION_BUDGET / rate_plus)
-    t_r_base = max(t_r_floor, 2.0 * geo.x_hat + 5.5 * math.pi / rate_plus)
+    t_r = max(8.0, AMPLIFICATION_BUDGET / rate_plus,
+              2.0 * geo.x_hat + 5.5 * math.pi / rate_plus)
     target_jet = outer.stable_seed(scaling, p, (unknowns.x10s, unknowns.x20s),
                                    k1=math.inf)[:4]
-    # the long window can leave the calibrated start outside the match basin
-    # at extreme parameters; back off toward the amplification floor then
-    windows = list(dict.fromkeys(max(t_r_floor, t_r_base * f) for f in (1.0, 0.7, 0.5)))
-    last_exc = None
-    for t_r in windows:
-        try:
-            return _junction_window(geo, t_r, c, target_jet, scaling.b01, refine_tol)
-        except RealizationError as exc:
-            last_exc = exc
-    raise last_exc
+    return _junction_window(geo, t_r, target_jet, scaling.b01, refine_tol)
 
 
 def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
@@ -693,7 +683,7 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
     """Stage 4: the left tail B-profile, the flow b' = leaf_b1(b) from (x_a,
     b0_a) (so the tail columns are derivative-consistent), the slow leaf
     tabulated over the same amplitude range, and the transport exponents of
-    the section correction."""
+    the left core's fast offset."""
     p, x_a = geo.p, geo.x_a
     b00, x_star = scaling.b00, scaling.x_star
     tail_len = tail_efolds / (p.epsilon * p.delta) + 25.0
@@ -776,7 +766,7 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
     cfg = cfg or SolveConfig()
     scaling = working_scaling(p, cfg.nu_minus, cfg.nu_plus)
     unknowns, info = _matching(p, scaling, cfg, initial_guess)
-    geo, c = _left_anchor(p, scaling, cfg, unknowns)
-    junction = _right_junction(geo, scaling, unknowns, c, cfg.refine_tol)
+    geo = _core_geometry(p, scaling, cfg)
+    junction = _right_junction(geo, scaling, unknowns, cfg.refine_tol)
     pieces = _tail_pieces(geo, scaling, junction, cfg.tail_efolds)
     return _phase_fixed_profile(scaling, unknowns, info, pieces, cfg)

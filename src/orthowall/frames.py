@@ -17,9 +17,6 @@ from scipy.integrate import solve_ivp
 
 from .params import Params
 
-_SLOW_ROWS = (0, 1, 2, 3, 5)
-
-
 class FrameDomainError(ValueError):
     pass
 
@@ -53,8 +50,8 @@ class SlowFrame:
 
 def _cube(b: np.ndarray) -> np.ndarray:
     """b**3 through the libm pow of Python floats, element by element, so an
-    array of base points gets the bits of the scalar frame, whose matrix the
-    left calibration solves with; numpy's vectorized power differs from
+    array of base points gets the bits of the scalar frame, whose columns
+    seed the left core (``cols_a``); numpy's vectorized power differs from
     libm in the last bit for about one argument in twenty."""
     return np.array([v**3 for v in b.ravel().tolist()]).reshape(b.shape)
 

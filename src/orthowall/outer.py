@@ -1,4 +1,4 @@
-"""Outer-region machinery: tail B-profiles, invariant-leaf states, section seeds.
+"""Outer-region machinery: tail B-profiles, invariant-leaf states, the stable seed.
 
 The left outer region rides the slow branch A = sqrt(1 - (1+delta^2) B^2);
 its leading B-profile integrates in closed form to a sech shape, and the
@@ -6,9 +6,9 @@ slow-leaf states carry the slaved A-jet with B' from the W = 0 root; a
 solve tabulates them once on Chebyshev nodes in B (:func:`leaf_table`).  The
 right outer region rides A = 0, where the W = 0 reduction turns the
 B-equation into the exactly solvable dB/dx = (eps/sqrt(2)) (1 - B^2), whose
-tanh solution is the right tail.  Seed states on the two matching sections
-realize the tangent traces of the unstable and stable manifolds, projected
-onto W = 0 through the positive root of B'.
+tanh solution is the right tail.  The seed state on the right matching
+section realizes the tangent trace of the stable manifold, projected onto
+W = 0 through the positive root of B'.
 """
 
 from __future__ import annotations
@@ -246,34 +246,7 @@ def right_tail_b0(x, x_ref: float, b0_ref: float, p: Params):
     return np.tanh(theta)
 
 
-# -- section seeds ---------------------------------------------------------
-
-def unstable_seed(scaling: ScalingConfig, p: Params, xbar=(0.0, 0.0),
-                  k0: float | None = None) -> np.ndarray:
-    """State on the left section realizing the unstable tangent trace.
-
-    ``xbar`` are the two tangent parameters; their norm must stay within
-    k0*sqrt(delta*(1+delta^2)) unless the ball check is disabled with
-    ``k0 = inf``.  B' comes from the W = 0 projection.
-    """
-    x1, x2 = float(xbar[0]), float(xbar[1])
-    k0 = scaling.k0 if k0 is None else k0
-    radius = k0 * math.sqrt(p.delta * p.g1)
-    if math.hypot(x1, x2) > radius * (1.0 + 1e-12):
-        raise BallViolation(
-            f"|xbar| = {math.hypot(x1, x2):.4g} exceeds k0*sqrt(delta(1+delta^2)) = {radius:.4g}"
-        )
-    d, am = p.delta, scaling.alpha_minus
-    b00 = scaling.b00
-    da = d * am
-    jet = np.array([
-        da + da / 2.0**0.75 * (x1 - x2),
-        da**1.5 * x1 - am**2 * d / math.sqrt(2.0) * b00,
-        da**2 / 2.0**0.25 * (x1 + x2),
-        math.sqrt(2.0) * da**2.5 * x2,
-    ])
-    return np.concatenate([jet, [b00, b1_from_invariant(jet, b00, p)]])
-
+# -- stable section seed ---------------------------------------------------
 
 def stable_seed(scaling: ScalingConfig, p: Params, xbar=(0.0, 0.0),
                 k1: float | None = None) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthowall import connect, dynamics, outer, verify
+from orthowall import connect, dynamics, inner, outer, verify
 from orthowall.params import derive_params, working_scaling
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline_report.json"
@@ -87,6 +87,33 @@ def test_newton_match(p15):
     assert info["residual"] < 1e-10
     r = connect.boundary_map(u.as_array(), ctx)
     assert np.abs(r).max() < 1e-10
+
+
+def _fd_jacobian(fn, u, r0, step=1e-7):
+    # reference: the forward-difference matching Jacobian as it was formed
+    # before the (x1u, x2u) columns reused the iterate's layer jet
+    J = np.empty((r0.size, u.size))
+    for j in range(u.size):
+        up = u.copy()
+        up[j] += step
+        J[:, j] = (fn(up) - r0) / step
+    return J
+
+
+def test_match_jacobian_is_bit_equal_to_difference_reference(p15, profile15):
+    # the (x1u, x2u) columns move only the unstable family, so reusing the
+    # layer jet of the iterate gives the same bits as solving the layer
+    # problem again, at the closed-form seed and at the anchor's solution
+    sc = working_scaling(p15)
+    ctx = connect.MatchContext(p=p15, scaling=sc)
+    fn = lambda v: connect.boundary_map(v, ctx)
+    u0 = connect.matching_closed_form(sc.rho).as_array()
+    jet = connect._left_jet(u0, ctx)
+    r0 = fn(u0)
+    assert np.array_equal(connect._match_jacobian(u0, r0, jet, ctx), _fd_jacobian(fn, u0, r0))
+    prof = profile15.value
+    u = prof.unknowns.as_array()
+    assert np.array_equal(prof.matching_jacobian, _fd_jacobian(fn, u, fn(u)))
 
 
 def test_damped_newton_square_converges():
@@ -321,9 +348,9 @@ def test_extreme_corner_window_backoff(monkeypatch):
     # delta just above 1/3 with eps at the ceiling.  At g = 1.12 junction
     # line-search trials step below beta = 1/sqrt(g); they must be rejected
     # as invalid seeds, not evaluated as NaN.  With exact Jacobians the match
-    # converges in the first, full right window; a stall there would rerun
-    # it in the next window (forward-difference columns did, in 218 shots).
-    # The whole battery passes: the A envelope is fitted on an oscillation
+    # converges in the one, full right window (forward-difference columns
+    # stalled there and needed a shorter window, in 218 shots).  The whole
+    # battery passes: the A envelope is fitted on an oscillation
     # that the tail continues rather than blends to zero
     windows = _record_windows(monkeypatch)
     nfev = _count_core_shots(monkeypatch)
@@ -379,13 +406,46 @@ def test_junction_columns_match_central_differences(profile15):
 
 
 def test_junction_work_guard(monkeypatch, p15):
-    # one augmented shot per core and iterate, and dense output only for
-    # the accepted cores, keep the anchor near 12.5k field evaluations in 17
-    # core shots; forward-difference columns took 38k in 43 shots
+    # one augmented shot per core and iterate, dense output only for the
+    # accepted cores, and the junction match started from the leaf keep the
+    # anchor near 9.9k field evaluations in 13 core shots; a left-section
+    # calibration before the match took 12.5k in 17, and forward-difference
+    # columns 38k in 43
     nfev = _count_core_shots(monkeypatch)
     connect.heteroclinic_solve(p15)
-    assert 0 < len(nfev) <= 20
-    assert sum(nfev) < 16_000
+    assert 0 < len(nfev) <= 14
+    assert sum(nfev) < 11_000
+
+
+def test_matching_layer_solve_guard(monkeypatch, p15):
+    # the (x1u, x2u) difference columns reuse the iterate's layer jet, so a
+    # Newton iteration solves the layer problem 3 times and the reported
+    # Jacobian 2: 15 solves at the anchor, where 25 re-solved every column
+    calls = []
+    solve_inner = inner.solve_inner
+
+    def counted(prob):
+        calls.append(prob)
+        return solve_inner(prob)
+
+    monkeypatch.setattr(inner, "solve_inner", counted)
+    connect.heteroclinic_solve(p15)
+    assert 0 < len(calls) <= 16
+
+
+@pytest.mark.parametrize("g, eps", [(1.1115, 0.01), (1.12, 0.01), (2.0, 0.01)])
+def test_leaf_start_at_box_edge(monkeypatch, g, eps):
+    # the junction match starts the left core on the leaf (c = 0); at the
+    # small-eps edge of the box it must still converge in the one window
+    # ((1.12, 0.01) needs 7 junction evaluations there, 5 from a left
+    # calibration)
+    windows = _record_windows(monkeypatch)
+    prof = connect.heteroclinic_solve(derive_params(eps, g))
+    assert len(windows) == 1
+    assert prof.junction_mismatch <= connect.SolveConfig().refine_tol
+    assert prof.sup_w < 1e-8
+    assert prof.min_b1 > 0.0
+    assert np.all(np.diff(prof.states[:, 4]) > 0)
 
 
 def test_leaf_table_work_guard(monkeypatch, p15):

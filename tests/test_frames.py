@@ -184,8 +184,8 @@ def _reference_coord_matrix(b0, p):
 
 @pytest.mark.parametrize("eps, g", [(0.1, 1.5), (0.25, 1.2), (0.02, 2.0)])
 def test_coord_matrices_match_scalar_expressions(eps, g):
-    # the array frames feed the sampler, the scalar frame the left
-    # calibration: both must keep the bits of the scalar expressions
+    # the array frames feed the sampler, the scalar frame the left core's
+    # seed columns: both must keep the bits of the scalar expressions
     p = derive_params(eps, g)
     bs = np.linspace(1e-4, 0.95 / math.sqrt(p.g1), 1200)
     ref = np.array([_reference_coord_matrix(float(b), p) for b in bs])

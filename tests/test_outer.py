@@ -61,25 +61,6 @@ def test_v_right_profile_values():
     assert v(1e5) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_unstable_seed(p, sc):
-    s = outer.unstable_seed(sc, p, (0.0, 0.0))
-    da = p.delta * sc.alpha_minus
-    assert s[0] == pytest.approx(da, rel=1e-14)
-    assert s[1] == pytest.approx(
-        -sc.alpha_minus**2 * p.delta / math.sqrt(2.0) * sc.b00, rel=1e-14)
-    assert s[2] == 0.0 and s[3] == 0.0
-    assert s[4] == sc.b00
-    assert abs(dynamics.first_integral(s, p)) < 1e-12
-
-
-def test_unstable_seed_ball(p, sc):
-    radius = sc.k0 * math.sqrt(p.delta * p.g1)
-    outer.unstable_seed(sc, p, (radius, 0.0))
-    with pytest.raises(outer.BallViolation):
-        outer.unstable_seed(sc, p, (1.01 * radius, 0.0))
-    outer.unstable_seed(sc, p, (0.2, 0.1), k0=math.inf)
-
-
 def test_stable_seed(p, sc):
     k1 = 0.05
     s = outer.stable_seed(sc, p, (k1, 0.0))
@@ -229,7 +210,7 @@ def test_leaf_table_matches_leaf_states(p, profile15):
 
 def test_sample_outside_table_range_is_leaf_states_plus_correction(p, profile15):
     # with every amplitude above the table's range, the leaf piece is
-    # leaf_states itself plus the transported section correction
+    # leaf_states itself plus the transported fast offset of the left core
     prof = profile15.value
     pc = prof._pieces
     xs = np.linspace(prof.x_left_leaf_end - 16.0, prof.x_left_leaf_end, 60)
