@@ -8,10 +8,11 @@ by the closed-form solution of the pure equating system, which is eps-free).
 (2) The core geometry: a forward left core starts on the slow leaf deep in
 the slow region, with two fast parameters c that start at c = 0, the leaf
 itself.
-(3) The right anchor starts a backward core on the far-right A = 0 leaf, and
-a 5-parameter least-squares match of (c, right-core parameters) joins the
-two cores at the right junction: the intersection of the 3-dimensional
-unstable manifold of M- with the 3-dimensional stable manifold of M+.
+(3) The right anchor starts a backward core on the far-right A = 0 leaf,
+fitted to the stable trace of the matching, and a 5-parameter least-squares
+match of (c, right-core parameters) joins the two cores at the right
+junction x_hat: the intersection of the 3-dimensional unstable manifold of
+M- with the 3-dimensional stable manifold of M+.
 (4) The tail pieces are analytic invariant leaves far out on both tails; the
 right one carries the right core's fast stable offset past x_r by
 Liouville-Green transport (Olver, Asymptotics and Special Functions, ch. 6).
@@ -115,29 +116,19 @@ def matching_linear_system(rho: float) -> tuple[np.ndarray, np.ndarray]:
 class MatchContext:
     """Data needed to evaluate the matching residual."""
 
-    p: Params
     scaling: ScalingConfig
     grid_points: int = 2048
     inner_tol: float = 1e-12
-    ignore_ode: bool = False
-    sign: float = 1.0   # -1 flips the base branch (A -> -A counterpart)
-
-    def inner_solution(self, x10s: float, x20s: float) -> inner.InnerSolution:
-        fam = self.sign * inner.assemble_boundary(
-            "plus", (x10s, x20s), self.scaling.a_plus)
-        prob = inner.InnerProblem(
-            a_minus=self.scaling.a_minus, a_plus=self.scaling.a_plus,
-            boundary_plus=tuple(fam), grid_points=self.grid_points,
-            tol=self.inner_tol,
-        )
-        return inner.solve_inner(prob)
 
 
 def _left_jet(u, ctx: MatchContext) -> np.ndarray:
     """Layer jet at the left end for the stable-side pair (u[2], u[3])."""
-    if ctx.ignore_ode:
-        return ctx.sign * inner.assemble_boundary("plus", (u[2], u[3]), ctx.scaling.a_plus)
-    return ctx.inner_solution(u[2], u[3]).jet_left
+    fam = inner.assemble_boundary("plus", (u[2], u[3]), ctx.scaling.a_plus)
+    prob = inner.InnerProblem(
+        a_minus=ctx.scaling.a_minus, a_plus=ctx.scaling.a_plus,
+        boundary_plus=tuple(fam), grid_points=ctx.grid_points, tol=ctx.inner_tol,
+    )
+    return inner.solve_inner(prob).jet_left
 
 
 def _unstable_mismatch(u, left_jet: np.ndarray, ctx: MatchContext) -> np.ndarray:
@@ -145,8 +136,7 @@ def _unstable_mismatch(u, left_jet: np.ndarray, ctx: MatchContext) -> np.ndarray
     divided componentwise by (a-^(1/2), a-^(3/4), a-, a-^(5/4))."""
     a_m = ctx.scaling.a_minus
     scales = np.array([a_m**0.5, a_m**0.75, a_m, a_m**1.25])
-    fam_minus = ctx.sign * inner.assemble_boundary("minus", (u[0], u[1]), a_m)
-    return (left_jet - fam_minus) / scales
+    return (left_jet - inner.assemble_boundary("minus", (u[0], u[1]), a_m)) / scales
 
 
 def boundary_map(u, ctx: MatchContext) -> np.ndarray:
@@ -386,19 +376,16 @@ def _shoot(s0, span, p, rtol, atol, at=None, tangents=None):
     error norm, and the state tolerances are scaled by sqrt(6 / (6 + 6k)),
     so the norm, and with it the step control, is that of a plain shot.
     """
-    if tangents is None:
-        fun = lambda x, y: dynamics.vector_field(y, p)
-        y0 = s0
-    else:
+    y0 = s0
+    if tangents is not None:
         k = tangents.shape[1]
-        fun = lambda x, y: dynamics._variational_field(y, p)
         y0 = np.concatenate([s0, np.ravel(tangents)])
         scale = math.sqrt(6.0 / (6.0 + 6.0 * k))
         rtol = np.full(y0.size, rtol * scale)
         atol = np.concatenate([np.full(6, atol * scale), np.full(6 * k, 1e300)])
     end = span[1] if at is None else at
-    sol = solve_ivp(fun, (span[0], end), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=at is None)
+    sol = solve_ivp(lambda x, y: dynamics.vector_field(y, p), (span[0], end), y0,
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=at is None)
     if not sol.success:
         raise RealizationError(f"core integration failed: {sol.message}")
     if at is None:
@@ -491,7 +478,6 @@ class _Pieces:
 
     geo: _Shooting
     junction: _Junction
-    phi_floor: float
     phi_r: CubicSpline
     phi_i: CubicSpline
     tail_back: object
@@ -539,7 +525,7 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
         # scaled-rotation transition map
         phi_r, phi_i = pc.phi_r(xs), pc.phi_i(xs)
         taper = _smoothstep((xs - (x_a - pc.dev_reach)) / 6.0)
-        on = (taper != 0.0) & (phi_r <= min(40.0, pc.phi_floor))
+        on = taper != 0.0
         if on.any():
             amp = taper[on] * np.exp(-phi_r[on])
             cos, sin = np.cos(phi_i[on]), np.sin(phi_i[on])
@@ -596,7 +582,7 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
 def _matching(p: Params, scaling: ScalingConfig, cfg: SolveConfig,
               initial_guess) -> tuple[MatchingUnknowns, dict]:
     """Stage 1: Newton on the matching system, seeded by the closed form."""
-    ctx = MatchContext(p=p, scaling=scaling, grid_points=cfg.inner_grid_points,
+    ctx = MatchContext(scaling=scaling, grid_points=cfg.inner_grid_points,
                        inner_tol=cfg.inner_tol)
     u0 = matching_closed_form(scaling.rho).as_array() if initial_guess is None \
         else np.asarray(initial_guess, dtype=float)
@@ -639,14 +625,21 @@ def _junction_residual(geo: _Shooting, x_r: float, th) -> tuple[np.ndarray, np.n
     return (y_l - y_r) / scale, np.hstack([phi_l, -phi_r]) / scale[:, None]
 
 
-def _junction_window(geo: _Shooting, t_r: float, target_jet, b01: float,
-                     refine_tol: float) -> _Junction:
-    """Calibrate the right anchor at window t_r and run the junction match
-    from the left core on the leaf (c = 0); a match that ends above a scaled
-    mismatch of 1e-4 fails."""
-    eps, x_hat = geo.p.epsilon, geo.x_hat
+def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUnknowns,
+                    refine_tol: float) -> _Junction:
+    """Stage 3: anchor the right core and join it to the left core at x_hat.
+
+    The right anchor is a fast stable offset on the A = 0 tail at x_hat + t_r,
+    fitted to the stable trace of the matching; t_r keeps the amplification
+    floor and exposes several oscillation maxima past the corner guard.  The
+    junction match starts from the left core on the leaf (c = 0); one that
+    ends above a scaled mismatch of 1e-4 fails."""
+    p, x_hat = geo.p, geo.x_hat
+    rate_plus = math.sqrt(p.delta / 2.0)
+    t_r = max(8.0, AMPLIFICATION_BUDGET / rate_plus, 2.0 * x_hat + 5.5 * math.pi / rate_plus)
     x_r = x_hat + t_r
-    beta0 = math.tanh(math.atanh(b01) + eps / math.sqrt(2.0) * t_r)
+    target_jet = outer.stable_seed(scaling, p, (unknowns.x10s, unknowns.x20s))[:4]
+    beta0 = math.tanh(math.atanh(scaling.b01) + p.epsilon / math.sqrt(2.0) * t_r)
     g0, phi = geo.right_shot(x_r, 0.0, 0.0, beta0, at=x_hat, tangents=True)
     d0, *_ = np.linalg.lstsq(phi[:4, :2], target_jet - g0[:4], rcond=None)
     theta = np.array([0.0, 0.0, d0[0], d0[1], beta0])
@@ -660,22 +653,6 @@ def _junction_window(geo: _Shooting, t_r: float, target_jet, b01: float,
         raise RealizationError(f"junction match stalled at scaled mismatch {mismatch:.3e}")
     return _Junction(theta=theta, mismatch=mismatch, sol_left=geo.left_shot(theta[:2]),
                      sol_right=geo.right_shot(x_r, *theta[2:]), x_r=x_r)
-
-
-def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUnknowns,
-                    refine_tol: float) -> _Junction:
-    """Stage 3: anchor the right core and join it to the left core at x_hat.
-
-    The right anchor is a fast stable offset on the A = 0 tail; its window
-    keeps the amplification floor and exposes several oscillation maxima
-    past the corner guard."""
-    p = geo.p
-    rate_plus = math.sqrt(p.delta / 2.0)
-    t_r = max(8.0, AMPLIFICATION_BUDGET / rate_plus,
-              2.0 * geo.x_hat + 5.5 * math.pi / rate_plus)
-    target_jet = outer.stable_seed(scaling, p, (unknowns.x10s, unknowns.x20s),
-                                   k1=math.inf)[:4]
-    return _junction_window(geo, t_r, target_jet, scaling.b01, refine_tol)
 
 
 def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
@@ -716,7 +693,7 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
     kappa = -_leaf_exponent(outer.right_tail_b0(k_x, x_r, float(junction.theta[4]), p),
                             p).real
     k_int = inner._cumquad_right(kappa, hk)
-    return _Pieces(geo=geo, junction=junction, phi_floor=float(phi_r[0]),
+    return _Pieces(geo=geo, junction=junction,
                    phi_r=CubicSpline(phi_x, phi_r - phi_r[n_back]),
                    phi_i=CubicSpline(phi_x, phi_i - phi_i[n_back]),
                    tail_back=sol_back.sol, tail_fwd=sol_fwd.sol,
@@ -739,21 +716,16 @@ def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, inf
 
     l_left = max(cfg.tail_efolds / (p.epsilon * p.delta), abs(x_a - x_shift) + 10.0)
     l_right = max(cfg.tail_efolds / (p.epsilon * math.sqrt(2.0)), x_r - x_shift + 10.0)
-
-    profile = HeteroclinicProfile(
+    grid = np.linspace(-l_left, l_right, cfg.profile_points)
+    states = _sample_pieces(grid + x_shift, pc, p)
+    return HeteroclinicProfile(
         p=p, scaling=scaling, unknowns=unknowns, newton_iterations=info["iterations"],
         matching_residual=info["residual"], matching_jacobian=info["jacobian"],
         x_shift=x_shift, x_star_left=x_star_left, x_star_plus=x_star_plus,
         junction_mismatch=jn.mismatch,
         leaf_handoff_mismatch=float(np.abs(geo.left_seed(jn.theta[:2])[0] - geo.leaf_a).max()),
         x_left_leaf_end=x_a - x_shift, x_right_leaf_start=x_r - x_shift,
-        x=np.zeros(1), states=np.zeros((1, 6)), w=np.zeros(1), _pieces=pc)
-    grid = np.linspace(-l_left, l_right, cfg.profile_points)
-    states = profile.sample(grid)
-    profile.x = grid
-    profile.states = states
-    profile.w = dynamics.first_integral(states.T, p)
-    return profile
+        x=grid, states=states, w=dynamics.first_integral(states.T, p), _pieces=pc)
 
 
 def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,

@@ -22,23 +22,38 @@ M_PLUS = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 SYMMETRIES = ("neg_a", "neg_b", "neg_ab", "reversibility")
 
 
-def vector_field(s: np.ndarray, p: Params) -> np.ndarray:
-    """Right-hand side of the first-order system.
+def vector_field(y: np.ndarray, p: Params) -> np.ndarray:
+    """Right-hand side of the first-order system, and of tangent columns.
 
     A'''' = A (1 - A^2 - g B^2),  B'' = eps^2 B (-1 + g A^2 + B^2).
 
-    The arithmetic runs on Python floats (IEEE double, the same bits as
-    numpy scalars), which is several times cheaper per call inside the
-    integrator's callback.
+    ``y`` holds the state, optionally followed by a 6 x k tangent matrix in
+    row order, which moves by the variational equation Phi' = J(s) Phi:
+    rows 0-2 and 4 of J shift the tangent rows, and rows 3 and 5 couple rows
+    0 and 4 through :func:`_coupling`.  The arithmetic runs on Python floats
+    (IEEE double, the same bits as numpy scalars), which is several times
+    cheaper per call inside the integrator's callback.
     """
-    a0, a1, a2, a3, b0, b1 = s.tolist()
-    return np.array([
+    a0, a1, a2, a3, b0, b1, *v = y.tolist()
+    f = [
         a1,
         a2,
         a3,
         a0 * (1.0 - a0 * a0 - p.g * b0 * b0),
         b1,
         p.epsilon**2 * b0 * (-1.0 + p.g * a0 * a0 + b0 * b0),
+    ]
+    if not v:
+        return np.array(f)
+    k = len(v) // 6
+    j30, j34, j50, j54 = _coupling(a0, b0, p)
+    r0, r4 = v[:k], v[4 * k:5 * k]
+    return np.array([
+        *f,
+        *v[k:4 * k],
+        *[j30 * u + j34 * w for u, w in zip(r0, r4)],
+        *v[5 * k:],
+        *[j50 * u + j54 * w for u, w in zip(r0, r4)],
     ])
 
 
@@ -62,32 +77,6 @@ def jacobian(s: np.ndarray, p: Params) -> np.ndarray:
     J[4, 5] = 1.0
     J[3, 0], J[3, 4], J[5, 0], J[5, 4] = _coupling(float(s[0]), float(s[4]), p)
     return J
-
-
-def _variational_field(y: np.ndarray, p: Params) -> np.ndarray:
-    """Vector field of the state and k tangent columns, Phi' = J(s) Phi.
-
-    ``y`` holds the state followed by the 6 x k tangent matrix in row order.
-    Rows 0-2 and 4 of J shift the tangent rows; rows 3 and 5 couple rows 0
-    and 4 through :func:`_coupling`.  Like :func:`vector_field` it runs on
-    Python floats, and its first six components equal that field bit for bit.
-    """
-    a0, a1, a2, a3, b0, b1, *v = y.tolist()
-    k = len(v) // 6
-    j30, j34, j50, j54 = _coupling(a0, b0, p)
-    r0, r4 = v[:k], v[4 * k:5 * k]
-    return np.array([
-        a1,
-        a2,
-        a3,
-        a0 * (1.0 - a0 * a0 - p.g * b0 * b0),
-        b1,
-        p.epsilon**2 * b0 * (-1.0 + p.g * a0 * a0 + b0 * b0),
-        *v[k:4 * k],
-        *[j30 * u + j34 * w for u, w in zip(r0, r4)],
-        *v[5 * k:],
-        *[j50 * u + j54 * w for u, w in zip(r0, r4)],
-    ])
 
 
 def first_integral(s: np.ndarray, p: Params) -> float:

@@ -33,7 +33,6 @@ class SlowFrame:
     a_star: float
     lam_r: float
     lam_i: float
-    sigma: float
     eps: float
     delta: float
 
@@ -118,24 +117,11 @@ def lambda_pair(b0, p: Params):
     return lam_r, lam_i
 
 
-def slow_frame(b0: float, p: Params, alpha: float | None = None) -> SlowFrame:
-    """Construct the slow frame at base point ``b0``.
-
-    ``alpha`` optionally enforces the validity floor a_star >= alpha*delta
-    below which the frame entries (growing like a_star^-2) are rejected.
-    """
+def slow_frame(b0: float, p: Params) -> SlowFrame:
+    """Construct the slow frame at base point ``b0``."""
     lam_r, lam_i = lambda_pair(b0, p)
-    astar = math.sqrt(1.0 - p.g1 * b0 * b0)
-    if alpha is not None and astar < alpha * p.delta * (1.0 - 1e-12):
-        raise FrameDomainError(
-            f"a_star = {astar:.3e} below validity floor alpha*delta = {alpha * p.delta:.3e}"
-        )
-    eff_alpha = astar / p.delta if alpha is None else alpha
-    sigma = math.sqrt(eff_alpha * p.delta) / 2.0**0.25
-    return SlowFrame(
-        b0=float(b0), a_star=astar, lam_r=lam_r, lam_i=lam_i,
-        sigma=sigma, eps=p.epsilon, delta=p.delta,
-    )
+    return SlowFrame(b0=float(b0), a_star=math.sqrt(1.0 - p.g1 * b0 * b0), lam_r=lam_r,
+                     lam_i=lam_i, eps=p.epsilon, delta=p.delta)
 
 
 def to_slow_coords(s: np.ndarray, frame: SlowFrame) -> np.ndarray:
@@ -163,18 +149,6 @@ class FastFrame:
     delta_tilde: float
     eps: float
     delta: float
-
-    def basis_matrix(self) -> np.ndarray:
-        """Columns (Vr+, Vi+, Vr-, Vi-, W1-, W1+)."""
-        dt = self.delta_tilde
-        r2 = math.sqrt(2.0)
-        vr_p = np.array([1.0, dt / r2, 0.0, -dt**3 / r2, 0.0, 0.0])
-        vr_m = np.array([1.0, -dt / r2, 0.0, dt**3 / r2, 0.0, 0.0])
-        vi_p = np.array([0.0, dt / r2, dt**2, dt**3 / r2, 0.0, 0.0])
-        vi_m = np.array([0.0, -dt / r2, dt**2, -dt**3 / r2, 0.0, 0.0])
-        w1_m = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -self.eps * r2])
-        w1_p = np.array([0.0, 0.0, 0.0, 0.0, 1.0, self.eps * r2])
-        return np.column_stack([vr_p, vi_p, vr_m, vi_m, w1_m, w1_p])
 
 
 def fast_frame(b0: float, p: Params) -> FastFrame:

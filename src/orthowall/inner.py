@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
+PICARD_MAX_ITER = 200   # Picard iterations per anchored sweep
+
 
 class ContractionViolated(ValueError):
     pass
@@ -77,7 +79,6 @@ class InnerProblem:
     boundary_plus: tuple[float, float, float, float]
     grid_points: int = 2048
     tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self):
         if self.a_plus <= 0 or self.a_minus <= 0:
@@ -166,13 +167,13 @@ def _apply_volterra(z: np.ndarray, a_vals: np.ndarray, anchor_jet: np.ndarray
     return a0, a1, a2, a3
 
 
-def _picard_sweep(z: np.ndarray, anchor_jet: np.ndarray, tol: float,
-                  max_iter: int) -> tuple[np.ndarray, list[float]]:
+def _picard_sweep(z: np.ndarray, anchor_jet: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, list[float]]:
     """Iterate the anchored Volterra form to its fixed point on grid z."""
     dz = z - z[-1]
     a = _taylor_rows(dz, anchor_jet)[0]
     deltas: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         a0, a1, a2, a3 = _apply_volterra(z, a, anchor_jet)
         delta = float(np.abs(a0 - a).max())
         deltas.append(delta)
@@ -187,7 +188,7 @@ def _picard_sweep(z: np.ndarray, anchor_jet: np.ndarray, tol: float,
         ):
             raise NonConvergence("fixed-point iteration diverging", deltas)
     raise NonConvergence(
-        f"no convergence after {max_iter} iterations (last delta {deltas[-1]:.3e})",
+        f"no convergence after {PICARD_MAX_ITER} iterations (last delta {deltas[-1]:.3e})",
         deltas,
     )
 
@@ -205,7 +206,7 @@ def picard_solve(problem: InnerProblem) -> InnerSolution:
         )
     z = np.linspace(-problem.a_plus, problem.a_plus, problem.grid_points)
     jets, deltas = _picard_sweep(z, np.asarray(problem.boundary_plus, dtype=float),
-                                 problem.tol, problem.max_iter)
+                                 problem.tol)
     return InnerSolution(z=z, jets=jets, deltas=[deltas],
                          segments=[(float(z[0]), float(z[-1]))], problem=problem)
 
@@ -231,27 +232,31 @@ def _step_budget(z_hi: float, amp: float, remaining: float) -> float:
     return min(lo, remaining)
 
 
+def _anchored_sweep(z_hi: float, anchor: np.ndarray, step: float, target: float,
+                    problem: InnerProblem) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Sweep anchored at z_hi over [max(target, z_hi - step), z_hi] at the
+    problem's grid density, halving the step after each of up to 9 failures;
+    returns the grid, its jets and the sweep's deltas."""
+    density = problem.grid_points / (problem.a_minus + problem.a_plus)
+    for attempt in range(10):
+        z_lo = max(target, z_hi - step)
+        z = np.linspace(z_lo, z_hi, max(101, int(round(density * (z_hi - z_lo))) + 1))
+        try:
+            return (z, *_picard_sweep(z, anchor, problem.tol))
+        except NonConvergence:
+            if attempt == 9:
+                raise
+            step *= 0.5
+
+
 def _extend_left(z: np.ndarray, jets: np.ndarray, deltas: list[list[float]],
                  segments: list[tuple[float, float]], target: float,
                  problem: InnerProblem) -> tuple[np.ndarray, np.ndarray]:
-    density = problem.grid_points / (problem.a_minus + problem.a_plus)
     while z[0] > target + 1e-13:
         z_hi = float(z[0])
-        anchor = jets[:, 0].copy()
         amp = float(np.abs(jets[0, : max(4, jets.shape[1] // 8)]).max())
-        step = _step_budget(z_hi, amp, z_hi - target)
-        for attempt in range(10):
-            z_lo = max(target, z_hi - step)
-            n_seg = max(101, int(round(density * (z_hi - z_lo))) + 1)
-            zs = np.linspace(z_lo, z_hi, n_seg)
-            try:
-                seg_jets, seg_deltas = _picard_sweep(zs, anchor, problem.tol,
-                                                     problem.max_iter)
-                break
-            except NonConvergence:
-                if attempt == 9:
-                    raise
-                step *= 0.5
+        zs, seg_jets, seg_deltas = _anchored_sweep(
+            z_hi, jets[:, 0].copy(), _step_budget(z_hi, amp, z_hi - target), target, problem)
         z = np.concatenate([zs[:-1], z])
         jets = np.concatenate([seg_jets[:, :-1], jets], axis=1)
         deltas.append(seg_deltas)
@@ -272,20 +277,7 @@ def solve_inner(problem: InnerProblem) -> InnerSolution:
     amp = float(np.abs(_taylor_rows(np.linspace(-min(2.0 * a_p, a_p + a_m), 0.0, 9),
                                     jet)[0]).max())
     first = min(_step_budget(a_p, amp, a_p + a_m), 2.0 * a_p)
-    z_lo = a_p - first
-    density = problem.grid_points / (a_m + a_p)
-    n0 = max(101, int(round(density * (a_p - z_lo))) + 1)
-    z = np.linspace(z_lo, a_p, n0)
-    for attempt in range(10):
-        try:
-            jets, deltas = _picard_sweep(z, jet, problem.tol, problem.max_iter)
-            break
-        except NonConvergence:
-            if attempt == 9:
-                raise
-            z_lo = a_p - 0.5 * (a_p - z_lo)
-            n0 = max(101, int(round(density * (a_p - z_lo))) + 1)
-            z = np.linspace(z_lo, a_p, n0)
+    z, jets, deltas = _anchored_sweep(a_p, jet, first, -a_m, problem)
     deltas_all = [deltas]
     segments = [(float(z[0]), float(z[-1]))]
     z, jets = _extend_left(z, jets, deltas_all, segments, -a_m, problem)

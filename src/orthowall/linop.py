@@ -9,9 +9,9 @@ into real and imaginary parts decouples one scalar operator:
 
 Both are self-adjoint in the flat inner product; the profile derivative
 (A*', B*') spans the kernel of M.  Assembly uses symmetric second-order
-stencils on a uniform grid; the truncation rows either drop outside values
-(Dirichlet) or fold in the known exponential decay of the far field
-(diagonal decaying-mode closure, which keeps the matrix symmetric).
+stencils on a uniform grid; the truncation rows of M fold in the known
+exponential decay of the far field (diagonal decaying-mode closure, which
+keeps the matrix symmetric), those of L drop outside values (Dirichlet).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class GridOperator:
     matrix: sp.csr_matrix
     kind: str          # "M" or "L"
     eps: float
-    closure: str
 
     @property
     def n_nodes(self) -> int:
@@ -79,13 +78,12 @@ def _d4(n: int, h: float) -> sp.dia_matrix:
     return sp.diags([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2], shape=(n, n)) / h**4
 
 
-def assemble_Mg(x: np.ndarray, states: np.ndarray, p: Params,
-                closure: str = "decay") -> GridOperator:
+def assemble_Mg(x: np.ndarray, states: np.ndarray, p: Params) -> GridOperator:
     """Assemble the coupled (A, C) operator on the profile samples.
 
-    Block layout: unknowns [A_0..A_{n-1}, C_0..C_{n-1}].  ``closure`` is
-    'dirichlet' or 'decay'; the latter adds the exponential fold-in of the
-    slow far-field modes to the first/last diagonal entries of the C block.
+    Block layout: unknowns [A_0..A_{n-1}, C_0..C_{n-1}].  The decay closure
+    adds the exponential fold-in of the slow far-field modes to the
+    first/last diagonal entries of the C block.
     """
     h = _check_grid(x, p)
     n = x.size
@@ -94,17 +92,14 @@ def assemble_Mg(x: np.ndarray, states: np.ndarray, p: Params,
     e2 = p.epsilon**2
     aa = -_d4(n, h) + sp.diags(1.0 - 3.0 * a_star**2 - p.g * b_star**2)
     cc = _d2(n, h) / e2 + sp.diags(1.0 - p.g * a_star**2 - 3.0 * b_star**2)
-    if closure == "decay":
-        boost = sp.lil_matrix((n, n))
-        boost[0, 0] = math.exp(-p.epsilon * p.delta * h) / (e2 * h**2)
-        boost[-1, -1] = math.exp(-math.sqrt(2.0) * p.epsilon * h) / (e2 * h**2)
-        cc = cc + boost
-    elif closure != "dirichlet":
-        raise ValueError("closure must be 'decay' or 'dirichlet'")
+    boost = sp.lil_matrix((n, n))
+    boost[0, 0] = math.exp(-p.epsilon * p.delta * h) / (e2 * h**2)
+    boost[-1, -1] = math.exp(-math.sqrt(2.0) * p.epsilon * h) / (e2 * h**2)
+    cc = cc + boost
     ac = sp.diags(-2.0 * p.g * a_star * b_star)
     mat = sp.bmat([[aa, ac], [ac, cc]], format="csr")
     return GridOperator(x=np.asarray(x, dtype=float), h=h, matrix=mat,
-                        kind="M", eps=p.epsilon, closure=closure)
+                        kind="M", eps=p.epsilon)
 
 
 def assemble_Lg(x: np.ndarray, states: np.ndarray, p: Params) -> GridOperator:
@@ -116,7 +111,7 @@ def assemble_Lg(x: np.ndarray, states: np.ndarray, p: Params) -> GridOperator:
     mat = (_d2(n, h) / p.epsilon**2
            + sp.diags(1.0 - p.g * a_star**2 - b_star**2)).tocsr()
     return GridOperator(x=np.asarray(x, dtype=float), h=h, matrix=mat,
-                        kind="L", eps=p.epsilon, closure="dirichlet")
+                        kind="L", eps=p.epsilon)
 
 
 def profile_derivative_vector(states: np.ndarray) -> np.ndarray:
@@ -124,9 +119,8 @@ def profile_derivative_vector(states: np.ndarray) -> np.ndarray:
     return np.concatenate([states[:, 1], states[:, 5]])
 
 
-def kernel_residual(op: GridOperator, states: np.ndarray, margin: int = 6,
-                    exclude=()) -> float:
-    """Relative sup-norm of M (A*', B*') away from the truncation rows.
+def kernel_residual(op: GridOperator, states: np.ndarray, exclude=()) -> float:
+    """Relative sup-norm of M (A*', B*') away from 6 truncation rows per end.
 
     ``exclude`` lists (lo, hi) windows (the profile's piece-blend regions,
     where the representation interpolates between overlapping solutions and
@@ -138,8 +132,8 @@ def kernel_residual(op: GridOperator, states: np.ndarray, margin: int = 6,
     r = op.matrix @ u
     n = op.n_nodes
     keep_nodes = np.ones(n, dtype=bool)
-    keep_nodes[:margin] = False
-    keep_nodes[n - margin:] = False
+    keep_nodes[:6] = False
+    keep_nodes[n - 6:] = False
     for lo, hi in exclude:
         keep_nodes &= ~((op.x >= lo) & (op.x <= hi))
     keep = np.concatenate([keep_nodes, keep_nodes])
@@ -159,23 +153,24 @@ class KernelReport:
         return self.separation >= 1e4
 
 
-def kernel_diagnostics(op: GridOperator, states: np.ndarray, p: Params,
-                       l_op: GridOperator | None = None) -> KernelReport:
+def kernel_diagnostics(op: GridOperator, states: np.ndarray, p: Params) -> KernelReport:
     """Near-kernel structure of the coupled operator.
 
     Finds the three eigenvalues closest to zero (shift-invert on the
     symmetric matrix; their magnitudes are the smallest singular values),
     compares the best candidate against the profile derivative, and
     evaluates the kernel orthogonality integral
-    int A* B* (B* u_A + A* u_C) dx by the trapezoid rule.
+    int A* B* (B* u_A + A* u_C) dx by the trapezoid rule.  The eigensolves
+    start from (A*', B*') for M and B* for L (L B* = 0 in the interior), not
+    from ARPACK's random vector, so the report is reproducible.
     """
-    vals, vecs = eigsh(op.matrix.tocsc(), k=3, sigma=0.0, which="LM")
+    u_star = profile_derivative_vector(states)
+    vals, vecs = eigsh(op.matrix.tocsc(), k=3, sigma=0.0, which="LM", v0=u_star)
     order = np.argsort(np.abs(vals))
     vals = vals[order]
     vecs = vecs[:, order]
     s = np.abs(vals)
 
-    u_star = profile_derivative_vector(states)
     v = vecs[:, 0]
     cosang = abs(v @ u_star) / (np.linalg.norm(v) * np.linalg.norm(u_star))
     angle = math.acos(min(1.0, cosang))
@@ -187,10 +182,8 @@ def kernel_diagnostics(op: GridOperator, states: np.ndarray, p: Params,
     a_star, b_star = states[:, 0], states[:, 4]
     defect = abs(np.trapezoid(a_star * b_star * (b_star * ua + a_star * uc), op.x))
 
-    if l_op is None:
-        l_op = assemble_Lg(op.x, states, p)
-    l_vals = eigsh(l_op.matrix.tocsc(), k=1, sigma=0.0, which="LM",
-                   return_eigenvectors=False)
+    l_vals = eigsh(assemble_Lg(op.x, states, p).matrix.tocsc(), k=1, sigma=0.0, which="LM",
+                   v0=b_star, return_eigenvectors=False)
     return KernelReport(
         smallest=tuple(float(v) for v in s),
         separation=float(s[1] / s[0]) if s[0] > 0 else math.inf,
@@ -200,13 +193,12 @@ def kernel_diagnostics(op: GridOperator, states: np.ndarray, p: Params,
     )
 
 
-def lg_pseudo_inverse(f: np.ndarray, x: np.ndarray, states: np.ndarray,
-                      p: Params, solvability_rtol: float = 1e-6):
+def lg_pseudo_inverse(f: np.ndarray, x: np.ndarray, states: np.ndarray, p: Params):
     """Bounded solution of L u = f by the explicit variation-of-constants form.
 
     Uses u(x) = eps^2 B*(x) int_x^X F(s)/B*^2(s) ds with
     F(s) = int_s^X f B*; requires the solvability condition
-    int f B* dx = 0 (checked against ``solvability_rtol``).  Returns
+    int f B* dx = 0 (to 1e-6 relative to int |f B*| dx).  Returns
     (u, info) with the measured defect and a two-grid quadrature estimate.
     """
     x = np.asarray(x, dtype=float)
@@ -219,7 +211,7 @@ def lg_pseudo_inverse(f: np.ndarray, x: np.ndarray, states: np.ndarray,
     F = _cumquad_right(fb, h)
     defect = abs(F[0])
     scale = _cumquad_right(np.abs(fb), h)[0]
-    if defect > solvability_rtol * max(scale, 1e-300):
+    if defect > 1e-6 * max(scale, 1e-300):
         raise SolvabilityError(
             f"solvability violated: int f B* dx = {F[0]:.6e} "
             f"(relative {defect / max(scale, 1e-300):.3e})",

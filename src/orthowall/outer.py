@@ -24,10 +24,6 @@ from .dynamics import b1_from_invariant
 from .params import Params, ScalingConfig
 
 
-class BallViolation(ValueError):
-    pass
-
-
 # -- left reduced profile -------------------------------------------------
 
 def b0_left_profile(x, b00: float, p: Params, x_star: float):
@@ -248,13 +244,9 @@ def right_tail_b0(x, x_ref: float, b0_ref: float, p: Params):
 
 # -- stable section seed ---------------------------------------------------
 
-def stable_seed(scaling: ScalingConfig, p: Params, xbar=(0.0, 0.0),
-                k1: float | None = None) -> np.ndarray:
+def stable_seed(scaling: ScalingConfig, p: Params, xbar=(0.0, 0.0)) -> np.ndarray:
     """State on the right section realizing the stable tangent trace."""
     x10, x20 = float(xbar[0]), float(xbar[1])
-    k1 = scaling.k1 if k1 is None else k1
-    if math.hypot(x10, x20) > k1 * (1.0 + 1e-12):
-        raise BallViolation(f"|xbar| = {math.hypot(x10, x20):.4g} exceeds k1 = {k1:.4g}")
     dap = p.delta * scaling.alpha_plus
     b01 = scaling.b01
     jet = np.array([

@@ -130,7 +130,6 @@ class ScalingConfig:
     a_plus: float
     x_star: float
     x_star_plus: float
-    k1: float = 0.05
     violations: tuple[str, ...] = ()
     epsilon: float = 0.0
     delta: float = 0.0

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -234,3 +235,40 @@ def test_missing_profile(tmp_path):
     rc = cli.main(["verify", "--out", str(tmp_path / "v"),
                    str(tmp_path / "nope.csv")])
     assert rc == 1
+
+
+def _outputs(root):
+    """Every file under ``root`` by relative path; a manifest without its
+    timestamp, the one field that changes between runs."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                assert manifest.pop("timestamp_utc")
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[str(path.relative_to(root))] = data
+    return files
+
+
+def test_runs_are_byte_identical(tmp_path):
+    # solve, verify, spectrum and inner write the same bytes when run again
+    # in the same process; spectrum's eigensolves start from fixed vectors,
+    # not from ARPACK's random one
+    root = tmp_path / "run"
+    runs = []
+    for _ in range(2):
+        root.mkdir()
+        profile = str(root / "solve" / "profile.csv")
+        for argv in (["solve", "--out", str(root / "solve"), "--epsilon", "0.1", "--g", "1.5"],
+                     ["verify", "--out", str(root / "verify"), profile],
+                     ["spectrum", "--out", str(root / "spectrum"), profile],
+                     ["inner", "--out", str(root / "inner"), "--a-plus", "1.0",
+                      "--a-minus", "1.0", "--x10", "0.03", "--x20", "0.02"]):
+            assert cli.main([*argv, "--quiet"]) == 0
+        runs.append(_outputs(root))
+        shutil.rmtree(root)
+    assert sorted(runs[0]) == sorted(runs[1]) and len(runs[0]) == 10
+    for name, data in runs[0].items():
+        assert runs[1][name] == data, name

@@ -93,14 +93,14 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_variational_field_is_jacobian_on_tangents():
-    # the state block is the vector field bit for bit; the tangent block of
-    # k columns is J(s) V
+    # with k tangent columns after the state, the state block is the plain
+    # vector field bit for bit and the tangent block is J(s) V
     rng = np.random.default_rng(7)
     for g in (1.25, 2.0):
         p = derive_params(0.1, g)
         for k, s in zip((1, 2, 3, 5) * 5, random_states(20, seed=4)):
             V = rng.normal(size=(6, k))
-            out = dynamics._variational_field(np.concatenate([s, V.ravel()]), p)
+            out = dynamics.vector_field(np.concatenate([s, V.ravel()]), p)
             assert np.array_equal(out[:6], dynamics.vector_field(s, p))
             want = dynamics.jacobian(s, p) @ V
             assert np.abs(out[6:].reshape(6, k) - want).max() <= 1e-14 * np.abs(want).max()

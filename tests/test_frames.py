@@ -27,8 +27,6 @@ def test_slow_frame_domain_errors():
     p = derive_params(0.1, 1.25)
     with pytest.raises(frames.FrameDomainError):
         frames.slow_frame(1.0, p)
-    with pytest.raises(frames.FrameDomainError):
-        frames.slow_frame(0.5, p, alpha=2.0)
 
 
 def test_degeneracy_error():

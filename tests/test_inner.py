@@ -62,19 +62,69 @@ def test_picard_small_ball_ratio():
     assert inner.inner_residual(sol) < 1e-8
 
 
-def test_extension_cascade_count():
+def _cascade_problem() -> inner.InnerProblem:
     # width ratio from nu_plus/nu_minus = 10 at delta = 1
     a_plus = 1.05
-    a_minus = a_plus * 10.0**0.8
     fam = inner.assemble_boundary("plus", (1e-4, -1e-4), a_plus)
-    prob = inner.InnerProblem(a_minus=a_minus, a_plus=a_plus,
+    return inner.InnerProblem(a_minus=a_plus * 10.0**0.8, a_plus=a_plus,
                               boundary_plus=tuple(fam), grid_points=3000)
+
+
+def test_extension_cascade_count():
+    prob = _cascade_problem()
     ext = inner.solve_inner(prob)
-    assert ext.z[0] == pytest.approx(-a_minus, abs=1e-12)
+    assert ext.z[0] == pytest.approx(-prob.a_minus, abs=1e-12)
     # per-step budget X^4 (a_far + 3 amp^2)/24 = 1/2 gives the first sweep
     # and five leftward ones
     assert len(ext.segments) == 6
     assert inner.inner_residual(ext) < 1e-8
+
+
+def _failing_sweeps(monkeypatch, failing) -> list[float]:
+    """Make the sweeps numbered in ``failing`` (0 is the first) raise
+    NonConvergence; returns the span of every sweep tried."""
+    spans = []
+    sweep = inner._picard_sweep
+
+    def flaky(z, anchor, tol):
+        spans.append(z[-1] - z[0])
+        if len(spans) - 1 in failing:
+            raise inner.NonConvergence("injected failure", [1.0])
+        return sweep(z, anchor, tol)
+
+    monkeypatch.setattr(inner, "_picard_sweep", flaky)
+    return spans
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["first", "extension"])
+def test_failed_sweep_retries_at_half_step(monkeypatch, failing):
+    # the first sweep and each leftward extension share one retry: a sweep
+    # that does not converge is tried again over half its span
+    prob = _cascade_problem()
+    spans = _failing_sweeps(monkeypatch, {failing})
+    sol = inner.solve_inner(prob)
+    assert spans[failing + 1] == pytest.approx(0.5 * spans[failing], rel=1e-12)
+    assert sol.segments[failing][1] - sol.segments[failing][0] == pytest.approx(
+        spans[failing + 1], rel=1e-12)
+    assert sol.z[0] == pytest.approx(-prob.a_minus, abs=1e-12)
+    assert inner.inner_residual(sol) < 1e-8
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["first", "extension"])
+def test_ten_failed_sweeps_reraise(monkeypatch, failing):
+    spans = _failing_sweeps(monkeypatch, set(range(failing, failing + 10)))
+    with pytest.raises(inner.NonConvergence, match="injected"):
+        inner.solve_inner(_cascade_problem())
+    assert len(spans) == failing + 10
+    assert spans[-1] == pytest.approx(spans[failing] / 2**9, rel=1e-9)
+
+
+def test_single_sweep_ends_at_left_end():
+    # a+ + a- rounds here, and the first sweep stops at -a- itself, not at
+    # a+ - (a+ + a-), one rounding below it
+    fam = inner.assemble_boundary("plus", (0.03, 0.02), 1.0)
+    sol = inner.solve_inner(inner.InnerProblem(0.3, 1.0, tuple(fam)))
+    assert len(sol.segments) == 1 and sol.z[0] == -0.3
 
 
 def test_extend_noop_when_target_inside():

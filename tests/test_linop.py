@@ -14,9 +14,7 @@ def grid15(profile15):
 
 def test_symmetry_exact(p15, grid15):
     x, st = grid15
-    for closure in ("decay", "dirichlet"):
-        op = linop.assemble_Mg(x, st, p15, closure=closure)
-        assert op.is_symmetric()
+    assert linop.assemble_Mg(x, st, p15).is_symmetric()
     assert linop.assemble_Lg(x, st, p15).is_symmetric()
 
 
@@ -28,8 +26,6 @@ def test_grid_validation(p15, grid15):
     bad[10] += 1e-3
     with pytest.raises(linop.GridError):
         linop.assemble_Mg(bad, st, p15)
-    with pytest.raises(ValueError):
-        linop.assemble_Mg(x, st, p15, closure="bogus")
 
 
 def test_constant_profile_symbol(p15):

@@ -72,8 +72,6 @@ def test_stable_seed(p, sc):
     assert abs(dynamics.first_integral(s, p)) < 1e-12
     zero = outer.stable_seed(sc, p, (0.0, 0.0))
     assert np.all(zero[:4] == 0.0)
-    with pytest.raises(outer.BallViolation):
-        outer.stable_seed(sc, p, (0.06, 0.0))
 
 
 def test_slow_leaf_flow_consistency(p):
