@@ -18,7 +18,9 @@ right one carries the right core's fast stable offset past x_r by
 Liouville-Green transport (Olver, Asymptotics and Special Functions, ch. 6).
 (5) Phase fixing translates x so that B(0) = 1/sqrt(g); the default grid is
 then sampled.  The matching Newton and the junction match run through the
-one damped Newton driver :func:`_damped_newton`.
+one damped Newton driver :func:`_damped_newton`.  The dense cores and the
+left-tail B-profiles are evaluated from their stacked step interpolants,
+:class:`_DenseSolution`, one vectorized pass per call.
 
 The shooting Jacobians are exact.  A core shot can carry tangent columns
 through the variational equation Phi' = J(s) Phi (Hairer, Norsett & Wanner,
@@ -454,14 +456,45 @@ class _Shooting:
                       self.rtol, self.atol, at, d_seed if tangents else None)
 
 
+class _DenseSolution:
+    """A DOP853 ``OdeSolution`` with its step interpolants stacked, evaluated
+    on a 1-D array of abscissae in one pass and bit-equal to
+    ``OdeSolution.__call__``: the same segment choice (points outside the
+    span extrapolate from the end steps) and, elementwise, the same dense
+    output recurrence (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6)."""
+
+    def __init__(self, sol):
+        steps = sol.interpolants
+        self.ascending = bool(sol.ts[-1] >= sol.ts[0])
+        self.ts_sorted = sol.ts if self.ascending else sol.ts[::-1].copy()
+        self.t_old = np.array([s.t_old for s in steps])
+        self.h = np.array([s.h for s in steps])
+        self.y_old = np.array([s.y_old for s in steps])
+        self.F = np.array([s.F for s in steps])
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        last = self.h.size - 1
+        seg = np.searchsorted(self.ts_sorted, t, side="left" if self.ascending else "right")
+        seg = np.clip(seg - 1, 0, last)
+        if not self.ascending:
+            seg = last - seg
+        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
+        y = np.zeros((t.size, self.y_old.shape[1]))
+        for i in range(self.F.shape[1]):
+            y += self.F[seg, -1 - i]
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old[seg]
+        return y.T
+
+
 @dataclass(frozen=True, eq=False)
 class _Junction:
     """Joined cores; theta = (c1, c2, d1, d2, beta), the right core from x_r."""
 
     theta: np.ndarray
     mismatch: float
-    sol_left: object
-    sol_right: object
+    sol_left: _DenseSolution
+    sol_right: _DenseSolution
     x_r: float
 
 
@@ -480,8 +513,8 @@ class _Pieces:
     junction: _Junction
     phi_r: CubicSpline
     phi_i: CubicSpline
-    tail_back: object
-    tail_fwd: object
+    tail_back: _DenseSolution
+    tail_fwd: _DenseSolution
     kappa_r: CubicSpline
     leaf: outer.LeafTable
     w_a: float = 2.5
@@ -510,7 +543,9 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
     the seam mismatches themselves sit at the solver tolerances.  Each
     piece is evaluated on the whole array of its abscissae: the leaf from
     the Chebyshev table and the slow frames of the left core's fast offset
-    from :func:`frames.slow_coord_matrices`, the tail as closed forms.
+    from :func:`frames.slow_coord_matrices`, the cores and the left-tail
+    B-profiles from their stacked interpolants, the right tail as closed
+    forms.
     """
     out = np.empty((raw.size, 6))
     geo, jn = pc.geo, pc.junction
@@ -518,17 +553,20 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
     w_a, w_h, w_r = pc.w_a, geo.w_h, pc.w_r
 
     def leaf(xs):
-        b0s = np.where(xs <= x_a, pc.tail_back(xs)[0], pc.tail_fwd(xs)[0])
+        back = xs <= x_a
+        b0s = np.empty(xs.size)
+        b0s[back] = pc.tail_back(xs[back])[0]
+        b0s[~back] = pc.tail_fwd(xs[~back])[0]
         states = pc.leaf(b0s)
         # transport of the left core's fast offset c, fitted by the junction
         # match: the fast pair decays backward through the exact
         # scaled-rotation transition map
-        phi_r, phi_i = pc.phi_r(xs), pc.phi_i(xs)
         taper = _smoothstep((xs - (x_a - pc.dev_reach)) / 6.0)
         on = taper != 0.0
         if on.any():
-            amp = taper[on] * np.exp(-phi_r[on])
-            cos, sin = np.cos(phi_i[on]), np.sin(phi_i[on])
+            amp = taper[on] * np.exp(-pc.phi_r(xs[on]))
+            phi_i = pc.phi_i(xs[on])
+            cos, sin = np.cos(phi_i), np.sin(phi_i)
             c1, c2 = jn.theta[:2]
             cols = frames.slow_coord_matrices(b0s[on], p)
             full = (cols[:, :, 0] * (amp * (cos * c1 - sin * c2))[:, None]
@@ -651,8 +689,9 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
     mismatch = float(np.abs(r).max())
     if mismatch > 1e-4:
         raise RealizationError(f"junction match stalled at scaled mismatch {mismatch:.3e}")
-    return _Junction(theta=theta, mismatch=mismatch, sol_left=geo.left_shot(theta[:2]),
-                     sol_right=geo.right_shot(x_r, *theta[2:]), x_r=x_r)
+    return _Junction(theta=theta, mismatch=mismatch,
+                     sol_left=_DenseSolution(geo.left_shot(theta[:2])),
+                     sol_right=_DenseSolution(geo.right_shot(x_r, *theta[2:])), x_r=x_r)
 
 
 def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
@@ -696,7 +735,8 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
     return _Pieces(geo=geo, junction=junction,
                    phi_r=CubicSpline(phi_x, phi_r - phi_r[n_back]),
                    phi_i=CubicSpline(phi_x, phi_i - phi_i[n_back]),
-                   tail_back=sol_back.sol, tail_fwd=sol_fwd.sol,
+                   tail_back=_DenseSolution(sol_back.sol),
+                   tail_fwd=_DenseSolution(sol_fwd.sol),
                    kappa_r=CubicSpline(k_x, k_int[n_blend] - k_int),
                    leaf=outer.leaf_table(b_hi, p))
 

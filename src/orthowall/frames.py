@@ -148,7 +148,6 @@ class FastFrame:
     b0: float
     delta_tilde: float
     eps: float
-    delta: float
 
 
 def fast_frame(b0: float, p: Params) -> FastFrame:
@@ -157,7 +156,7 @@ def fast_frame(b0: float, p: Params) -> FastFrame:
         raise FrameDomainError(
             f"(1+delta^2) B^2 - 1 = {dt4:.3e} <= 0 at B = {b0}; fast frame undefined"
         )
-    return FastFrame(b0=float(b0), delta_tilde=dt4**0.25, eps=p.epsilon, delta=p.delta)
+    return FastFrame(b0=float(b0), delta_tilde=dt4**0.25, eps=p.epsilon)
 
 
 def to_fast_coords(s: np.ndarray, frame: FastFrame) -> np.ndarray:

@@ -130,14 +130,16 @@ class InnerSolution:
 
 
 def _cumquad_right(f: np.ndarray, h: float) -> np.ndarray:
-    """Order-4 cumulative integral R[i] = int_{z_i}^{z_end} f on a uniform grid."""
-    n = f.size
-    seg = np.empty(n - 1)
-    seg[0] = h * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3]) / 24.0
-    seg[1:-1] = h * (-f[:-3] + 13.0 * f[1:-2] + 13.0 * f[2:-1] - f[3:]) / 24.0
-    seg[-1] = h * (f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1]) / 24.0
-    out = np.zeros(n)
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    """Order-4 cumulative integral R[..., i] = int_{z_i}^{z_end} f along the
+    last axis, on a uniform grid."""
+    n = f.shape[-1]
+    seg = np.empty(f.shape[:-1] + (n - 1,))
+    seg[..., 0] = h * (9.0 * f[..., 0] + 19.0 * f[..., 1] - 5.0 * f[..., 2] + f[..., 3]) / 24.0
+    seg[..., 1:-1] = h * (-f[..., :-3] + 13.0 * f[..., 1:-2] + 13.0 * f[..., 2:-1]
+                          - f[..., 3:]) / 24.0
+    seg[..., -1] = h * (f[..., -4] - 5.0 * f[..., -3] + 19.0 * f[..., -2] + 9.0 * f[..., -1]) / 24.0
+    out = np.zeros(f.shape)
+    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
     return out
 
 
@@ -169,12 +171,20 @@ def _apply_volterra(z: np.ndarray, a_vals: np.ndarray, anchor_jet: np.ndarray
 
 def _picard_sweep(z: np.ndarray, anchor_jet: np.ndarray,
                   tol: float) -> tuple[np.ndarray, list[float]]:
-    """Iterate the anchored Volterra form to its fixed point on grid z."""
-    dz = z - z[-1]
-    a = _taylor_rows(dz, anchor_jet)[0]
+    """Iterate the anchored Volterra form to its fixed point on grid z.
+
+    Only the A row is iterated, as :func:`_apply_volterra` forms it: the four
+    moment integrals of g come from one quadrature of the stacked (4, n)
+    integrand.  The full jet is formed once, at convergence."""
+    h = z[1] - z[0]
+    t0 = _taylor_rows(z - z[-1], anchor_jet)[0]
+    z2, z3 = z**2, z**3
+    powers = np.vstack([np.ones_like(z), z, z2, z3])
+    a = t0
     deltas: list[float] = []
     for _ in range(PICARD_MAX_ITER):
-        a0, a1, a2, a3 = _apply_volterra(z, a, anchor_jet)
+        i0, i1, i2, i3 = _cumquad_right(powers * (a * (a**2 + z)), h)
+        a0 = t0 + (z3 * i0 - 3.0 * z2 * i1 + 3.0 * z * i2 - i3) / 6.0
         delta = float(np.abs(a0 - a).max())
         deltas.append(delta)
         a = a0

@@ -43,7 +43,6 @@ class GridOperator:
     h: float
     matrix: sp.csr_matrix
     kind: str          # "M" or "L"
-    eps: float
 
     @property
     def n_nodes(self) -> int:
@@ -92,14 +91,13 @@ def assemble_Mg(x: np.ndarray, states: np.ndarray, p: Params) -> GridOperator:
     e2 = p.epsilon**2
     aa = -_d4(n, h) + sp.diags(1.0 - 3.0 * a_star**2 - p.g * b_star**2)
     cc = _d2(n, h) / e2 + sp.diags(1.0 - p.g * a_star**2 - 3.0 * b_star**2)
-    boost = sp.lil_matrix((n, n))
-    boost[0, 0] = math.exp(-p.epsilon * p.delta * h) / (e2 * h**2)
-    boost[-1, -1] = math.exp(-math.sqrt(2.0) * p.epsilon * h) / (e2 * h**2)
+    boost = sp.coo_matrix(([math.exp(-p.epsilon * p.delta * h) / (e2 * h**2),
+                            math.exp(-math.sqrt(2.0) * p.epsilon * h) / (e2 * h**2)],
+                           ([0, n - 1], [0, n - 1])), shape=(n, n))
     cc = cc + boost
     ac = sp.diags(-2.0 * p.g * a_star * b_star)
     mat = sp.bmat([[aa, ac], [ac, cc]], format="csr")
-    return GridOperator(x=np.asarray(x, dtype=float), h=h, matrix=mat,
-                        kind="M", eps=p.epsilon)
+    return GridOperator(x=np.asarray(x, dtype=float), h=h, matrix=mat, kind="M")
 
 
 def assemble_Lg(x: np.ndarray, states: np.ndarray, p: Params) -> GridOperator:
@@ -110,8 +108,7 @@ def assemble_Lg(x: np.ndarray, states: np.ndarray, p: Params) -> GridOperator:
     b_star = states[:, 4]
     mat = (_d2(n, h) / p.epsilon**2
            + sp.diags(1.0 - p.g * a_star**2 - b_star**2)).tocsr()
-    return GridOperator(x=np.asarray(x, dtype=float), h=h, matrix=mat,
-                        kind="L", eps=p.epsilon)
+    return GridOperator(x=np.asarray(x, dtype=float), h=h, matrix=mat, kind="L")
 
 
 def profile_derivative_vector(states: np.ndarray) -> np.ndarray:

@@ -288,8 +288,8 @@ def solve_member(g: float, eps: float, solve_cfg: connect.SolveConfig | None = N
     writes ``eps_{eps:g}/profile.csv`` and ``report.json`` there.  Errors
     are caught and files written here, in the worker process, because an
     exception may not unpickle in the parent (``AdmissibilityError`` takes
-    two arguments) and a pickled profile carries its dense core solutions
-    (0.67 MB at g=1.5, eps=0.1).
+    two arguments) and a pickled profile carries its stacked dense core
+    and tail interpolants (0.80 MB at g=1.5, eps=0.1).
     """
     try:
         prof = connect.heteroclinic_solve(derive_params(eps, g), solve_cfg)

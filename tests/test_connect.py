@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
 from orthowall import connect, dynamics, inner, outer, verify
 from orthowall.params import derive_params, working_scaling
@@ -454,6 +455,41 @@ def test_leaf_table_work_guard(monkeypatch, p15):
     monkeypatch.setattr(outer, "leaf_states", counted)
     connect.heteroclinic_solve(p15)
     assert 0 < sum(amplitudes) <= 200
+
+
+def test_dense_solution_is_bit_equal_to_ode_solution(monkeypatch, p15):
+    # the stacked interpolants of both cores (the right one descending) and
+    # both left-tail B-profiles (tail_back descending) against scipy's
+    # OdeSolution: at every step end, at step midpoints and outside the span
+    built = []
+
+    class Recorded(connect._DenseSolution):
+        def __init__(self, sol):
+            super().__init__(sol)
+            built.append((sol, self))
+
+    monkeypatch.setattr(connect, "_DenseSolution", Recorded)
+    connect.heteroclinic_solve(p15)
+    assert len(built) == 4
+    assert sorted(dense.ascending for _, dense in built) == [False, False, True, True]
+    for sol, dense in built:
+        ts = sol.ts
+        lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
+        t = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]),
+                            [lo - 50.0, lo - 1.0, hi + 1.0, hi + 50.0]])
+        np.random.default_rng(0).shuffle(t)
+        assert np.array_equal(dense(t), sol(t))
+
+
+def test_sample_does_not_reach_ode_solution(monkeypatch, profile15):
+    # the profile is evaluated from its stacked interpolants alone
+    def unused(self, t):
+        raise AssertionError("OdeSolution.__call__ reached")
+
+    monkeypatch.setattr(OdeSolution, "__call__", unused)
+    prof = profile15.value
+    states = prof.sample(np.linspace(prof.x[0], prof.x[-1], 5601))
+    assert np.isfinite(states).all()
 
 
 def test_profile_pickle_round_trip(profile15):

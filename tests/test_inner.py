@@ -70,6 +70,43 @@ def _cascade_problem() -> inner.InnerProblem:
                               boundary_plus=tuple(fam), grid_points=3000)
 
 
+def _volterra_sweep_reference(z, anchor, tol):
+    # the sweep as one full application of the Volterra operator per
+    # iteration, kept as the reference for the A-row iteration
+    a = inner._taylor_rows(z - z[-1], anchor)[0]
+    deltas = []
+    while True:
+        a0 = inner._apply_volterra(z, a, anchor)[0]
+        deltas.append(float(np.abs(a0 - a).max()))
+        a = a0
+        if deltas[-1] < tol:
+            return np.vstack(inner._apply_volterra(z, a, anchor)), deltas
+
+
+@pytest.mark.parametrize("sweep", [0, 1], ids=["first", "extension"])
+def test_picard_sweep_matches_volterra_reference(monkeypatch, sweep):
+    calls = []
+    picard = inner._picard_sweep
+
+    def recorded(z, anchor, tol):
+        calls.append((z, anchor.copy(), tol))
+        return picard(z, anchor, tol)
+
+    monkeypatch.setattr(inner, "_picard_sweep", recorded)
+    inner.solve_inner(_cascade_problem())
+    jets, deltas = picard(*calls[sweep])
+    ref_jets, ref_deltas = _volterra_sweep_reference(*calls[sweep])
+    assert np.array_equal(jets, ref_jets)
+    assert deltas == ref_deltas
+
+
+def test_cumquad_right_stacked_rows():
+    f = np.random.default_rng(3).normal(size=(4, 501))
+    stacked = inner._cumquad_right(f, 0.02)
+    for row, ref in zip(stacked, f):
+        assert np.array_equal(row, inner._cumquad_right(ref.copy(), 0.02))
+
+
 def test_extension_cascade_count():
     prob = _cascade_problem()
     ext = inner.solve_inner(prob)

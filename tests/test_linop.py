@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from orthowall import linop
 
@@ -16,6 +17,24 @@ def test_symmetry_exact(p15, grid15):
     x, st = grid15
     assert linop.assemble_Mg(x, st, p15).is_symmetric()
     assert linop.assemble_Lg(x, st, p15).is_symmetric()
+
+
+def test_decay_closure_matches_lil_reference(p15, grid15):
+    # the closure's two entries, added to the C block as a lil matrix,
+    # give the assembled block bit for bit
+    x, st = grid15
+    n, h, e2 = x.size, x[1] - x[0], p15.epsilon**2
+    boost = sp.lil_matrix((n, n))
+    boost[0, 0] = math.exp(-p15.epsilon * p15.delta * h) / (e2 * h**2)
+    boost[-1, -1] = math.exp(-math.sqrt(2.0) * p15.epsilon * h) / (e2 * h**2)
+    ref = (linop._d2(n, h) / e2 + sp.diags(1.0 - p15.g * st[:, 0] ** 2 - 3.0 * st[:, 4] ** 2)
+           + boost).tocsr()
+    got = linop.assemble_Mg(x, st, p15).matrix[n:, n:]
+    for a in (got, ref):
+        a.sort_indices()
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
 
 
 def test_grid_validation(p15, grid15):
