@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
+from scipy.integrate import OdeSolution, solve_ivp
 
 from orthowall import connect, dynamics, inner, outer, verify
 from orthowall.params import derive_params, working_scaling
@@ -479,6 +479,21 @@ def test_dense_solution_is_bit_equal_to_ode_solution(monkeypatch, p15):
                             [lo - 50.0, lo - 1.0, hi + 1.0, hi + 50.0]])
         np.random.default_rng(0).shuffle(t)
         assert np.array_equal(dense(t), sol(t))
+
+
+@pytest.mark.parametrize("span", [(0.0, 3.0), (3.0, 0.0)], ids=["ascending", "descending"])
+def test_dense_solution_segment_choice(span):
+    # with each step's start value moved off the previous step's end, the
+    # two steps meeting at a knot disagree there, so a knot evaluates to the
+    # value of the step OdeSolution picks
+    sol = solve_ivp(lambda t, y: [y[1], -y[0]], span, [1.0, 0.0], method="DOP853",
+                    dense_output=True, rtol=1e-6).sol
+    for k, step in enumerate(sol.interpolants):
+        step.y_old = step.y_old + 1e-3 * (k + 1)
+    ts = sol.ts
+    t = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]), [-50.0, -1.0, 4.0, 53.0]])
+    assert len(ts) > 4
+    assert np.array_equal(connect._DenseSolution(sol)(t), sol(t))
 
 
 def test_sample_does_not_reach_ode_solution(monkeypatch, profile15):
