@@ -22,22 +22,27 @@ one damped Newton driver :func:`_damped_newton`.  The dense cores and the
 left-tail B-profiles are evaluated from their stacked step interpolants,
 :class:`_DenseSolution`, one vectorized pass per call.
 
-The shooting Jacobians are exact.  A core shot can carry tangent columns
-through the variational equation Phi' = J(s) Phi (Hairer, Norsett & Wanner,
-Solving ODEs I, sec. I.14), so one augmented shot per core and iterate gives
-both a residual and its Jacobian: the right-anchor calibration and the
-junction match read them at x_hat.  Such a shot stops at its read point and
-builds no dense output; the dense cores are shot once, at the accepted
-junction parameters.
+Every integration runs through one DOP853 kernel, :func:`_dop853`, with the
+tableau and step control of scipy's ``DOP853`` (Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.4-II.6).  The shooting Jacobians are exact.  A core
+shot can carry tangent columns through the variational equation
+Phi' = J(s) Phi (sec. I.14), so one augmented shot per core and iterate
+gives both a residual and its Jacobian: the right-anchor calibration and the
+junction match read them at x_hat, where the shots stop.  The shots record
+their accepted steps, and the dense cores are built from the steps of the
+accepted junction shots, continued past x_hat by a short plain shot; no
+core is shot again.  At the anchor (g = 1.5, eps = 0.1) a solve makes 13
+core shots and 8,450 field evaluations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -367,33 +372,148 @@ class HeteroclinicProfile:
         }
 
 
-def _shoot(s0, span, p, rtol, atol, at=None, tangents=None):
-    """Core shot from ``span[0]``: the dense solution over ``span``, or the
-    state at the read point ``at``, where the shot stops.
+class _Steps(NamedTuple):
+    """Accepted DOP853 steps of a shot, for its first m components: the knots
+    ``ts`` (n + 1), the states there ``ys`` (n + 1 x m) and each step's
+    stages K0..K12 ``ks`` (n x 13 x m), K12 being the field at the step's end."""
+
+    ts: np.ndarray
+    ys: np.ndarray
+    ks: np.ndarray
+
+    def followed_by(self, more: _Steps) -> _Steps:
+        """These steps continued by ``more``, which starts at their last knot."""
+        return _Steps(np.concatenate([self.ts, more.ts[1:]]),
+                      np.concatenate([self.ys, more.ys[1:]]),
+                      np.concatenate([self.ks, more.ks]))
+
+
+# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5): the
+# 12 stages with the solution weights B as a 13th row, and the two error
+# estimators.
+_DOP_A = np.vstack([DOP853.A, DOP853.B])
+_DOP_E = np.vstack([DOP853.E5, DOP853.E3])
+
+
+def _rms(v: np.ndarray) -> np.float64:
+    return np.sqrt(v.dot(v)) / v.size**0.5
+
+
+def _dop853(field, t0: float, t1: float, y0: np.ndarray, rtol, atol,
+            record: int) -> tuple[np.ndarray, _Steps]:
+    """Integrate the autonomous y' = field(y) from t0 to t1 by DOP853.
+
+    The step control is scipy's ``DOP853`` (the initial-step rule, safety
+    0.9, step factors within [0.2, 10], exponent -1/8, the combined
+    err5/err3 error norm, a minimum step of 10 ulp of t), so the shot takes
+    the same steps and field evaluations as ``solve_ivp(method="DOP853")``.
+    A stage costs one product with the scaled tableau row, one add and the
+    field.  Returns the state at t1 and the accepted steps of its first
+    ``record`` components.  A step below the minimum or an error norm that
+    is not finite raises :class:`RealizationError`.
+    """
+    t0, t1 = float(t0), float(t1)
+    direction = 1.0 if t1 >= t0 else -1.0
+    length = abs(t1 - t0)
+    y = np.asarray(y0, dtype=float)
+    n = y.size
+    K = np.empty((13, n))
+    hA = np.empty_like(_DOP_A)
+    stages = [(hA[s, :s], K[:s]) for s in range(1, 12)]
+    weights = (hA[12], K[:12])
+    ts, ys, ks = [t0], [y[:record]], []
+    with np.errstate(all="ignore"):
+        f = field(y)
+        # initial step (Hairer, Norsett & Wanner, sec. II.4)
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+        d2 = _rms((field(y + h0 * direction * f) - f) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** 0.125)
+        h_abs = float(min(100.0 * h0, h1, length))
+        t = t0
+        while direction * (t - t1) < 0.0:
+            min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise RealizationError(f"DOP853 step below {min_step:.3g} at t = {t:.6g}")
+                t_new = t + h_abs * direction
+                if direction * (t_new - t1) > 0.0:
+                    t_new = t1
+                h = t_new - t
+                h_abs = abs(h)
+                np.multiply(_DOP_A, h, out=hA)
+                K[0] = f
+                for s, (a, k) in enumerate(stages, start=1):
+                    K[s] = field(y + a.dot(k))
+                y_new = y + weights[0].dot(weights[1])
+                f_new = K[12] = field(y_new)
+                err = _DOP_E.dot(K) / (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
+                e5, e3 = (err * err).sum(axis=1).tolist()
+                norm = 0.0 if e5 == 0.0 and e3 == 0.0 else \
+                    h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+                if not math.isfinite(norm):
+                    raise RealizationError(f"DOP853 error norm is {norm} at t = {t:.6g}")
+                if norm < 1.0:
+                    factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.125)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max(0.2, 0.9 * norm**-0.125)
+                rejected = True
+            ts.append(t_new)
+            ys.append(y_new[:record])
+            ks.append(K[:, :record].copy())
+            t, y, f = t_new, y_new, f_new
+    return y, _Steps(np.array(ts), np.array(ys), np.array(ks).reshape(-1, 13, record))
+
+
+def _dense_solution(field, steps: _Steps) -> _DenseSolution:
+    """The DOP853 dense output of recorded steps: 3 extra stages per step,
+    then the 7 interpolant rows F (Hairer, Norsett & Wanner, sec. II.6)."""
+    ts, ys, ks = steps
+    h = np.diff(ts)
+    K = np.empty((h.size, 16, ys.shape[1]))
+    K[:, :13] = ks
+    for Ki, hi, y in zip(K, h, ys):
+        hA = hi * DOP853.A_EXTRA
+        for s in range(13, 16):
+            Ki[s] = field(y + hA[s - 13, :s].dot(Ki[:s]))
+    dy = ys[1:] - ys[:-1]
+    hc = h[:, None]
+    F = np.empty((h.size, 7, ys.shape[1]))
+    F[:, 0] = dy
+    F[:, 1] = hc * K[:, 0] - dy
+    F[:, 2] = 2.0 * dy - hc * (K[:, 12] + K[:, 0])
+    F[:, 3:] = hc[:, :, None] * np.einsum("jk,ikm->ijm", DOP853.D, K)
+    return _DenseSolution(ts[:-1], h, ys[:-1], F)
+
+
+def _shoot(s0, span, p, rtol, atol, tangents=None):
+    """Core shot over ``span``: the state at ``span[1]``, its 6 x k tangent
+    columns (None without ``tangents``) and the steps of its 6 state
+    components.
 
     With ``tangents``, a 6 x k matrix of seed derivatives, the shot carries
-    them through the variational equation Phi' = J(s) Phi and returns the
-    state and its 6 x k tangent columns at ``at``.  The tangent components
-    get an absolute tolerance of 1e300, which takes them out of DOP853's RMS
-    error norm, and the state tolerances are scaled by sqrt(6 / (6 + 6k)),
-    so the norm, and with it the step control, is that of a plain shot.
+    them through the variational equation Phi' = J(s) Phi.  The tangent
+    components get an absolute tolerance of 1e300, which takes them out of
+    DOP853's RMS error norm, and the state tolerances are scaled by
+    sqrt(6 / (6 + 6k)), so the norm, and with it the step control, is that
+    of a plain shot.  The state rows of the field do not read the tangents,
+    so the recorded steps are those of a plain shot too.
     """
-    y0 = s0
+    y0, k = s0, 0
     if tangents is not None:
         k = tangents.shape[1]
         y0 = np.concatenate([s0, np.ravel(tangents)])
         scale = math.sqrt(6.0 / (6.0 + 6.0 * k))
         rtol = np.full(y0.size, rtol * scale)
         atol = np.concatenate([np.full(6, atol * scale), np.full(6 * k, 1e300)])
-    end = span[1] if at is None else at
-    sol = solve_ivp(lambda x, y: dynamics.vector_field(y, p), (span[0], end), y0,
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=at is None)
-    if not sol.success:
-        raise RealizationError(f"core integration failed: {sol.message}")
-    if at is None:
-        return sol.sol
-    y = sol.y[:, -1]
-    return y if tangents is None else (y[:6], y[6:].reshape(6, k))
+    y, steps = _dop853(lambda y: dynamics.vector_field(y, p), span[0], span[1], y0,
+                       rtol, atol, record=6)
+    return y[:6], (y[6:].reshape(6, k) if k else None), steps
 
 
 def _seed(jet, b0: float, d_free, p: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +532,8 @@ def _seed(jet, b0: float, d_free, p: Params) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class _Shooting:
     """Core geometry: the left core runs forward from the slow leaf at x_a, a
-    right core backward from the A = 0 leaf at x_r, both past x_hat +- w_h."""
+    right core backward from the A = 0 leaf at x_r, both to x_hat; their
+    dense cores reach past it, to x_hat +- (w_h + 0.25)."""
 
     p: Params
     x_a: float
@@ -429,10 +550,11 @@ class _Shooting:
         jet = self.leaf_a[:4] + self.cols_a @ np.asarray(c, dtype=float)
         return _seed(jet, self.b0_a, np.vstack([self.cols_a, np.zeros(2)]), self.p)
 
-    def left_shot(self, c, at=None, tangents=False):
+    def left_shot(self, c, tangents=False):
+        """Left core from x_a to x_hat, by :func:`_shoot`."""
         seed, d_seed = self.left_seed(c)
-        return _shoot(seed, (self.x_a, self.x_hat + self.w_h + 0.25), self.p,
-                      self.rtol, self.atol, at, d_seed if tangents else None)
+        return _shoot(seed, (self.x_a, self.x_hat), self.p, self.rtol, self.atol,
+                      d_seed if tangents else None)
 
     def right_seed(self, d1, d2, beta) -> tuple[np.ndarray, np.ndarray]:
         """Right-core seed and its 6 x 3 derivative in (d1, d2, beta)."""
@@ -450,27 +572,37 @@ class _Shooting:
         return _seed(d1 * pows.real + d2 * pows.imag, beta,
                      np.vstack([d_jet, [0.0, 0.0, 1.0]]), self.p)
 
-    def right_shot(self, x_r, d1, d2, beta, at=None, tangents=False):
+    def right_shot(self, x_r, d1, d2, beta, tangents=False):
+        """Right core from x_r back to x_hat, by :func:`_shoot`."""
         seed, d_seed = self.right_seed(d1, d2, beta)
-        return _shoot(seed, (x_r, self.x_hat - self.w_h - 0.25), self.p,
-                      self.rtol, self.atol, at, d_seed if tangents else None)
+        return _shoot(seed, (x_r, self.x_hat), self.p, self.rtol, self.atol,
+                      d_seed if tangents else None)
+
+    def dense_core(self, y, steps: _Steps) -> _DenseSolution:
+        """The dense core of a shot to x_hat, from its steps and its state
+        ``y`` there: the steps continued past x_hat to the end of the core's
+        span, x_hat +- (w_h + 0.25)."""
+        end = self.x_hat + math.copysign(self.w_h + 0.25, self.x_hat - steps.ts[0])
+        _, _, more = _shoot(y, (self.x_hat, end), self.p, self.rtol, self.atol)
+        return _dense_solution(lambda y: dynamics.vector_field(y, self.p), steps.followed_by(more))
 
 
 class _DenseSolution:
-    """A DOP853 ``OdeSolution`` with its step interpolants stacked, evaluated
-    on a 1-D array of abscissae in one pass and bit-equal to
-    ``OdeSolution.__call__``: the same segment choice (points outside the
-    span extrapolate from the end steps) and, elementwise, the same dense
-    output recurrence (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6)."""
+    """DOP853 step interpolants, stacked and evaluated on a 1-D array of
+    abscissae in one pass, as ``OdeSolution.__call__`` evaluates them: the
+    same segment choice (points outside the span extrapolate from the end
+    steps) and, elementwise, the same dense output recurrence (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.6).  Step i starts at
+    ``t_old[i]`` with ``y_old[i]``, has length ``h[i]`` and coefficient rows
+    ``F[i]``."""
 
-    def __init__(self, sol):
-        steps = sol.interpolants
-        self.ascending = bool(sol.ts[-1] >= sol.ts[0])
-        self.ts_sorted = sol.ts if self.ascending else sol.ts[::-1].copy()
-        self.t_old = np.array([s.t_old for s in steps])
-        self.h = np.array([s.h for s in steps])
-        self.y_old = np.array([s.y_old for s in steps])
-        self.F = np.array([s.F for s in steps])
+    def __init__(self, t_old, h, y_old, F):
+        self.ascending = bool(h[0] >= 0.0)
+        # the knots between steps choose the segment; the two end knots
+        # only clip, so the last one is taken as t_old + h
+        ts = np.append(t_old, t_old[-1] + h[-1])
+        self.ts_sorted = ts if self.ascending else ts[::-1].copy()
+        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         last = self.h.size - 1
@@ -654,13 +786,15 @@ def _junction_scale(p: Params) -> np.ndarray:
                      1.0, eps])
 
 
-def _junction_residual(geo: _Shooting, x_r: float, th) -> tuple[np.ndarray, np.ndarray]:
+def _junction_residual(geo: _Shooting, x_r: float, th) -> tuple[np.ndarray, tuple]:
     """Scaled mismatch of the two cores at x_hat for theta = (c1, c2, d1, d2,
-    beta), and its exact 6 x 5 Jacobian from the cores' tangent columns."""
+    beta), and (J, left, right): its exact 6 x 5 Jacobian from the cores'
+    tangent columns, and each core's state at x_hat with its steps."""
     scale = _junction_scale(geo.p)
-    y_l, phi_l = geo.left_shot(th[:2], at=geo.x_hat, tangents=True)
-    y_r, phi_r = geo.right_shot(x_r, th[2], th[3], th[4], at=geo.x_hat, tangents=True)
-    return (y_l - y_r) / scale, np.hstack([phi_l, -phi_r]) / scale[:, None]
+    y_l, phi_l, steps_l = geo.left_shot(th[:2], tangents=True)
+    y_r, phi_r, steps_r = geo.right_shot(x_r, th[2], th[3], th[4], tangents=True)
+    return (y_l - y_r) / scale, (np.hstack([phi_l, -phi_r]) / scale[:, None],
+                                 (y_l, steps_l), (y_r, steps_r))
 
 
 def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUnknowns,
@@ -670,28 +804,34 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
     The right anchor is a fast stable offset on the A = 0 tail at x_hat + t_r,
     fitted to the stable trace of the matching; t_r keeps the amplification
     floor and exposes several oscillation maxima past the corner guard.  The
-    junction match starts from the left core on the leaf (c = 0); one that
-    ends above a scaled mismatch of 1e-4 fails."""
+    junction match starts from the left core on the leaf (c = 0).  One that
+    ends above ``refine_tol`` has met the noise floor of its shots and
+    restarts once from its last iterate with shots ten times tighter; one
+    that still ends above a scaled mismatch of 1e-4 fails.  The dense cores
+    come from the steps of the accepted iterate's shots."""
     p, x_hat = geo.p, geo.x_hat
     rate_plus = math.sqrt(p.delta / 2.0)
     t_r = max(8.0, AMPLIFICATION_BUDGET / rate_plus, 2.0 * x_hat + 5.5 * math.pi / rate_plus)
     x_r = x_hat + t_r
     target_jet = outer.stable_seed(scaling, p, (unknowns.x10s, unknowns.x20s))[:4]
     beta0 = math.tanh(math.atanh(scaling.b01) + p.epsilon / math.sqrt(2.0) * t_r)
-    g0, phi = geo.right_shot(x_r, 0.0, 0.0, beta0, at=x_hat, tangents=True)
+    g0, phi, _ = geo.right_shot(x_r, 0.0, 0.0, beta0, tangents=True)
     d0, *_ = np.linalg.lstsq(phi[:4, :2], target_jet - g0[:4], rcond=None)
     theta = np.array([0.0, 0.0, d0[0], d0[1], beta0])
 
     # a stalled line search ends the match as well; the mismatch decides
-    theta, r, _, _, _, _ = _damped_newton(
-        lambda th: _junction_residual(geo, x_r, th), lambda th, r, jac: jac,
-        theta, refine_tol, REFINE_MAX_ITER, halvings=12)
-    mismatch = float(np.abs(r).max())
+    for _ in range(2):
+        theta, r, (_, left, right), _, _, _ = _damped_newton(
+            lambda th: _junction_residual(geo, x_r, th), lambda th, r, aux: aux[0],
+            theta, refine_tol, REFINE_MAX_ITER, halvings=12)
+        mismatch = float(np.abs(r).max())
+        if mismatch <= refine_tol:
+            break
+        geo = replace(geo, rtol=geo.rtol / 10.0, atol=geo.atol / 10.0)
     if mismatch > 1e-4:
         raise RealizationError(f"junction match stalled at scaled mismatch {mismatch:.3e}")
-    return _Junction(theta=theta, mismatch=mismatch,
-                     sol_left=_DenseSolution(geo.left_shot(theta[:2])),
-                     sol_right=_DenseSolution(geo.right_shot(x_r, *theta[2:])), x_r=x_r)
+    return _Junction(theta=theta, mismatch=mismatch, sol_left=geo.dense_core(*left),
+                     sol_right=geo.dense_core(*right), x_r=x_r)
 
 
 def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
@@ -707,12 +847,10 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
                0.97 / math.sqrt(p.g1))
     b_nodes = np.linspace(0.0, b_hi, 1500)
     b1_spline = CubicSpline(b_nodes, outer.leaf_b1(b_nodes, p))
-    rhs = lambda x, b: [float(b1_spline(b[0]))]
-    sol_back, sol_fwd = (
-        solve_ivp(rhs, (x_a, x_end), [geo.b0_a], method="DOP853", dense_output=True,
-                  rtol=1e-13, atol=1e-16) for x_end in (x_a - tail_len - 15.0, x_a + 7.0))
-    if not (sol_back.success and sol_fwd.success):
-        raise RealizationError("tail profile integration failed")
+    tail_back, tail_fwd = (
+        _dense_solution(b1_spline, _dop853(b1_spline, x_a, x_end, np.array([geo.b0_a]),
+                                           1e-13, 1e-16, record=1)[1])
+        for x_end in (x_a - tail_len - 15.0, x_a + 7.0))
 
     hphi = (tail_len + 6.5) / 4000.0
     n_back = math.ceil(tail_len / hphi)
@@ -735,8 +873,7 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
     return _Pieces(geo=geo, junction=junction,
                    phi_r=CubicSpline(phi_x, phi_r - phi_r[n_back]),
                    phi_i=CubicSpline(phi_x, phi_i - phi_i[n_back]),
-                   tail_back=_DenseSolution(sol_back.sol),
-                   tail_fwd=_DenseSolution(sol_fwd.sol),
+                   tail_back=tail_back, tail_fwd=tail_fwd,
                    kappa_r=CubicSpline(k_x, k_int[n_blend] - k_int),
                    leaf=outer.leaf_table(b_hi, p))
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolution, solve_ivp
+# the DOP853 step interpolant OdeSolution is built from (no public name)
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from orthowall import connect, dynamics, inner, outer, verify
 from orthowall.params import derive_params, working_scaling
@@ -325,20 +327,28 @@ def test_report_and_csv(tmp_path, profile15):
     assert np.array_equal(states, prof.states)
 
 
-def _count_core_shots(monkeypatch) -> list[int]:
-    """Record ``sol.nfev`` of every core shot, plain or augmented (the tail
-    ODE carries a 1-D state)."""
-    nfev = []
-    solve_ivp = connect.solve_ivp
+def _count_core_shots(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the field evaluations of every core shot, that is every call of
+    the DOP853 kernel on a plain or augmented core state (the tail ODE
+    carries a 1-D state), and count every field evaluation in ``total[0]``,
+    the dense cores' extra stages included."""
+    shots, total = [], [0]
+    field, kernel = dynamics.vector_field, connect._dop853
 
-    def counted(fun, span, y0, *args, **kwargs):
-        sol = solve_ivp(fun, span, y0, *args, **kwargs)
+    def counted_field(y, p):
+        total[0] += 1
+        return field(y, p)
+
+    def counted_kernel(fun, t0, t1, y0, *args, **kwargs):
+        before = total[0]
+        out = kernel(fun, t0, t1, y0, *args, **kwargs)
         if len(y0) >= 6:
-            nfev.append(sol.nfev)
-        return sol
+            shots.append(total[0] - before)
+        return out
 
-    monkeypatch.setattr(connect, "solve_ivp", counted)
-    return nfev
+    monkeypatch.setattr(dynamics, "vector_field", counted_field)
+    monkeypatch.setattr(connect, "_dop853", counted_kernel)
+    return shots, total
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -350,7 +360,7 @@ def test_extreme_corner_solve(monkeypatch):
     # stalled there and needed a shorter window, in 218 shots).  The whole
     # battery passes: the A envelope is fitted on an oscillation
     # that the tail continues rather than blends to zero
-    nfev = _count_core_shots(monkeypatch)
+    nfev, _ = _count_core_shots(monkeypatch)
     for g in (1.115, 1.12):
         nfev.clear()
         p = derive_params(0.25, g)
@@ -385,12 +395,11 @@ def test_junction_columns_match_central_differences(profile15):
     prof = profile15.value
     geo, jn = prof._pieces.geo, prof._pieces.junction
     th, x_r = jn.theta, jn.x_r
-    _, J = connect._junction_residual(geo, x_r, th)
+    _, (J, *_) = connect._junction_residual(geo, x_r, th)
     scale = connect._junction_scale(geo.p)
 
     def value(t):
-        return (geo.left_shot(t[:2], at=geo.x_hat)
-                - geo.right_shot(x_r, t[2], t[3], t[4], at=geo.x_hat)) / scale
+        return (geo.left_shot(t[:2])[0] - geo.right_shot(x_r, t[2], t[3], t[4])[0]) / scale
 
     for j, offset in enumerate((1e-2, 1e-2, 1e-4, 1e-4, 1e-2)):
         h = 1e-6 * (abs(th[j]) + offset)
@@ -401,15 +410,16 @@ def test_junction_columns_match_central_differences(profile15):
 
 
 def test_junction_work_guard(monkeypatch, p15):
-    # one augmented shot per core and iterate, dense output only for the
-    # accepted cores, and the junction match started from the leaf keep the
-    # anchor near 9.9k field evaluations in 13 core shots; a left-section
-    # calibration before the match took 12.5k in 17, and forward-difference
-    # columns 38k in 43
-    nfev = _count_core_shots(monkeypatch)
+    # one augmented shot per core and iterate, the junction match started
+    # from the leaf, and dense cores taken from the accepted iterate's shots
+    # (3 extra stages per step, plus a short continuation past x_hat) keep
+    # the anchor at 8,450 field evaluations in 13 core shots; re-shooting
+    # both dense cores took 9,914, a left-section calibration before the
+    # match 12.5k in 17 shots, and forward-difference columns 38k in 43
+    nfev, total = _count_core_shots(monkeypatch)
     connect.heteroclinic_solve(p15)
     assert 0 < len(nfev) <= 14
-    assert sum(nfev) < 11_000
+    assert sum(nfev) < total[0] < 8_600
 
 
 def test_matching_layer_solve_guard(monkeypatch, p15):
@@ -457,23 +467,35 @@ def test_leaf_table_work_guard(monkeypatch, p15):
     assert 0 < sum(amplitudes) <= 200
 
 
+def _stacked(sol: OdeSolution) -> tuple[np.ndarray, ...]:
+    """The (t_old, h, y_old, F) arrays of a DOP853 ``OdeSolution``'s steps."""
+    steps = sol.interpolants
+    return tuple(np.array([getattr(s, name) for s in steps])
+                 for name in ("t_old", "h", "y_old", "F"))
+
+
 def test_dense_solution_is_bit_equal_to_ode_solution(monkeypatch, p15):
     # the stacked interpolants of both cores (the right one descending) and
     # both left-tail B-profiles (tail_back descending) against scipy's
-    # OdeSolution: at every step end, at step midpoints and outside the span
+    # OdeSolution over the same DOP853 step interpolants: at every step end,
+    # at step midpoints and outside the span
     built = []
 
     class Recorded(connect._DenseSolution):
-        def __init__(self, sol):
-            super().__init__(sol)
-            built.append((sol, self))
+        def __init__(self, t_old, h, y_old, F):
+            super().__init__(t_old, h, y_old, F)
+            built.append(self)
 
     monkeypatch.setattr(connect, "_DenseSolution", Recorded)
     connect.heteroclinic_solve(p15)
     assert len(built) == 4
-    assert sorted(dense.ascending for _, dense in built) == [False, False, True, True]
-    for sol, dense in built:
-        ts = sol.ts
+    assert sorted(dense.ascending for dense in built) == [False, False, True, True]
+    for dense in built:
+        ts = dense.ts_sorted if dense.ascending else dense.ts_sorted[::-1]
+        steps = [Dop853DenseOutput(*args) for args in zip(ts[:-1], ts[1:], dense.y_old, dense.F)]
+        for step, h in zip(steps, dense.h):
+            step.h = h  # the kernel's step, which t_old + h may round off
+        sol = OdeSolution(ts, steps)
         lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
         t = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]),
                             [lo - 50.0, lo - 1.0, hi + 1.0, hi + 50.0]])
@@ -493,7 +515,131 @@ def test_dense_solution_segment_choice(span):
     ts = sol.ts
     t = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]), [-50.0, -1.0, 4.0, 53.0]])
     assert len(ts) > 4
-    assert np.array_equal(connect._DenseSolution(sol)(t), sol(t))
+    assert np.array_equal(connect._DenseSolution(*_stacked(sol))(t), sol(t))
+
+
+def _kernel_calls(monkeypatch) -> list[tuple]:
+    """Record every call of the DOP853 kernel: its arguments, its result and
+    the field evaluations it made."""
+    calls = []
+    kernel = connect._dop853
+
+    def recorded(field, t0, t1, y0, rtol, atol, record):
+        nfev = 0
+
+        def counted(y):
+            nonlocal nfev
+            nfev += 1
+            return field(y)
+
+        out = kernel(counted, t0, t1, y0, rtol, atol, record)
+        calls.append(((field, t0, t1, y0, rtol, atol), out, nfev))
+        return out
+
+    monkeypatch.setattr(connect, "_dop853", recorded)
+    return calls
+
+
+def test_kernel_takes_the_steps_of_solve_ivp(monkeypatch, profile15):
+    # the anchor's left core plain and with its 2 tangents, its right core
+    # with 3, and the long (backward) tail B-profile, each against
+    # solve_ivp(method="DOP853") on the same field, span and tolerances: the
+    # same accepted steps and field evaluations (the knots move only by the
+    # rounding of the error estimates, which the step factor raises to the
+    # power -1/8), and the same end state to the shot tolerance
+    prof = profile15.value
+    geo, jn = prof._pieces.geo, prof._pieces.junction
+    calls = _kernel_calls(monkeypatch)
+    geo.left_shot(jn.theta[:2])
+    geo.left_shot(jn.theta[:2], tangents=True)
+    geo.right_shot(jn.x_r, *jn.theta[2:], tangents=True)
+    connect._tail_pieces(geo, prof.scaling, jn, connect.SolveConfig().tail_efolds)
+    assert [len(args[3]) for args, _, _ in calls] == [6, 18, 24, 1, 1]
+    for (field, t0, t1, y0, rtol, atol), (y, steps), nfev in calls[:4]:
+        ref = solve_ivp(lambda t, y: field(y), (t0, t1), y0, method="DOP853",
+                        rtol=rtol, atol=atol)
+        assert nfev == ref.nfev and steps.ts.size == ref.t.size > 8
+        assert np.abs(steps.ts - ref.t).max() <= 1e-3 * abs(t1 - t0)
+        m = min(len(y0), 6)
+        assert np.array_equal(steps.ys[-1], y[:m])
+        assert np.abs(y[:m] - ref.y[:m, -1]).max() < 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_blow_up_raises_realization_error(p15):
+    # y' = y^2 from y(0) = 1 blows up at t = 1, and a core seed far off the
+    # connection (A = 3) runs away too: the step falls below its minimum or
+    # the error norm stops being finite, either raises, and no
+    # floating-point warning escapes the kernel
+    with pytest.raises(connect.RealizationError):
+        connect._dop853(lambda y: y * y, 0.0, 2.0, np.array([1.0]), 1e-12, 1e-14, 1)
+    with pytest.raises(connect.RealizationError):
+        connect._shoot(np.array([3.0, 0.0, 0.0, 0.0, 0.5, 0.0]), (0.0, 50.0), p15,
+                       1e-12, 1e-14)
+    with pytest.raises(connect.RealizationError):
+        connect._dop853(lambda y: y * y, 0.0, 1.0, np.array([np.inf]), 1e-12, 1e-14, 1)
+
+
+def test_dense_cores_from_junction_records(profile15):
+    # a dense core is the accepted junction shot's recorded steps continued
+    # past x_hat: at its knots it returns the recorded states (the first
+    # exactly, the others as y_old + (y_new - y_old), to rounding), and at
+    # step midpoints it agrees with a plain dense kernel shot over the span
+    prof = profile15.value
+    geo, jn = prof._pieces.geo, prof._pieces.junction
+    field = lambda y: dynamics.vector_field(y, prof.p)
+    span = geo.w_h + 0.25
+    for dense, (seed, _), start, (y, _, steps) in (
+            (jn.sol_left, geo.left_seed(jn.theta[:2]), geo.x_a,
+             geo.left_shot(jn.theta[:2], tangents=True)),
+            (jn.sol_right, geo.right_seed(*jn.theta[2:]), jn.x_r,
+             geo.right_shot(jn.x_r, *jn.theta[2:], tangents=True))):
+        end = geo.x_hat + math.copysign(span, geo.x_hat - start)
+        steps = steps.followed_by(
+            connect._shoot(y, (geo.x_hat, end), prof.p, geo.rtol, geo.atol)[2])
+        assert np.array_equal(dense.t_old, steps.ts[:-1])
+        assert np.array_equal(dense.y_old, steps.ys[:-1])
+        assert np.array_equal(dense(steps.ts[:1])[:, 0], seed)
+        y_old, y_new = steps.ys[:-1], steps.ys[1:]
+        assert np.all(np.abs(dense(steps.ts[1:]).T - y_new)
+                      <= 2.3e-16 * (np.abs(y_old) + np.abs(y_new)))
+        plain = connect._dense_solution(
+            field, connect._dop853(field, start, end, seed, geo.rtol, geo.atol, record=6)[1])
+        mid = 0.5 * (steps.ts[:-1] + steps.ts[1:])
+        assert np.abs(dense(mid) - plain(mid)).max() < 1e-10
+
+
+def test_junction_match_restarts_with_tighter_shots(monkeypatch):
+    # near g = 10/9 the match meets the noise floor of its shots: at
+    # (1.1113, 0.25) it stalls at 2.43e-7 after 85 evaluations, above
+    # refine_tol, and restarts from its last iterate with shots ten times
+    # tighter, which reach 7.2e-8 in 2 more
+    rtols = []
+    residual = connect._junction_residual
+
+    def recorded(geo, x_r, th):
+        rtols.append(geo.rtol)
+        return residual(geo, x_r, th)
+
+    monkeypatch.setattr(connect, "_junction_residual", recorded)
+    prof = connect.heteroclinic_solve(derive_params(0.25, 1.1113))
+    cfg = connect.SolveConfig()
+    assert prof.junction_mismatch <= cfg.refine_tol
+    tight = rtols.index(cfg.ode_rtol / 10.0)
+    assert set(rtols[:tight]) == {cfg.ode_rtol}
+    assert set(rtols[tight:]) == {cfg.ode_rtol / 10.0} and len(rtols) - tight <= 4
+    assert prof.sup_w < 1e-8
+
+
+@pytest.mark.parametrize("g, eps", [(1.19109, 0.199994), (1.19254, 0.0987172)])
+def test_panel_cells_at_the_noise_floor(g, eps):
+    # solve-panel cells (seeds 11 and 12) at g ~ 1.19, where the match can
+    # end within the shots' noise of refine_tol: a change to the shots'
+    # rounding re-rolls where such a cell ends (these end at 2.0e-8 and
+    # 1.98e-7 here), and none may end above it
+    prof = connect.heteroclinic_solve(derive_params(eps, g))
+    assert prof.junction_mismatch <= connect.SolveConfig().refine_tol
+    assert prof.sup_w < 1e-8
 
 
 def test_sample_does_not_reach_ode_solution(monkeypatch, profile15):
