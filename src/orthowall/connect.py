@@ -24,15 +24,16 @@ left-tail B-profiles are evaluated from their stacked step interpolants,
 
 Every integration runs through one DOP853 kernel, :func:`_dop853`, with the
 tableau and step control of scipy's ``DOP853`` (Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.4-II.6).  The shooting Jacobians are exact.  A core
-shot can carry tangent columns through the variational equation
-Phi' = J(s) Phi (sec. I.14), so one augmented shot per core and iterate
-gives both a residual and its Jacobian: the right-anchor calibration and the
-junction match read them at x_hat, where the shots stop.  The shots record
-their accepted steps, and the dense cores are built from the steps of the
-accepted junction shots, continued past x_hat by a short plain shot; no
-core is shot again.  At the anchor (g = 1.5, eps = 0.1) a solve makes 13
-core shots and 8,450 field evaluations.
+Solving ODEs I, sec. II.4-II.6).  Every core shot is a plain 6-component
+shot that records its accepted steps.  The shooting Jacobians are exact:
+DOP853 applied to the variational equation Phi' = J(s) Phi (sec. I.14) on a
+shot's own steps is the derivative of that shot, so :func:`_step_tangents`
+forms it afterwards from the recorded stages, in one vectorized pass over
+the steps.  The junction match pays for it only at iterates where Newton
+takes a step.  The dense cores are built from the steps of the accepted
+junction shots, continued past x_hat by a short shot; no core is shot
+again.  At the anchor (g = 1.5, eps = 0.1) a solve makes 13 core shots and
+8,450 field evaluations.
 """
 
 from __future__ import annotations
@@ -373,9 +374,9 @@ class HeteroclinicProfile:
 
 
 class _Steps(NamedTuple):
-    """Accepted DOP853 steps of a shot, for its first m components: the knots
-    ``ts`` (n + 1), the states there ``ys`` (n + 1 x m) and each step's
-    stages K0..K12 ``ks`` (n x 13 x m), K12 being the field at the step's end."""
+    """Accepted DOP853 steps of an m-component shot: the knots ``ts``
+    (n + 1), the states there ``ys`` (n + 1 x m) and each step's stages
+    K0..K12 ``ks`` (n x 13 x m), K12 being the field at the step's end."""
 
     ts: np.ndarray
     ys: np.ndarray
@@ -399,8 +400,8 @@ def _rms(v: np.ndarray) -> np.float64:
     return np.sqrt(v.dot(v)) / v.size**0.5
 
 
-def _dop853(field, t0: float, t1: float, y0: np.ndarray, rtol, atol,
-            record: int) -> tuple[np.ndarray, _Steps]:
+def _dop853(field, t0: float, t1: float, y0: np.ndarray, rtol,
+            atol) -> tuple[np.ndarray, _Steps]:
     """Integrate the autonomous y' = field(y) from t0 to t1 by DOP853.
 
     The step control is scipy's ``DOP853`` (the initial-step rule, safety
@@ -408,9 +409,9 @@ def _dop853(field, t0: float, t1: float, y0: np.ndarray, rtol, atol,
     err5/err3 error norm, a minimum step of 10 ulp of t), so the shot takes
     the same steps and field evaluations as ``solve_ivp(method="DOP853")``.
     A stage costs one product with the scaled tableau row, one add and the
-    field.  Returns the state at t1 and the accepted steps of its first
-    ``record`` components.  A step below the minimum or an error norm that
-    is not finite raises :class:`RealizationError`.
+    field.  Returns the state at t1 and the accepted steps.  A step below
+    the minimum or an error norm that is not finite raises
+    :class:`RealizationError`.
     """
     t0, t1 = float(t0), float(t1)
     direction = 1.0 if t1 >= t0 else -1.0
@@ -421,7 +422,7 @@ def _dop853(field, t0: float, t1: float, y0: np.ndarray, rtol, atol,
     hA = np.empty_like(_DOP_A)
     stages = [(hA[s, :s], K[:s]) for s in range(1, 12)]
     weights = (hA[12], K[:12])
-    ts, ys, ks = [t0], [y[:record]], []
+    ts, ys, ks = [t0], [y], []
     with np.errstate(all="ignore"):
         f = field(y)
         # initial step (Hairer, Norsett & Wanner, sec. II.4)
@@ -464,10 +465,10 @@ def _dop853(field, t0: float, t1: float, y0: np.ndarray, rtol, atol,
                 h_abs *= max(0.2, 0.9 * norm**-0.125)
                 rejected = True
             ts.append(t_new)
-            ys.append(y_new[:record])
-            ks.append(K[:, :record].copy())
+            ys.append(y_new)
+            ks.append(K.copy())
             t, y, f = t_new, y_new, f_new
-    return y, _Steps(np.array(ts), np.array(ys), np.array(ks).reshape(-1, 13, record))
+    return y, _Steps(np.array(ts), np.array(ys), np.array(ks).reshape(-1, 13, n))
 
 
 def _dense_solution(field, steps: _Steps) -> _DenseSolution:
@@ -491,29 +492,48 @@ def _dense_solution(field, steps: _Steps) -> _DenseSolution:
     return _DenseSolution(ts[:-1], h, ys[:-1], F)
 
 
-def _shoot(s0, span, p, rtol, atol, tangents=None):
-    """Core shot over ``span``: the state at ``span[1]``, its 6 x k tangent
-    columns (None without ``tangents``) and the steps of its 6 state
-    components.
+def _shoot(s0, span, p, rtol, atol) -> tuple[np.ndarray, _Steps]:
+    """Core shot over ``span``: the state at ``span[1]`` and the shot's steps."""
+    return _dop853(lambda y: dynamics.vector_field(y, p), span[0], span[1], s0, rtol, atol)
 
-    With ``tangents``, a 6 x k matrix of seed derivatives, the shot carries
-    them through the variational equation Phi' = J(s) Phi.  The tangent
-    components get an absolute tolerance of 1e300, which takes them out of
-    DOP853's RMS error norm, and the state tolerances are scaled by
-    sqrt(6 / (6 + 6k)), so the norm, and with it the step control, is that
-    of a plain shot.  The state rows of the field do not read the tangents,
-    so the recorded steps are those of a plain shot too.
+
+def _step_tangents(steps: _Steps, d_seed: np.ndarray, p: Params) -> np.ndarray:
+    """Derivative of a core shot's end state in its k parameters (6 x k),
+    carried along its recorded ``steps`` from the seed derivative ``d_seed``.
+
+    DOP853 applied to the variational equation Phi' = J(s) Phi with the
+    shot's own steps is the derivative of the shot (Hairer, Norsett & Wanner,
+    Solving ODEs I, sec. I.14 and II.4-II.6).  In step n the stage state
+    S_s = y_n + h_n sum_j A_sj K_j moves the tangents by L_s = J(S_s) (I +
+    h_n sum_j A_sj L_j), and the step maps them by M_n = I + h_n sum_s b_s
+    L_s.  The stage products run on all steps at once, with J's sparsity:
+    rows 0-2 and 4 shift, rows 3 and 5 couple rows 0 and 4.
     """
-    y0, k = s0, 0
-    if tangents is not None:
-        k = tangents.shape[1]
-        y0 = np.concatenate([s0, np.ravel(tangents)])
-        scale = math.sqrt(6.0 / (6.0 + 6.0 * k))
-        rtol = np.full(y0.size, rtol * scale)
-        atol = np.concatenate([np.full(6, atol * scale), np.full(6 * k, 1e300)])
-    y, steps = _dop853(lambda y: dynamics.vector_field(y, p), span[0], span[1], y0,
-                       rtol, atol, record=6)
-    return y[:6], (y[6:].reshape(6, k) if k else None), steps
+    ts, ys, ks = steps
+    h = np.diff(ts)[:, None, None]
+    stages = ys[:-1, None] + h * np.einsum("sj,njm->nsm", DOP853.A, ks[:, :12])
+    j30, j34, j50, j54 = dynamics._coupling(stages[..., 0], stages[..., 4], p)
+    eye = np.eye(6)
+    L = np.empty((12, h.size, 6, 6))
+    for s in range(12):
+        D = eye + h * np.tensordot(DOP853.A[s, :s], L[:s], axes=1)
+        L[s, :, :3] = D[:, 1:4]
+        L[s, :, 4] = D[:, 5]
+        L[s, :, 3] = j30[:, s, None] * D[:, 0] + j34[:, s, None] * D[:, 4]
+        L[s, :, 5] = j50[:, s, None] * D[:, 0] + j54[:, s, None] * D[:, 4]
+    phi = d_seed
+    for m in eye + h * np.tensordot(DOP853.B, L, axes=1):
+        phi = m @ phi
+    return phi
+
+
+class _Shot(NamedTuple):
+    """A core shot: its state ``y`` at x_hat, its ``steps`` and the 6 x k
+    derivative ``d_seed`` of its seed in the core's parameters."""
+
+    y: np.ndarray
+    steps: _Steps
+    d_seed: np.ndarray
 
 
 def _seed(jet, b0: float, d_free, p: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -550,11 +570,11 @@ class _Shooting:
         jet = self.leaf_a[:4] + self.cols_a @ np.asarray(c, dtype=float)
         return _seed(jet, self.b0_a, np.vstack([self.cols_a, np.zeros(2)]), self.p)
 
-    def left_shot(self, c, tangents=False):
+    def left_shot(self, c) -> _Shot:
         """Left core from x_a to x_hat, by :func:`_shoot`."""
         seed, d_seed = self.left_seed(c)
-        return _shoot(seed, (self.x_a, self.x_hat), self.p, self.rtol, self.atol,
-                      d_seed if tangents else None)
+        return _Shot(*_shoot(seed, (self.x_a, self.x_hat), self.p, self.rtol, self.atol),
+                     d_seed)
 
     def right_seed(self, d1, d2, beta) -> tuple[np.ndarray, np.ndarray]:
         """Right-core seed and its 6 x 3 derivative in (d1, d2, beta)."""
@@ -572,18 +592,17 @@ class _Shooting:
         return _seed(d1 * pows.real + d2 * pows.imag, beta,
                      np.vstack([d_jet, [0.0, 0.0, 1.0]]), self.p)
 
-    def right_shot(self, x_r, d1, d2, beta, tangents=False):
+    def right_shot(self, x_r, d1, d2, beta) -> _Shot:
         """Right core from x_r back to x_hat, by :func:`_shoot`."""
         seed, d_seed = self.right_seed(d1, d2, beta)
-        return _shoot(seed, (x_r, self.x_hat), self.p, self.rtol, self.atol,
-                      d_seed if tangents else None)
+        return _Shot(*_shoot(seed, (x_r, self.x_hat), self.p, self.rtol, self.atol), d_seed)
 
-    def dense_core(self, y, steps: _Steps) -> _DenseSolution:
-        """The dense core of a shot to x_hat, from its steps and its state
-        ``y`` there: the steps continued past x_hat to the end of the core's
-        span, x_hat +- (w_h + 0.25)."""
+    def dense_core(self, shot: _Shot) -> _DenseSolution:
+        """The dense core of a shot to x_hat: its steps continued past x_hat
+        to the end of the core's span, x_hat +- (w_h + 0.25)."""
+        steps = shot.steps
         end = self.x_hat + math.copysign(self.w_h + 0.25, self.x_hat - steps.ts[0])
-        _, _, more = _shoot(y, (self.x_hat, end), self.p, self.rtol, self.atol)
+        _, more = _shoot(shot.y, (self.x_hat, end), self.p, self.rtol, self.atol)
         return _dense_solution(lambda y: dynamics.vector_field(y, self.p), steps.followed_by(more))
 
 
@@ -788,13 +807,17 @@ def _junction_scale(p: Params) -> np.ndarray:
 
 def _junction_residual(geo: _Shooting, x_r: float, th) -> tuple[np.ndarray, tuple]:
     """Scaled mismatch of the two cores at x_hat for theta = (c1, c2, d1, d2,
-    beta), and (J, left, right): its exact 6 x 5 Jacobian from the cores'
-    tangent columns, and each core's state at x_hat with its steps."""
-    scale = _junction_scale(geo.p)
-    y_l, phi_l, steps_l = geo.left_shot(th[:2], tangents=True)
-    y_r, phi_r, steps_r = geo.right_shot(x_r, th[2], th[3], th[4], tangents=True)
-    return (y_l - y_r) / scale, (np.hstack([phi_l, -phi_r]) / scale[:, None],
-                                 (y_l, steps_l), (y_r, steps_r))
+    beta), and the two plain core shots (left, right), from which
+    :func:`_junction_jacobian` forms its Jacobian."""
+    left = geo.left_shot(th[:2])
+    right = geo.right_shot(x_r, th[2], th[3], th[4])
+    return (left.y - right.y) / _junction_scale(geo.p), (left, right)
+
+
+def _junction_jacobian(p: Params, shots: tuple[_Shot, _Shot]) -> np.ndarray:
+    """Exact 6 x 5 Jacobian of :func:`_junction_residual` from its shots."""
+    phi_l, phi_r = (_step_tangents(shot.steps, shot.d_seed, p) for shot in shots)
+    return np.hstack([phi_l, -phi_r]) / _junction_scale(p)[:, None]
 
 
 def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUnknowns,
@@ -815,14 +838,16 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
     x_r = x_hat + t_r
     target_jet = outer.stable_seed(scaling, p, (unknowns.x10s, unknowns.x20s))[:4]
     beta0 = math.tanh(math.atanh(scaling.b01) + p.epsilon / math.sqrt(2.0) * t_r)
-    g0, phi, _ = geo.right_shot(x_r, 0.0, 0.0, beta0, tangents=True)
-    d0, *_ = np.linalg.lstsq(phi[:4, :2], target_jet - g0[:4], rcond=None)
+    anchor = geo.right_shot(x_r, 0.0, 0.0, beta0)
+    phi = _step_tangents(anchor.steps, anchor.d_seed[:, :2], p)
+    d0, *_ = np.linalg.lstsq(phi[:4], target_jet - anchor.y[:4], rcond=None)
     theta = np.array([0.0, 0.0, d0[0], d0[1], beta0])
 
     # a stalled line search ends the match as well; the mismatch decides
     for _ in range(2):
-        theta, r, (_, left, right), _, _, _ = _damped_newton(
-            lambda th: _junction_residual(geo, x_r, th), lambda th, r, aux: aux[0],
+        theta, r, (left, right), _, _, _ = _damped_newton(
+            lambda th: _junction_residual(geo, x_r, th),
+            lambda th, r, shots: _junction_jacobian(p, shots),
             theta, refine_tol, REFINE_MAX_ITER, halvings=12)
         mismatch = float(np.abs(r).max())
         if mismatch <= refine_tol:
@@ -830,8 +855,8 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
         geo = replace(geo, rtol=geo.rtol / 10.0, atol=geo.atol / 10.0)
     if mismatch > 1e-4:
         raise RealizationError(f"junction match stalled at scaled mismatch {mismatch:.3e}")
-    return _Junction(theta=theta, mismatch=mismatch, sol_left=geo.dense_core(*left),
-                     sol_right=geo.dense_core(*right), x_r=x_r)
+    return _Junction(theta=theta, mismatch=mismatch, sol_left=geo.dense_core(left),
+                     sol_right=geo.dense_core(right), x_r=x_r)
 
 
 def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
@@ -849,7 +874,7 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
     b1_spline = CubicSpline(b_nodes, outer.leaf_b1(b_nodes, p))
     tail_back, tail_fwd = (
         _dense_solution(b1_spline, _dop853(b1_spline, x_a, x_end, np.array([geo.b0_a]),
-                                           1e-13, 1e-16, record=1)[1])
+                                           1e-13, 1e-16)[1])
         for x_end in (x_a - tail_len - 15.0, x_a + 7.0))
 
     hphi = (tail_len + 6.5) / 4000.0
@@ -878,17 +903,24 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
                    leaf=outer.leaf_table(b_hi, p))
 
 
+def _b0_offset(x: float, pc: _Pieces, level: float) -> float:
+    """B at the unshifted abscissa x minus ``level``.  A module function with
+    the pieces passed as an argument: ``brentq`` wraps its function in a
+    closure that refers to itself, and a closure over ``pc`` would leave the
+    pieces in cyclic garbage."""
+    return float(_sample_pieces(np.array([x]), pc, pc.geo.p)[0, 4]) - level
+
+
 def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, info: dict,
                          pc: _Pieces, cfg: SolveConfig) -> HeteroclinicProfile:
     """Stage 5: fix the phase by B(0) = 1/sqrt(g) and sample the default grid."""
     geo, jn = pc.geo, pc.junction
     p, x_a, x_r = geo.p, geo.x_a, jn.x_r
-    b0_raw = lambda x: float(_sample_pieces(np.array([x]), pc, p)[0, 4])
-    x_shift = brentq(lambda x: b0_raw(x) - p.inv_sqrt_g, x_a, x_r,
+    x_shift = brentq(_b0_offset, x_a, x_r, args=(pc, p.inv_sqrt_g),
                      xtol=1e-13, rtol=8.9e-16)
-    x_star_left = brentq(lambda x: b0_raw(x) - scaling.b00, x_a, x_shift,
+    x_star_left = brentq(_b0_offset, x_a, x_shift, args=(pc, scaling.b00),
                          xtol=1e-12) - x_shift
-    x_star_plus = brentq(lambda x: b0_raw(x) - scaling.b01, x_shift, x_r,
+    x_star_plus = brentq(_b0_offset, x_shift, x_r, args=(pc, scaling.b01),
                          xtol=1e-12) - x_shift
 
     l_left = max(cfg.tail_efolds / (p.epsilon * p.delta), abs(x_a - x_shift) + 10.0)

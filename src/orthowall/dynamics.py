@@ -23,42 +23,28 @@ SYMMETRIES = ("neg_a", "neg_b", "neg_ab", "reversibility")
 
 
 def vector_field(y: np.ndarray, p: Params) -> np.ndarray:
-    """Right-hand side of the first-order system, and of tangent columns.
+    """Right-hand side of the first-order system.
 
     A'''' = A (1 - A^2 - g B^2),  B'' = eps^2 B (-1 + g A^2 + B^2).
 
-    ``y`` holds the state, optionally followed by a 6 x k tangent matrix in
-    row order, which moves by the variational equation Phi' = J(s) Phi:
-    rows 0-2 and 4 of J shift the tangent rows, and rows 3 and 5 couple rows
-    0 and 4 through :func:`_coupling`.  The arithmetic runs on Python floats
-    (IEEE double, the same bits as numpy scalars), which is several times
-    cheaper per call inside the integrator's callback.
+    The arithmetic runs on Python floats (IEEE double, the same bits as
+    numpy scalars), which is several times cheaper per call inside the
+    integrator's callback.
     """
-    a0, a1, a2, a3, b0, b1, *v = y.tolist()
-    f = [
+    a0, a1, a2, a3, b0, b1 = y.tolist()
+    return np.array([
         a1,
         a2,
         a3,
         a0 * (1.0 - a0 * a0 - p.g * b0 * b0),
         b1,
         p.epsilon**2 * b0 * (-1.0 + p.g * a0 * a0 + b0 * b0),
-    ]
-    if not v:
-        return np.array(f)
-    k = len(v) // 6
-    j30, j34, j50, j54 = _coupling(a0, b0, p)
-    r0, r4 = v[:k], v[4 * k:5 * k]
-    return np.array([
-        *f,
-        *v[k:4 * k],
-        *[j30 * u + j34 * w for u, w in zip(r0, r4)],
-        *v[5 * k:],
-        *[j50 * u + j54 * w for u, w in zip(r0, r4)],
     ])
 
 
-def _coupling(a0: float, b0: float, p: Params) -> tuple[float, float, float, float]:
-    """Entries (J30, J34, J50, J54) of the two nontrivial Jacobian rows."""
+def _coupling(a0, b0, p: Params):
+    """Entries (J30, J34, J50, J54) of the two nontrivial Jacobian rows, at
+    floats or elementwise on arrays."""
     e2 = p.epsilon**2
     return (
         1.0 - 3.0 * a0 * a0 - p.g * b0 * b0,

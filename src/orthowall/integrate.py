@@ -13,12 +13,25 @@ from pathlib import Path
 import numpy as np
 
 
+CSV_BLOCK_ROWS = 256
+
+
 def write_profile_csv(path: str, x: np.ndarray, states: np.ndarray,
                       w: np.ndarray) -> None:
-    """Write columns x, A0..A3, B0, B1, W with full (17 digit) precision."""
+    """Write columns x, A0..A3, B0, B1, W with full (17 digit) precision.
+
+    The bytes are those of ``np.savetxt(..., fmt="%.17g")``, but each block
+    of ``CSV_BLOCK_ROWS`` rows is formatted by one ``%`` operation, where
+    ``savetxt`` makes one per row; the blocks bound the memory that a
+    whole-file string would take.
+    """
     data = np.column_stack([x, states, w])
-    header = "x,A0,A1,A2,A3,B0,B1,W"
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w", encoding="latin1", newline="") as fh:
+        fh.write("x,A0,A1,A2,A3,B0,B1,W\n")
+        for start in range(0, len(data), CSV_BLOCK_ROWS):
+            block = data[start:start + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,11 +1,13 @@
+import gc
 import json
 import math
 import pickle
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
 # the DOP853 step interpolant OdeSolution is built from (no public name)
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
@@ -329,9 +331,9 @@ def test_report_and_csv(tmp_path, profile15):
 
 def _count_core_shots(monkeypatch) -> tuple[list[int], list[int]]:
     """Record the field evaluations of every core shot, that is every call of
-    the DOP853 kernel on a plain or augmented core state (the tail ODE
-    carries a 1-D state), and count every field evaluation in ``total[0]``,
-    the dense cores' extra stages included."""
+    the DOP853 kernel on a core state (the tail ODE carries a 1-D state),
+    and count every field evaluation in ``total[0]``, the dense cores' extra
+    stages included."""
     shots, total = [], [0]
     field, kernel = dynamics.vector_field, connect._dop853
 
@@ -340,6 +342,8 @@ def _count_core_shots(monkeypatch) -> tuple[list[int], list[int]]:
         return field(y, p)
 
     def counted_kernel(fun, t0, t1, y0, *args, **kwargs):
+        # every core shot is plain: no kernel call carries tangent columns
+        assert len(y0) in (1, 6)
         before = total[0]
         out = kernel(fun, t0, t1, y0, *args, **kwargs)
         if len(y0) >= 6:
@@ -395,11 +399,12 @@ def test_junction_columns_match_central_differences(profile15):
     prof = profile15.value
     geo, jn = prof._pieces.geo, prof._pieces.junction
     th, x_r = jn.theta, jn.x_r
-    _, (J, *_) = connect._junction_residual(geo, x_r, th)
+    _, shots = connect._junction_residual(geo, x_r, th)
+    J = connect._junction_jacobian(geo.p, shots)
     scale = connect._junction_scale(geo.p)
 
     def value(t):
-        return (geo.left_shot(t[:2])[0] - geo.right_shot(x_r, t[2], t[3], t[4])[0]) / scale
+        return (geo.left_shot(t[:2]).y - geo.right_shot(x_r, t[2], t[3], t[4]).y) / scale
 
     for j, offset in enumerate((1e-2, 1e-2, 1e-4, 1e-4, 1e-2)):
         h = 1e-6 * (abs(th[j]) + offset)
@@ -409,8 +414,37 @@ def test_junction_columns_match_central_differences(profile15):
         assert np.abs(J[:, j] - column).max() <= 1e-3 * np.abs(J[:, j]).max(), j
 
 
+def _reference_tangents(steps, d_seed, p):
+    """Unvectorized reference of connect._step_tangents: per step and stage,
+    the stage's Jacobian times the stage's tangent combination."""
+    phi = d_seed
+    for n, h in enumerate(np.diff(steps.ts)):
+        dk = []
+        for s in range(12):
+            stage = steps.ys[n] + h * DOP853.A[s, :s] @ steps.ks[n, :s]
+            x = phi + h * sum((DOP853.A[s, j] * dk[j] for j in range(s)), np.zeros_like(phi))
+            dk.append(dynamics.jacobian(stage, p) @ x)
+        phi = phi + h * sum(DOP853.B[s] * dk[s] for s in range(12))
+    return phi
+
+
+def test_step_tangents_match_unvectorized_reference(profile15):
+    # the seed derivative carried along the recorded steps of the anchor's
+    # accepted left core (2 columns) and right core (3 columns), vectorized
+    # over the steps, against the same DOP853 stages one step and stage at a
+    # time
+    prof = profile15.value
+    geo, jn = prof._pieces.geo, prof._pieces.junction
+    for shot, k in ((geo.left_shot(jn.theta[:2]), 2),
+                    (geo.right_shot(jn.x_r, *jn.theta[2:]), 3)):
+        assert shot.d_seed.shape == (6, k) and shot.steps.ts.size > 8
+        want = _reference_tangents(shot.steps, shot.d_seed, prof.p)
+        got = connect._step_tangents(shot.steps, shot.d_seed, prof.p)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_junction_work_guard(monkeypatch, p15):
-    # one augmented shot per core and iterate, the junction match started
+    # one shot per core and iterate, the junction match started
     # from the leaf, and dense cores taken from the accepted iterate's shots
     # (3 extra stages per step, plus a short continuation past x_hat) keep
     # the anchor at 8,450 field evaluations in 13 core shots; re-shooting
@@ -524,7 +558,7 @@ def _kernel_calls(monkeypatch) -> list[tuple]:
     calls = []
     kernel = connect._dop853
 
-    def recorded(field, t0, t1, y0, rtol, atol, record):
+    def recorded(field, t0, t1, y0, rtol, atol):
         nfev = 0
 
         def counted(y):
@@ -532,7 +566,7 @@ def _kernel_calls(monkeypatch) -> list[tuple]:
             nfev += 1
             return field(y)
 
-        out = kernel(counted, t0, t1, y0, rtol, atol, record)
+        out = kernel(counted, t0, t1, y0, rtol, atol)
         calls.append(((field, t0, t1, y0, rtol, atol), out, nfev))
         return out
 
@@ -541,28 +575,26 @@ def _kernel_calls(monkeypatch) -> list[tuple]:
 
 
 def test_kernel_takes_the_steps_of_solve_ivp(monkeypatch, profile15):
-    # the anchor's left core plain and with its 2 tangents, its right core
-    # with 3, and the long (backward) tail B-profile, each against
-    # solve_ivp(method="DOP853") on the same field, span and tolerances: the
-    # same accepted steps and field evaluations (the knots move only by the
-    # rounding of the error estimates, which the step factor raises to the
-    # power -1/8), and the same end state to the shot tolerance
+    # the anchor's left and right cores and the long (backward) tail
+    # B-profile, each against solve_ivp(method="DOP853") on the same field,
+    # span and tolerances: the same accepted steps and field evaluations (the
+    # knots move only by the rounding of the error estimates, which the step
+    # factor raises to the power -1/8), and the same end state to the shot
+    # tolerance
     prof = profile15.value
     geo, jn = prof._pieces.geo, prof._pieces.junction
     calls = _kernel_calls(monkeypatch)
     geo.left_shot(jn.theta[:2])
-    geo.left_shot(jn.theta[:2], tangents=True)
-    geo.right_shot(jn.x_r, *jn.theta[2:], tangents=True)
+    geo.right_shot(jn.x_r, *jn.theta[2:])
     connect._tail_pieces(geo, prof.scaling, jn, connect.SolveConfig().tail_efolds)
-    assert [len(args[3]) for args, _, _ in calls] == [6, 18, 24, 1, 1]
-    for (field, t0, t1, y0, rtol, atol), (y, steps), nfev in calls[:4]:
+    assert [len(args[3]) for args, _, _ in calls] == [6, 6, 1, 1]
+    for (field, t0, t1, y0, rtol, atol), (y, steps), nfev in calls[:3]:
         ref = solve_ivp(lambda t, y: field(y), (t0, t1), y0, method="DOP853",
                         rtol=rtol, atol=atol)
         assert nfev == ref.nfev and steps.ts.size == ref.t.size > 8
         assert np.abs(steps.ts - ref.t).max() <= 1e-3 * abs(t1 - t0)
-        m = min(len(y0), 6)
-        assert np.array_equal(steps.ys[-1], y[:m])
-        assert np.abs(y[:m] - ref.y[:m, -1]).max() < 1e-10
+        assert np.array_equal(steps.ys[-1], y)
+        assert np.abs(y - ref.y[:, -1]).max() < 1e-10
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -572,31 +604,32 @@ def test_kernel_blow_up_raises_realization_error(p15):
     # the error norm stops being finite, either raises, and no
     # floating-point warning escapes the kernel
     with pytest.raises(connect.RealizationError):
-        connect._dop853(lambda y: y * y, 0.0, 2.0, np.array([1.0]), 1e-12, 1e-14, 1)
+        connect._dop853(lambda y: y * y, 0.0, 2.0, np.array([1.0]), 1e-12, 1e-14)
     with pytest.raises(connect.RealizationError):
         connect._shoot(np.array([3.0, 0.0, 0.0, 0.0, 0.5, 0.0]), (0.0, 50.0), p15,
                        1e-12, 1e-14)
     with pytest.raises(connect.RealizationError):
-        connect._dop853(lambda y: y * y, 0.0, 1.0, np.array([np.inf]), 1e-12, 1e-14, 1)
+        connect._dop853(lambda y: y * y, 0.0, 1.0, np.array([np.inf]), 1e-12, 1e-14)
 
 
 def test_dense_cores_from_junction_records(profile15):
     # a dense core is the accepted junction shot's recorded steps continued
-    # past x_hat: at its knots it returns the recorded states (the first
-    # exactly, the others as y_old + (y_new - y_old), to rounding), and at
-    # step midpoints it agrees with a plain dense kernel shot over the span
+    # past x_hat: its knots are those of the plain junction shot, and at them
+    # it returns the recorded states (the first exactly, the others as
+    # y_old + (y_new - y_old), to rounding); at step midpoints it agrees
+    # with a plain dense kernel shot over the span
     prof = profile15.value
     geo, jn = prof._pieces.geo, prof._pieces.junction
     field = lambda y: dynamics.vector_field(y, prof.p)
     span = geo.w_h + 0.25
-    for dense, (seed, _), start, (y, _, steps) in (
+    for dense, (seed, _), start, (y, steps, _) in (
             (jn.sol_left, geo.left_seed(jn.theta[:2]), geo.x_a,
-             geo.left_shot(jn.theta[:2], tangents=True)),
+             geo.left_shot(jn.theta[:2])),
             (jn.sol_right, geo.right_seed(*jn.theta[2:]), jn.x_r,
-             geo.right_shot(jn.x_r, *jn.theta[2:], tangents=True))):
+             geo.right_shot(jn.x_r, *jn.theta[2:]))):
         end = geo.x_hat + math.copysign(span, geo.x_hat - start)
         steps = steps.followed_by(
-            connect._shoot(y, (geo.x_hat, end), prof.p, geo.rtol, geo.atol)[2])
+            connect._shoot(y, (geo.x_hat, end), prof.p, geo.rtol, geo.atol)[1])
         assert np.array_equal(dense.t_old, steps.ts[:-1])
         assert np.array_equal(dense.y_old, steps.ys[:-1])
         assert np.array_equal(dense(steps.ts[:1])[:, 0], seed)
@@ -604,7 +637,7 @@ def test_dense_cores_from_junction_records(profile15):
         assert np.all(np.abs(dense(steps.ts[1:]).T - y_new)
                       <= 2.3e-16 * (np.abs(y_old) + np.abs(y_new)))
         plain = connect._dense_solution(
-            field, connect._dop853(field, start, end, seed, geo.rtol, geo.atol, record=6)[1])
+            field, connect._dop853(field, start, end, seed, geo.rtol, geo.atol)[1])
         mid = 0.5 * (steps.ts[:-1] + steps.ts[1:])
         assert np.abs(dense(mid) - plain(mid)).max() < 1e-10
 
@@ -651,6 +684,21 @@ def test_sample_does_not_reach_ode_solution(monkeypatch, profile15):
     prof = profile15.value
     states = prof.sample(np.linspace(prof.x[0], prof.x[-1], 5601))
     assert np.isfinite(states).all()
+
+
+def test_solve_leaves_no_cyclic_garbage(p15):
+    # phase fixing roots a module function with the pieces as an argument,
+    # so with the collector off a profile's pieces die with the profile
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        prof = connect.heteroclinic_solve(p15)
+        pieces = weakref.ref(prof._pieces)
+        del prof
+        assert pieces() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_profile_pickle_round_trip(profile15):

@@ -92,20 +92,6 @@ def test_jacobian_matches_finite_differences():
                 assert np.abs(J[:, j] - col).max() < 1e-7
 
 
-def test_variational_field_is_jacobian_on_tangents():
-    # with k tangent columns after the state, the state block is the plain
-    # vector field bit for bit and the tangent block is J(s) V
-    rng = np.random.default_rng(7)
-    for g in (1.25, 2.0):
-        p = derive_params(0.1, g)
-        for k, s in zip((1, 2, 3, 5) * 5, random_states(20, seed=4)):
-            V = rng.normal(size=(6, k))
-            out = dynamics.vector_field(np.concatenate([s, V.ravel()]), p)
-            assert np.array_equal(out[:6], dynamics.vector_field(s, p))
-            want = dynamics.jacobian(s, p) @ V
-            assert np.abs(out[6:].reshape(6, k) - want).max() <= 1e-14 * np.abs(want).max()
-
-
 def _match_spectra(computed, expected, tol):
     c = sorted(computed, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     e = sorted(expected, key=lambda z: (round(z.real, 12), round(z.imag, 12)))

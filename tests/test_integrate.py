@@ -122,3 +122,20 @@ def test_csv_round_trip(tmp_path, p):
     assert np.array_equal(x, sol.t)
     assert np.array_equal(states2, states)
     assert np.array_equal(w2, w)
+
+
+def test_csv_bytes_equal_savetxt(tmp_path):
+    # the blocked writer writes the bytes of np.savetxt, also for -0.0, nan,
+    # inf and a subnormal, and for a row count past a whole number of blocks
+    rng = np.random.default_rng(3)
+    n = 2 * integrate.CSV_BLOCK_ROWS + 37
+    data = rng.normal(size=(n, 8)) * 10.0 ** rng.integers(-300, 300, size=(n, 8))
+    data[0, :5] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
+    data[n - 1, 3] = -0.0
+    path = tmp_path / "profile.csv"
+    integrate.write_profile_csv(str(path), data[:, 0], data[:, 1:7], data[:, 7])
+    ref = tmp_path / "savetxt.csv"
+    np.savetxt(ref, data, delimiter=",", header="x,A0,A1,A2,A3,B0,B1,W", comments="",
+               fmt="%.17g")
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes().count(b"\n") == n + 1
