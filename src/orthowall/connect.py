@@ -13,14 +13,15 @@ fitted to the stable trace of the matching, and a 5-parameter least-squares
 match of (c, right-core parameters) joins the two cores at the right
 junction x_hat: the intersection of the 3-dimensional unstable manifold of
 M- with the 3-dimensional stable manifold of M+.
-(4) The tail pieces are analytic invariant leaves far out on both tails; the
+(4) The tail pieces are analytic invariant leaves far out on both tails: the
+left one follows the slow leaf, tabulated once per solve, by quadrature; the
 right one carries the right core's fast stable offset past x_r by
 Liouville-Green transport (Olver, Asymptotics and Special Functions, ch. 6).
 (5) Phase fixing translates x so that B(0) = 1/sqrt(g); the default grid is
 then sampled.  The matching Newton and the junction match run through the
-one damped Newton driver :func:`_damped_newton`.  The dense cores and the
-left-tail B-profiles are evaluated from their stacked step interpolants,
-:class:`_DenseSolution`, one vectorized pass per call.
+one damped Newton driver :func:`_damped_newton`.  The dense cores are
+evaluated from their stacked step interpolants, :class:`_DenseSolution`,
+one vectorized pass per call.
 
 Every integration runs through one DOP853 kernel, :func:`_dop853`, with the
 tableau and step control of scipy's ``DOP853`` (Hairer, Norsett & Wanner,
@@ -43,6 +44,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from scipy.integrate import DOP853
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
@@ -53,6 +55,10 @@ from .params import Params, ScalingConfig, working_scaling
 NEWTON_MAX_ITER = 25          # matching Newton iterations
 REFINE_MAX_ITER = 15          # junction-match Gauss-Newton iterations
 AMPLIFICATION_BUDGET = 9.0    # fast exponent accumulated over a core window
+W_A = 2.5                     # width of the left blend, leaf to left core, from x_a
+W_H = 1.0                     # half-width of the junction blend about x_hat
+W_R = 4.0                     # width of the right blend, right core to tail, to x_r
+DEV_REACH = 18.0              # the left core's fast offset tapers in from x_a - DEV_REACH
 
 
 class MatchingError(RuntimeError):
@@ -306,14 +312,8 @@ class HeteroclinicProfile:
     @property
     def blend_windows(self) -> list[tuple[float, float]]:
         """Piece-blend regions (phase-fixed coordinates), padded slightly."""
-        pc, s = self._pieces, self.x_shift
-        x_a, x_hat, w_h, x_r = pc.geo.x_a, pc.geo.x_hat, pc.geo.w_h, pc.junction.x_r
-        pad = 0.5
-        return [
-            (x_a - s - pad, x_a + pc.w_a - s + pad),
-            (x_hat - w_h - s - pad, x_hat + w_h - s + pad),
-            (x_r - pc.w_r - s - pad, x_r - s + pad),
-        ]
+        cuts = (self._pieces.blend_cuts() - self.x_shift).tolist()
+        return [(cuts[k] - 0.5, cuts[k + 1] + 0.5) for k in (0, 2, 4)]
 
     @property
     def sup_w(self) -> float:
@@ -471,9 +471,9 @@ def _dop853(field, t0: float, t1: float, y0: np.ndarray, rtol,
     return y, _Steps(np.array(ts), np.array(ys), np.array(ks).reshape(-1, 13, n))
 
 
-def _dense_solution(field, steps: _Steps) -> _DenseSolution:
-    """The DOP853 dense output of recorded steps: 3 extra stages per step,
-    then the 7 interpolant rows F (Hairer, Norsett & Wanner, sec. II.6)."""
+def _dense_solution(p: Params, steps: _Steps) -> _DenseSolution:
+    """The DOP853 dense output of a core shot's recorded steps: 3 extra stages
+    per step, then the 7 interpolant rows F (Hairer, Norsett & Wanner, II.6)."""
     ts, ys, ks = steps
     h = np.diff(ts)
     K = np.empty((h.size, 16, ys.shape[1]))
@@ -481,7 +481,7 @@ def _dense_solution(field, steps: _Steps) -> _DenseSolution:
     for Ki, hi, y in zip(K, h, ys):
         hA = hi * DOP853.A_EXTRA
         for s in range(13, 16):
-            Ki[s] = field(y + hA[s - 13, :s].dot(Ki[:s]))
+            Ki[s] = dynamics.vector_field(y + hA[s - 13, :s].dot(Ki[:s]), p)
     dy = ys[1:] - ys[:-1]
     hc = h[:, None]
     F = np.empty((h.size, 7, ys.shape[1]))
@@ -553,7 +553,7 @@ def _seed(jet, b0: float, d_free, p: Params) -> tuple[np.ndarray, np.ndarray]:
 class _Shooting:
     """Core geometry: the left core runs forward from the slow leaf at x_a, a
     right core backward from the A = 0 leaf at x_r, both to x_hat; their
-    dense cores reach past it, to x_hat +- (w_h + 0.25)."""
+    dense cores reach past it, to x_hat +- (W_H + 0.25)."""
 
     p: Params
     x_a: float
@@ -563,7 +563,6 @@ class _Shooting:
     x_hat: float
     rtol: float
     atol: float
-    w_h: float = 1.0        # half-width of the junction blend
 
     def left_seed(self, c) -> tuple[np.ndarray, np.ndarray]:
         """Left-core seed and its 6 x 2 derivative in c."""
@@ -599,11 +598,11 @@ class _Shooting:
 
     def dense_core(self, shot: _Shot) -> _DenseSolution:
         """The dense core of a shot to x_hat: its steps continued past x_hat
-        to the end of the core's span, x_hat +- (w_h + 0.25)."""
+        to the end of the core's span, x_hat +- (W_H + 0.25)."""
         steps = shot.steps
-        end = self.x_hat + math.copysign(self.w_h + 0.25, self.x_hat - steps.ts[0])
+        end = self.x_hat + math.copysign(W_H + 0.25, self.x_hat - steps.ts[0])
         _, more = _shoot(shot.y, (self.x_hat, end), self.p, self.rtol, self.atol)
-        return _dense_solution(lambda y: dynamics.vector_field(y, self.p), steps.followed_by(more))
+        return _dense_solution(self.p, steps.followed_by(more))
 
 
 class _DenseSolution:
@@ -649,28 +648,44 @@ class _Junction:
     x_r: float
 
 
+def _leaf_integral(leaf: outer.LeafTable, g, b0: float) -> tuple[complex, Chebyshev]:
+    """int_b0^B g / F dB = pole log B + rest(B) along the slow leaf, F the B'
+    column of ``leaf``.  F ~ eps delta B near B = 0, so B g / F is smooth: its
+    value at 0 is the pole's strength, and the remainder (B g / F - pole) / B
+    is a polynomial, whose Chebyshev series is integrated exactly (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 19)."""
+    y = Chebyshev(outer.cheb_fit(lambda b: g(b) * b / leaf(b)[:, 5], leaf.b_hi), [0.0, leaf.b_hi])
+    pole = y(0.0)
+    rest = Chebyshev(outer.cheb_fit(lambda b: (y(b) - pole) / b, leaf.b_hi), y.domain)
+    return pole, rest.integ(lbnd=b0) - pole * math.log(b0)
+
+
 @dataclass(frozen=True, eq=False)
 class _Pieces:
-    """Stitched representation: the left leaf follows the B-profile
-    ``tail_back``/``tail_fwd`` (left/right of x_a), takes its states from
-    ``leaf``, the slow leaf tabulated once per solve, and carries the left
-    core's fast offset c off the leaf, transported back from x_a by the fast
-    exponents ``phi_r``, ``phi_i``; the right tail carries the right core's
-    fast stable offset, which decays by ``kappa_r``, the integral of the
-    leaf's decay rate from x_r (zero past its last knot, where the offset is
-    below rounding)."""
+    """Stitched representation (stage 4).  The left leaf takes its states from
+    ``leaf`` along the B-profile x = x_a + a log B + I(B), the
+    :func:`_leaf_integral` of 1 from the left core's seed, so B' = F(B) with
+    the table's own B' column F; its inverse is B = w h(w), w = exp((x - x_a)
+    / a), h smooth down to B = 0 since a is the quadrature's own pole.  The
+    left core's fast offset moves by exp(pole log B + rest(B)), ``fast`` =
+    (pole, rest), the slow pair's transition map int_b0^B (lambda_r - i
+    lambda_i) / F.  The right tail carries the right core's fast stable
+    offset, decaying by ``kappa_r``, the integral of the leaf's decay rate
+    from x_r (zero past its last knot, where the offset is below rounding)."""
 
     geo: _Shooting
     junction: _Junction
-    phi_r: CubicSpline
-    phi_i: CubicSpline
-    tail_back: _DenseSolution
-    tail_fwd: _DenseSolution
-    kappa_r: CubicSpline
     leaf: outer.LeafTable
-    w_a: float = 2.5
-    w_r: float = 4.0
-    dev_reach: float = 18.0
+    a: float
+    h: Chebyshev
+    fast: tuple[complex, Chebyshev]
+    kappa_r: CubicSpline
+
+    def blend_cuts(self) -> np.ndarray:
+        """The ends of the three blends: leaf to left core, left core to right
+        core, right core to right tail."""
+        x_a, x_hat, x_r = self.geo.x_a, self.geo.x_hat, self.junction.x_r
+        return np.array([x_a, x_a + W_A, x_hat - W_H, x_hat + W_H, x_r - W_R, x_r])
 
 
 def _leaf_exponent(b, p: Params):
@@ -693,41 +708,30 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
     smoothstep, so grid stencils up to fourth order see a smooth curve;
     the seam mismatches themselves sit at the solver tolerances.  Each
     piece is evaluated on the whole array of its abscissae: the leaf from
-    the Chebyshev table and the slow frames of the left core's fast offset
-    from :func:`frames.slow_coord_matrices`, the cores and the left-tail
-    B-profiles from their stacked interpolants, the right tail as closed
-    forms.
+    the Chebyshev series of its tail and table and the slow frames of the
+    left core's fast offset from :func:`frames.slow_coord_matrices`, the
+    cores from their stacked interpolants, the right tail as closed forms.
     """
     out = np.empty((raw.size, 6))
     geo, jn = pc.geo, pc.junction
-    x_a, x_hat, x_r = geo.x_a, geo.x_hat, jn.x_r
-    w_a, w_h, w_r = pc.w_a, geo.w_h, pc.w_r
+    x_a, x_r = geo.x_a, jn.x_r
 
     def leaf(xs):
-        back = xs <= x_a
-        b0s = np.empty(xs.size)
-        b0s[back] = pc.tail_back(xs[back])[0]
-        b0s[~back] = pc.tail_fwd(xs[~back])[0]
+        w = np.exp((xs - x_a) / pc.a)
+        b0s = w * pc.h(w)
         states = pc.leaf(b0s)
-        # transport of the left core's fast offset c, fitted by the junction
-        # match: the fast pair decays backward through the exact
-        # scaled-rotation transition map
-        taper = _smoothstep((xs - (x_a - pc.dev_reach)) / 6.0)
+        # the left core's fast offset c, fitted by the junction match, decays
+        # backward through the transition map of the slow pair
+        taper = _smoothstep((xs - (x_a - DEV_REACH)) / 6.0)
         on = taper != 0.0
         if on.any():
-            amp = taper[on] * np.exp(-pc.phi_r(xs[on]))
-            phi_i = pc.phi_i(xs[on])
-            cos, sin = np.cos(phi_i), np.sin(phi_i)
-            c1, c2 = jn.theta[:2]
-            cols = frames.slow_coord_matrices(b0s[on], p)
-            full = (cols[:, :, 0] * (amp * (cos * c1 - sin * c2))[:, None]
-                    + cols[:, :, 1] * (amp * (sin * c1 + cos * c2))[:, None])
+            b, (pole, rest) = b0s[on], pc.fast
+            z = taper[on] * np.exp(pole * np.log(b) + rest(b)) * complex(*jn.theta[:2])
+            cols = frames.slow_coord_matrices(b, p)
+            full = cols[:, :, 0] * z.real[:, None] + cols[:, :, 1] * z.imag[:, None]
             states[on, :4] += full[:, :4]
             states[on, 5] += full[:, 4]
         return states
-
-    core_l = lambda xs: jn.sol_left(xs).T
-    core_r = lambda xs: jn.sol_right(xs).T
 
     def tail(xs):
         # the A = 0 leaf, plus the right core's fast stable offset carried
@@ -744,27 +748,19 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
             states[:, k] = (z * mu**k).real
         return states
 
-    regions = [
-        (raw < x_a, leaf, None, None),
-        ((raw >= x_a) & (raw < x_a + w_a), leaf, core_l,
-         lambda xs: (xs - x_a) / w_a),
-        ((raw >= x_a + w_a) & (raw < x_hat - w_h), core_l, None, None),
-        ((raw >= x_hat - w_h) & (raw < x_hat + w_h), core_l, core_r,
-         lambda xs: (xs - x_hat + w_h) / (2.0 * w_h)),
-        ((raw >= x_hat + w_h) & (raw < x_r - w_r), core_r, None, None),
-        ((raw >= x_r - w_r) & (raw < x_r), core_r, tail,
-         lambda xs: (xs - x_r + w_r) / w_r),
-        (raw >= x_r, tail, None, None),
-    ]
-    for mask, f_lo, f_hi, tmap in regions:
+    # the pieces in order, each alone between two blends
+    pieces = (leaf, lambda xs: jn.sol_left(xs).T, lambda xs: jn.sol_right(xs).T, tail)
+    edges = np.concatenate([[-np.inf], pc.blend_cuts(), [np.inf]])
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        mask = (raw >= lo) & (raw < hi)
         if not mask.any():
             continue
-        xs = raw[mask]
-        if f_hi is None:
-            out[mask] = f_lo(xs)
+        xs, f = raw[mask], pieces[i // 2]
+        if i % 2 == 0:
+            out[mask] = f(xs)
         else:
-            w = _smoothstep(tmap(xs))[:, None]
-            out[mask] = (1.0 - w) * f_lo(xs) + w * f_hi(xs)
+            w = _smoothstep((xs - lo) / (hi - lo))[:, None]
+            out[mask] = (1.0 - w) * f(xs) + w * pieces[i // 2 + 1](xs)
     return out
 
 
@@ -861,46 +857,40 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
 
 def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
                  tail_efolds: float) -> _Pieces:
-    """Stage 4: the left tail B-profile, the flow b' = leaf_b1(b) from (x_a,
-    b0_a) (so the tail columns are derivative-consistent), the slow leaf
-    tabulated over the same amplitude range, and the transport exponents of
-    the left core's fast offset."""
-    p, x_a = geo.p, geo.x_a
-    b00, x_star = scaling.b00, scaling.x_star
-    tail_len = tail_efolds / (p.epsilon * p.delta) + 25.0
-    b_hi = min(float(outer.b0_left_profile(x_a + 7.0, b00, p, x_star)) + 0.02,
-               0.97 / math.sqrt(p.g1))
-    b_nodes = np.linspace(0.0, b_hi, 1500)
-    b1_spline = CubicSpline(b_nodes, outer.leaf_b1(b_nodes, p))
-    tail_back, tail_fwd = (
-        _dense_solution(b1_spline, _dop853(b1_spline, x_a, x_end, np.array([geo.b0_a]),
-                                           1e-13, 1e-16)[1])
-        for x_end in (x_a - tail_len - 15.0, x_a + 7.0))
+    """Stage 4: the slow leaf tabulated once per solve over the left tail's
+    amplitudes, the left tail by quadrature on it (:class:`_Pieces`), its
+    B-profile inverted at the nodes of w by Newton in log B from the pole's
+    B = b0 w, kept inside the table, and the right tail's decay exponent."""
+    p, x_a, b0 = geo.p, geo.x_a, geo.b0_a
+    # room above B at x_a + W_A, the last leaf sample, kept below the branch edge
+    b_hi = min(float(outer.b0_left_profile(x_a + 7.0, scaling.b00, p, scaling.x_star)) + 0.02,
+               1.0 / math.sqrt(p.g1) - outer.LEAF_EDGE_MARGIN)
+    leaf = outer.leaf_table(b_hi, p)
+    a, x_rest = _leaf_integral(leaf, lambda b: 1.0, b0)
 
-    hphi = (tail_len + 6.5) / 4000.0
-    n_back = math.ceil(tail_len / hphi)
-    n_fwd = math.floor(6.5 / hphi)
-    phi_x = x_a + hphi * np.arange(-n_back, n_fwd + 1)
-    lam_r, lam_i = frames.lambda_pair(outer.b0_left_profile(phi_x, b00, p, x_star), p)
-    phi_r = inner._cumquad_right(lam_r, hphi)
-    phi_i = inner._cumquad_right(lam_i, hphi)
+    def b_over_w(w):
+        u = np.log(b0 * w)
+        for _ in range(50):
+            b = np.exp(u)
+            step = (a * (u - np.log(w)) + x_rest(b)) / (a + b * x_rest.deriv()(b))
+            u = np.minimum(u - step, math.log(b_hi))
+            if np.abs(step).max() < 1e-14:
+                return np.exp(u) / w
+        raise RealizationError(f"the left tail leaves the leaf table before x_a + {W_A}")
 
-    # the right tail's decay exponent, integrated from x_r over the blend
-    # and the sampled tail
-    x_r, w_r = junction.x_r, _Pieces.w_r
+    w_hi = math.exp(W_A / a)
+    h = Chebyshev(outer.cheb_fit(b_over_w, w_hi), [0.0, w_hi])
+    fast = _leaf_integral(leaf, lambda b: np.dot([1.0, -1.0j], frames.lambda_pair(b, p)), b0)
+    # the right tail's decay exponent, integrated from x_r over blend and tail
+    x_r = junction.x_r
     tail_r = tail_efolds / (p.epsilon * math.sqrt(2.0)) + 25.0
-    hk = (tail_r + w_r + 1.0) / 4000.0
-    n_blend = math.ceil((w_r + 1.0) / hk)
+    hk = (tail_r + W_R + 1.0) / 4000.0
+    n_blend = math.ceil((W_R + 1.0) / hk)
     k_x = x_r + hk * np.arange(-n_blend, math.floor(tail_r / hk) + 1)
-    kappa = -_leaf_exponent(outer.right_tail_b0(k_x, x_r, float(junction.theta[4]), p),
-                            p).real
+    kappa = -_leaf_exponent(outer.right_tail_b0(k_x, x_r, float(junction.theta[4]), p), p).real
     k_int = inner._cumquad_right(kappa, hk)
-    return _Pieces(geo=geo, junction=junction,
-                   phi_r=CubicSpline(phi_x, phi_r - phi_r[n_back]),
-                   phi_i=CubicSpline(phi_x, phi_i - phi_i[n_back]),
-                   tail_back=tail_back, tail_fwd=tail_fwd,
-                   kappa_r=CubicSpline(k_x, k_int[n_blend] - k_int),
-                   leaf=outer.leaf_table(b_hi, p))
+    return _Pieces(geo=geo, junction=junction, leaf=leaf, a=a, h=h, fast=fast,
+                   kappa_r=CubicSpline(k_x, k_int[n_blend] - k_int))
 
 
 def _b0_offset(x: float, pc: _Pieces, level: float) -> float:

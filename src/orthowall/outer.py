@@ -168,6 +168,20 @@ def slow_leaf_state(b0: float, p: Params) -> np.ndarray:
 # Chebyshev nodes of a leaf table: the A, A' and B' columns reach the
 # rounding of leaf_states well before this many on the supported box
 LEAF_TABLE_NODES = 96
+# the table range stays this far below the branch edge: where a solve's range
+# comes near it (eps <= 0.025), the stencils of leaf_states fail within 0.021
+LEAF_EDGE_MARGIN = 0.022
+
+
+def cheb_fit(fn, hi: float) -> np.ndarray:
+    """Chebyshev coefficients, in t = 2 x / hi - 1 and along axis 0, of the
+    interpolant of ``fn`` on LEAF_TABLE_NODES first-kind nodes of [0, hi]: the
+    type-II DCT (``chebinterpolate``'s Vandermonde sum loses 2 digits on A)."""
+    n = LEAF_TABLE_NODES
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    coef = dct(fn(0.5 * hi * (1.0 + np.cos(theta))), type=2, axis=0) / n
+    coef[0] *= 0.5
+    return coef
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,21 +213,16 @@ class LeafTable:
 
 
 def leaf_table(b_hi: float, p: Params) -> LeafTable:
-    """Tabulate :func:`leaf_states` on LEAF_TABLE_NODES first-kind Chebyshev
-    nodes of [0, b_hi].
+    """Tabulate :func:`leaf_states` by :func:`cheb_fit` on [0, b_hi], b_hi at
+    least LEAF_EDGE_MARGIN below the branch edge 1/sqrt(1+delta^2).
 
-    The leaf is analytic in B below the branch edge 1/sqrt(1+delta^2), so
-    the interpolant converges geometrically (Trefethen, Approximation Theory
-    and Approximation Practice, ch. 7-8) until it meets the rounding noise
-    of the nested differences, which grows with eps: about 1e-15 on A, up to
-    3e-13 on A' and B', and 1e-12 to 7e-9 on A'' and A'''.  The coefficients are the type-II DCT of the node values;
-    the Vandermonde sum of ``chebinterpolate`` loses two digits on A.
+    The leaf is analytic in B below the branch edge, so the interpolant
+    converges geometrically (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 7-8) until it meets the rounding noise of
+    the nested differences, which grows with eps: about 1e-15 on A, up to
+    3e-13 on A' and B', and 1e-12 to 7e-9 on A'' and A'''.
     """
-    n = LEAF_TABLE_NODES
-    theta = math.pi * (np.arange(n) + 0.5) / n
-    values = leaf_states(0.5 * b_hi * (1.0 + np.cos(theta)), p)
-    coef = dct(values[:, [0, 1, 2, 3, 5]], type=2, axis=0) / n
-    coef[0] *= 0.5
+    coef = cheb_fit(lambda b: leaf_states(b, p)[:, [0, 1, 2, 3, 5]], b_hi)
     return LeafTable(p=p, b_hi=float(b_hi), coef=coef)
 
 

@@ -331,9 +331,8 @@ def test_report_and_csv(tmp_path, profile15):
 
 def _count_core_shots(monkeypatch) -> tuple[list[int], list[int]]:
     """Record the field evaluations of every core shot, that is every call of
-    the DOP853 kernel on a core state (the tail ODE carries a 1-D state),
-    and count every field evaluation in ``total[0]``, the dense cores' extra
-    stages included."""
+    the DOP853 kernel, and count every field evaluation in ``total[0]``, the
+    dense cores' extra stages included."""
     shots, total = [], [0]
     field, kernel = dynamics.vector_field, connect._dop853
 
@@ -342,12 +341,12 @@ def _count_core_shots(monkeypatch) -> tuple[list[int], list[int]]:
         return field(y, p)
 
     def counted_kernel(fun, t0, t1, y0, *args, **kwargs):
-        # every core shot is plain: no kernel call carries tangent columns
-        assert len(y0) in (1, 6)
+        # every kernel call is a plain core shot: no tangent columns, and
+        # the left tail is a quadrature, not a shot
+        assert len(y0) == 6
         before = total[0]
         out = kernel(fun, t0, t1, y0, *args, **kwargs)
-        if len(y0) >= 6:
-            shots.append(total[0] - before)
+        shots.append(total[0] - before)
         return out
 
     monkeypatch.setattr(dynamics, "vector_field", counted_field)
@@ -387,7 +386,7 @@ def test_right_tail_continues_the_right_core(profile15):
     seed, _ = pc.geo.right_seed(*jn.theta[2:])
     at_x_r = connect._sample_pieces(np.array([jn.x_r]), pc, prof.p)[0]
     np.testing.assert_allclose(at_x_r[:4], seed[:4], rtol=1e-12, atol=0.0)
-    xs = np.linspace(jn.x_r - pc.w_r, jn.x_r, 401)
+    xs = np.linspace(jn.x_r - connect.W_R, jn.x_r, 401)
     core = jn.sol_right(xs).T[:, :4]
     blended = connect._sample_pieces(xs, pc, prof.p)[:, :4]
     assert np.abs(blended - core).max() < 1e-3 * np.abs(core).max()
@@ -486,9 +485,12 @@ def test_leaf_start_at_box_edge(g, eps):
 
 
 def test_leaf_table_work_guard(monkeypatch, p15):
-    # the slow leaf is tabulated once per solve (96 Chebyshev nodes) and
-    # every later sample reads the table: with the seed that is 97
-    # amplitudes, where sampling through the difference tree took 2,364
+    # the slow leaf is tabulated once per solve (96 Chebyshev nodes), and
+    # with the seed that is 97 amplitudes: every later sample reads the
+    # table, where sampling through the difference tree took 2,364.  At
+    # (1.12, 0.01) and (1.1115, 0.01) the table reaches up to B at x_a + W_A
+    # too (a range capped at 0.97/sqrt(g1) left 6 and 7 amplitudes to the
+    # difference tree)
     amplitudes = []
     leaf_states = outer.leaf_states
 
@@ -497,8 +499,10 @@ def test_leaf_table_work_guard(monkeypatch, p15):
         return leaf_states(b0, p)
 
     monkeypatch.setattr(outer, "leaf_states", counted)
-    connect.heteroclinic_solve(p15)
-    assert 0 < sum(amplitudes) <= 200
+    for p in (p15, derive_params(0.01, 1.12), derive_params(0.01, 1.1115)):
+        amplitudes.clear()
+        connect.heteroclinic_solve(p)
+        assert sum(amplitudes) == 1 + outer.LEAF_TABLE_NODES
 
 
 def _stacked(sol: OdeSolution) -> tuple[np.ndarray, ...]:
@@ -509,10 +513,9 @@ def _stacked(sol: OdeSolution) -> tuple[np.ndarray, ...]:
 
 
 def test_dense_solution_is_bit_equal_to_ode_solution(monkeypatch, p15):
-    # the stacked interpolants of both cores (the right one descending) and
-    # both left-tail B-profiles (tail_back descending) against scipy's
-    # OdeSolution over the same DOP853 step interpolants: at every step end,
-    # at step midpoints and outside the span
+    # the stacked interpolants of both cores (the right one descending)
+    # against scipy's OdeSolution over the same DOP853 step interpolants: at
+    # every step end, at step midpoints and outside the span
     built = []
 
     class Recorded(connect._DenseSolution):
@@ -522,8 +525,8 @@ def test_dense_solution_is_bit_equal_to_ode_solution(monkeypatch, p15):
 
     monkeypatch.setattr(connect, "_DenseSolution", Recorded)
     connect.heteroclinic_solve(p15)
-    assert len(built) == 4
-    assert sorted(dense.ascending for dense in built) == [False, False, True, True]
+    assert len(built) == 2
+    assert sorted(dense.ascending for dense in built) == [False, True]
     for dense in built:
         ts = dense.ts_sorted if dense.ascending else dense.ts_sorted[::-1]
         steps = [Dop853DenseOutput(*args) for args in zip(ts[:-1], ts[1:], dense.y_old, dense.F)]
@@ -575,26 +578,52 @@ def _kernel_calls(monkeypatch) -> list[tuple]:
 
 
 def test_kernel_takes_the_steps_of_solve_ivp(monkeypatch, profile15):
-    # the anchor's left and right cores and the long (backward) tail
-    # B-profile, each against solve_ivp(method="DOP853") on the same field,
-    # span and tolerances: the same accepted steps and field evaluations (the
-    # knots move only by the rounding of the error estimates, which the step
-    # factor raises to the power -1/8), and the same end state to the shot
-    # tolerance
+    # the anchor's left and right cores, each against
+    # solve_ivp(method="DOP853") on the same field, span and tolerances: the
+    # same accepted steps and field evaluations (the knots move only by the
+    # rounding of the error estimates, which the step factor raises to the
+    # power -1/8), and the same end state to the shot tolerance
     prof = profile15.value
     geo, jn = prof._pieces.geo, prof._pieces.junction
     calls = _kernel_calls(monkeypatch)
     geo.left_shot(jn.theta[:2])
     geo.right_shot(jn.x_r, *jn.theta[2:])
-    connect._tail_pieces(geo, prof.scaling, jn, connect.SolveConfig().tail_efolds)
-    assert [len(args[3]) for args, _, _ in calls] == [6, 6, 1, 1]
-    for (field, t0, t1, y0, rtol, atol), (y, steps), nfev in calls[:3]:
+    assert [len(args[3]) for args, _, _ in calls] == [6, 6]
+    for (field, t0, t1, y0, rtol, atol), (y, steps), nfev in calls:
         ref = solve_ivp(lambda t, y: field(y), (t0, t1), y0, method="DOP853",
                         rtol=rtol, atol=atol)
         assert nfev == ref.nfev and steps.ts.size == ref.t.size > 8
         assert np.abs(steps.ts - ref.t).max() <= 1e-3 * abs(t1 - t0)
         assert np.array_equal(steps.ys[-1], y)
         assert np.abs(y - ref.y[:, -1]).max() < 1e-10
+
+
+@pytest.mark.parametrize("g, eps", [(1.5, 0.1), (2.0, 0.25)])
+def test_left_tail_matches_reference_profile(g, eps):
+    # the left tail's B-profile, a quadrature on the leaf table, against
+    # b' = leaf_b1(b) integrated from the left core's seed (x_a, b0_a): on
+    # the default grid left of x_a and over the left blend.  Where the left
+    # core's fast offset has tapered out, the B' column is the derivative of
+    # the sampled B: a 4th-order difference on the default grid matches it
+    # within 1e-11 (set before the quadrature replaced the tail shots of
+    # b' = spline of leaf_b1, which read 9.9e-13 and 2.2e-14 here)
+    prof = connect.heteroclinic_solve(derive_params(eps, g))
+    pc = prof._pieces
+    x_a, b0_a = pc.geo.x_a, pc.geo.b0_a
+    x = prof.x + prof.x_shift
+    back = x < x_a
+    blend = np.linspace(x_a, x_a + connect.W_A, 51)
+    w = np.exp((blend - x_a) / pc.a)
+    for xs, got in ((x[back][::-1], prof.states[back, 4][::-1]), (blend, w * pc.h(w))):
+        ref = solve_ivp(lambda t, b: outer.leaf_b1(b, prof.p), (x_a, xs[-1]), [b0_a],
+                        method="DOP853", rtol=1e-13, atol=1e-16, t_eval=xs)
+        assert np.abs(ref.y[0] - got).max() <= 1e-9
+    h = prof.x[1] - prof.x[0]
+    b, b1 = prof.states[:, 4], prof.states[:, 5]
+    d4 = (b[:-4] - 8.0 * b[1:-3] + 8.0 * b[3:-1] - b[4:]) / (12.0 * h)
+    bare = x[2:-2] < x_a - connect.DEV_REACH
+    assert bare.sum() > 10
+    assert np.abs(d4 - b1[2:-2])[bare].max() <= 1e-11
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -621,7 +650,7 @@ def test_dense_cores_from_junction_records(profile15):
     prof = profile15.value
     geo, jn = prof._pieces.geo, prof._pieces.junction
     field = lambda y: dynamics.vector_field(y, prof.p)
-    span = geo.w_h + 0.25
+    span = connect.W_H + 0.25
     for dense, (seed, _), start, (y, steps, _) in (
             (jn.sol_left, geo.left_seed(jn.theta[:2]), geo.x_a,
              geo.left_shot(jn.theta[:2])),
@@ -637,7 +666,7 @@ def test_dense_cores_from_junction_records(profile15):
         assert np.all(np.abs(dense(steps.ts[1:]).T - y_new)
                       <= 2.3e-16 * (np.abs(y_old) + np.abs(y_new)))
         plain = connect._dense_solution(
-            field, connect._dop853(field, start, end, seed, geo.rtol, geo.atol)[1])
+            prof.p, connect._dop853(field, start, end, seed, geo.rtol, geo.atol)[1])
         mid = 0.5 * (steps.ts[:-1] + steps.ts[1:])
         assert np.abs(dense(mid) - plain(mid)).max() < 1e-10
 
@@ -709,3 +738,13 @@ def test_profile_pickle_round_trip(profile15):
     xs = np.linspace(prof.x[0], prof.x[-1], 501)
     assert np.array_equal(copy.sample(xs), prof.sample(xs))
     assert np.array_equal(copy.states, prof.states)
+
+
+def test_left_tail_outside_the_table_raises(monkeypatch):
+    # the left tail's inversion keeps log B inside the leaf table; a table
+    # that ends below B at x_a + W_A (at (1.12, 0.01) B reaches 0.9194 there,
+    # and a range 0.03 below the branch edge ends at 0.9149) is a typed
+    # failure, not an extrapolated series
+    monkeypatch.setattr(outer, "LEAF_EDGE_MARGIN", 0.03)
+    with pytest.raises(connect.RealizationError, match="leaf table"):
+        connect.heteroclinic_solve(derive_params(0.01, 1.12))
