@@ -1,6 +1,9 @@
 """Command-line surface: solve, sweep, inner, spectrum, verify.
 
-One JSON configuration file plus flag overrides (flags win).  Exit codes:
+``solve`` and ``sweep`` read one JSON configuration file plus flag overrides
+(flags win); a key the file may not name is an input error.  The file
+chooses the orbit (eps, g, nu-/nu+) and its output grid; the solver's
+tolerances are constants of :mod:`connect` and :mod:`inner`.  Exit codes:
 0 success, 1 configuration or input error, 2 numerical failure.  Runs are
 deterministic; no clock-dependent seeds exist anywhere.
 """
@@ -27,16 +30,7 @@ _DEFAULT_CONFIG = {
     "g": 1.5,
     "nu_minus": _SOLVE_DEFAULTS.nu_minus,
     "nu_plus": _SOLVE_DEFAULTS.nu_plus,
-    "tolerances": {
-        "newton": _SOLVE_DEFAULTS.newton_tol,
-        "inner": _SOLVE_DEFAULTS.inner_tol,
-        "ode_rtol": _SOLVE_DEFAULTS.ode_rtol,
-        "ode_atol": _SOLVE_DEFAULTS.ode_atol,
-        "refine": _SOLVE_DEFAULTS.refine_tol,
-    },
-    "grid": {"inner_points": _SOLVE_DEFAULTS.inner_grid_points,
-             "profile_points": _SOLVE_DEFAULTS.profile_points},
-    "tail_efolds": _SOLVE_DEFAULTS.tail_efolds,
+    "grid": {"profile_points": _SOLVE_DEFAULTS.profile_points},
 }
 
 
@@ -52,7 +46,14 @@ def _resolve_config(args) -> dict:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         for key, val in user.items():
+            # epsilon_list, read by sweep, has no default
+            if key not in cfg and key != "epsilon_list":
+                raise ConfigError(f"unknown config key {key!r} in {args.config}")
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+                unknown = sorted(set(val) - set(cfg[key]))
+                if unknown:
+                    raise ConfigError(f"unknown config key '{key}.{unknown[0]}' "
+                                      f"in {args.config}")
                 cfg[key].update(val)
             else:
                 cfg[key] = val
@@ -60,29 +61,16 @@ def _resolve_config(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if getattr(args, "tol", None) is not None:
-        cfg["tolerances"]["newton"] = args.tol
     if getattr(args, "grid", None) is not None:
         cfg["grid"]["profile_points"] = args.grid
     return cfg
 
 
 def _solve_config(cfg: dict) -> connect.SolveConfig:
-    tol, grid = cfg["tolerances"], cfg["grid"]
-    if not (isinstance(tol, dict) and isinstance(grid, dict)):
-        raise ConfigError("config entries 'tolerances' and 'grid' must be objects")
-    return connect.SolveConfig(
-        nu_minus=cfg.get("nu_minus"),
-        nu_plus=cfg.get("nu_plus"),
-        newton_tol=tol["newton"],
-        inner_tol=tol["inner"],
-        ode_rtol=tol["ode_rtol"],
-        ode_atol=tol["ode_atol"],
-        refine_tol=tol["refine"],
-        inner_grid_points=grid["inner_points"],
-        profile_points=grid["profile_points"],
-        tail_efolds=cfg["tail_efolds"],
-    )
+    if not isinstance(cfg["grid"], dict):
+        raise ConfigError("config entry 'grid' must be an object")
+    return connect.SolveConfig(nu_minus=cfg["nu_minus"], nu_plus=cfg["nu_plus"],
+                               profile_points=cfg["grid"]["profile_points"])
 
 
 def _out_dir(args) -> Path:
@@ -139,20 +127,15 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    eps_list = cfg.get("epsilon_list")
+    eps_list = cfg.get("epsilon_list") or []
     if getattr(args, "epsilons", None):
         eps_list = [float(v) for v in args.epsilons.split(",")]
-    if not eps_list or len(eps_list) < 4:
-        raise ConfigError("sweep needs an epsilon_list with at least 4 values")
-
     workers = max(1, int(getattr(args, "workers", 1) or 1))
-    rows, excluded = verify.solve_members(cfg["g"], eps_list, _solve_config(cfg),
-                                          workers, out_dir=out)
+    scaling = verify.scaling_sweep(cfg["g"], eps_list, _solve_config(cfg), workers,
+                                   out_dir=out)
+    rows, excluded = scaling["rows"], scaling["excluded"]
     for rec in excluded:
         _say(args, f"sweep: epsilon = {rec['epsilon']:g} failed: {rec['error']}")
-    scaling = {"rows": rows, "excluded": excluded}
-    if len(rows) >= 2:
-        scaling["slope_a0"], scaling["slope_width"] = verify.fit_slopes(rows)
     write_json(out / "scaling.json", scaling)
     _manifest(args, out, cfg, ["scaling.json"], {
         "converged": len(rows), "failed": len(excluded),
@@ -266,15 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, profile=False):
-        sp.add_argument("--config", "-c", help="JSON configuration file")
         sp.add_argument("--out", "-o", required=True, help="output directory")
         sp.add_argument("--quiet", action="store_true")
         if not profile:
+            sp.add_argument("--config", "-c", help="JSON configuration file")
             sp.add_argument("--epsilon", type=float)
             sp.add_argument("--g", type=float)
             sp.add_argument("--nu-minus", dest="nu_minus", type=float)
             sp.add_argument("--nu-plus", dest="nu_plus", type=float)
-            sp.add_argument("--tol", type=float, help="matching Newton tolerance")
             sp.add_argument("--grid", type=int, help="profile grid points")
 
     sp = sub.add_parser("solve", help="compute one connecting orbit")

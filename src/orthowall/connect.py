@@ -52,8 +52,13 @@ from scipy.optimize import brentq
 from . import dynamics, frames, inner, outer
 from .params import Params, ScalingConfig, working_scaling
 
+NEWTON_TOL = 1e-10            # matching Newton: max |residual| at convergence
 NEWTON_MAX_ITER = 25          # matching Newton iterations
+REFINE_TOL = 2e-7             # junction match: scaled mismatch at convergence
 REFINE_MAX_ITER = 15          # junction-match Gauss-Newton iterations
+ODE_RTOL = 1e-12              # core shots (the junction restart shoots ten times tighter)
+ODE_ATOL = 1e-14
+TAIL_EFOLDS = 8.0             # the default grid spans this many e-folds of B's tails
 AMPLIFICATION_BUDGET = 9.0    # fast exponent accumulated over a core window
 W_A = 2.5                     # width of the left blend, leaf to left core, from x_a
 W_H = 1.0                     # half-width of the junction blend about x_hat
@@ -126,44 +131,33 @@ def matching_linear_system(rho: float) -> tuple[np.ndarray, np.ndarray]:
     return M, b
 
 
-@dataclass
-class MatchContext:
-    """Data needed to evaluate the matching residual."""
-
-    scaling: ScalingConfig
-    grid_points: int = 2048
-    inner_tol: float = 1e-12
-
-
-def _left_jet(u, ctx: MatchContext) -> np.ndarray:
+def _left_jet(u, scaling: ScalingConfig) -> np.ndarray:
     """Layer jet at the left end for the stable-side pair (u[2], u[3])."""
-    fam = inner.assemble_boundary("plus", (u[2], u[3]), ctx.scaling.a_plus)
-    prob = inner.InnerProblem(
-        a_minus=ctx.scaling.a_minus, a_plus=ctx.scaling.a_plus,
-        boundary_plus=tuple(fam), grid_points=ctx.grid_points, tol=ctx.inner_tol,
-    )
+    fam = inner.assemble_boundary("plus", (u[2], u[3]), scaling.a_plus)
+    prob = inner.InnerProblem(a_minus=scaling.a_minus, a_plus=scaling.a_plus,
+                              boundary_plus=tuple(fam))
     return inner.solve_inner(prob).jet_left
 
 
-def _unstable_mismatch(u, left_jet: np.ndarray, ctx: MatchContext) -> np.ndarray:
+def _unstable_mismatch(u, left_jet: np.ndarray, scaling: ScalingConfig) -> np.ndarray:
     """``left_jet`` minus the unstable boundary family at (u[0], u[1]),
     divided componentwise by (a-^(1/2), a-^(3/4), a-, a-^(5/4))."""
-    a_m = ctx.scaling.a_minus
+    a_m = scaling.a_minus
     scales = np.array([a_m**0.5, a_m**0.75, a_m, a_m**1.25])
     return (left_jet - inner.assemble_boundary("minus", (u[0], u[1]), a_m)) / scales
 
 
-def boundary_map(u, ctx: MatchContext) -> np.ndarray:
+def boundary_map(u, scaling: ScalingConfig) -> np.ndarray:
     """Matching residual of the four tangent parameters.
 
     Components: (layer jet at the left end) - (unstable boundary family),
     divided componentwise by (a-^(1/2), a-^(3/4), a-, a-^(5/4)).
     """
     u = np.asarray(u, dtype=float)
-    return _unstable_mismatch(u, _left_jet(u, ctx), ctx)
+    return _unstable_mismatch(u, _left_jet(u, scaling), scaling)
 
 
-def _match_jacobian(u, r, left_jet, ctx: MatchContext, step: float = 1e-7) -> np.ndarray:
+def _match_jacobian(u, r, left_jet, scaling: ScalingConfig, step: float = 1e-7) -> np.ndarray:
     """Forward-difference Jacobian of :func:`boundary_map` at ``u``, where it
     is ``r`` with layer jet ``left_jet``.  The (x1u, x2u) columns move only
     the unstable family, so they reuse ``left_jet``; the (x10s, x20s) columns
@@ -172,7 +166,8 @@ def _match_jacobian(u, r, left_jet, ctx: MatchContext, step: float = 1e-7) -> np
     for j in range(u.size):
         up = u.copy()
         up[j] += step
-        r_up = _unstable_mismatch(up, left_jet, ctx) if j < 2 else boundary_map(up, ctx)
+        r_up = (_unstable_mismatch(up, left_jet, scaling) if j < 2
+                else boundary_map(up, scaling))
         J[:, j] = (r_up - r) / step
     return J
 
@@ -214,28 +209,28 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, halvings):
     return x, r, aux, max_iter, J, "max_iter"
 
 
-def newton_match(ctx: MatchContext, u0, tol: float = 1e-10,
-                 max_iter: int = NEWTON_MAX_ITER) -> tuple[MatchingUnknowns, dict]:
-    """Damped Newton iteration on :func:`boundary_map`.  The residual hands
-    its layer jet to the Jacobian, so an iteration whose full step is taken
-    solves the layer problem three times: two stable-side columns and the
-    trial."""
+def newton_match(scaling: ScalingConfig, u0) -> tuple[MatchingUnknowns, dict]:
+    """Damped Newton iteration on :func:`boundary_map`, to NEWTON_TOL in at
+    most NEWTON_MAX_ITER iterations.  The residual hands its layer jet to the
+    Jacobian, so an iteration whose full step is taken solves the layer
+    problem three times: two stable-side columns and the trial."""
     def residual(v):
-        jet = _left_jet(v, ctx)
-        return _unstable_mismatch(v, jet, ctx), jet
+        jet = _left_jet(v, scaling)
+        return _unstable_mismatch(v, jet, scaling), jet
 
     u, r, jet, iterations, J, status = _damped_newton(
-        residual, lambda v, r, jet: _match_jacobian(v, r, jet, ctx),
-        np.asarray(u0, dtype=float).copy(), tol, max_iter, halvings=30)
+        residual, lambda v, r, jet: _match_jacobian(v, r, jet, scaling),
+        np.asarray(u0, dtype=float).copy(), NEWTON_TOL, NEWTON_MAX_ITER, halvings=30)
     if status == "stalled":
         raise MatchingError("line search stalled", last_iterate=u, jacobian=J)
     if status == "max_iter":
         raise MatchingError(
-            f"no convergence after {max_iter} iterations (residual {np.abs(r).max():.3e})",
+            f"no convergence after {NEWTON_MAX_ITER} iterations "
+            f"(residual {np.abs(r).max():.3e})",
             last_iterate=u, jacobian=J,
         )
     info = {"iterations": iterations, "residual": float(np.abs(r).max()),
-            "jacobian": _match_jacobian(u, r, jet, ctx), "converged": True}
+            "jacobian": _match_jacobian(u, r, jet, scaling), "converged": True}
     return MatchingUnknowns.from_array(u), info
 
 
@@ -266,15 +261,12 @@ def transversality(source) -> TransversalityReport:
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """What a caller chooses: the auxiliary scalings nu-/nu+ (None for the
+    solver's choice, see :func:`params.working_scaling`) and the number of
+    points of the default output grid."""
+
     nu_minus: float | None = None
     nu_plus: float | None = None
-    newton_tol: float = 1e-10
-    inner_grid_points: int = 2048
-    inner_tol: float = 1e-12
-    ode_rtol: float = 1e-12
-    ode_atol: float = 1e-14
-    refine_tol: float = 2e-7
-    tail_efolds: float = 8.0
     profile_points: int = 4001
 
 
@@ -764,17 +756,14 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
     return out
 
 
-def _matching(p: Params, scaling: ScalingConfig, cfg: SolveConfig,
-              initial_guess) -> tuple[MatchingUnknowns, dict]:
+def _matching(scaling: ScalingConfig, initial_guess) -> tuple[MatchingUnknowns, dict]:
     """Stage 1: Newton on the matching system, seeded by the closed form."""
-    ctx = MatchContext(scaling=scaling, grid_points=cfg.inner_grid_points,
-                       inner_tol=cfg.inner_tol)
     u0 = matching_closed_form(scaling.rho).as_array() if initial_guess is None \
         else np.asarray(initial_guess, dtype=float)
-    return newton_match(ctx, u0, tol=cfg.newton_tol)
+    return newton_match(scaling, u0)
 
 
-def _core_geometry(p: Params, scaling: ScalingConfig, cfg: SolveConfig) -> _Shooting:
+def _core_geometry(p: Params, scaling: ScalingConfig) -> _Shooting:
     """Stage 2: the core geometry.  The left core starts on the slow leaf at
     x_a; the junction match starts its fast parameters at c = 0, the leaf."""
     b00, x_star = scaling.b00, scaling.x_star
@@ -790,7 +779,7 @@ def _core_geometry(p: Params, scaling: ScalingConfig, cfg: SolveConfig) -> _Shoo
     return _Shooting(p=p, x_a=xa, b0_a=b0_a,
                      cols_a=frames.slow_frame(b0_a, p)._coord_matrix()[:4, :2],
                      leaf_a=outer.slow_leaf_state(b0_a, p),
-                     x_hat=scaling.x_star_plus, rtol=cfg.ode_rtol, atol=cfg.ode_atol)
+                     x_hat=scaling.x_star_plus, rtol=ODE_RTOL, atol=ODE_ATOL)
 
 
 def _junction_scale(p: Params) -> np.ndarray:
@@ -816,15 +805,15 @@ def _junction_jacobian(p: Params, shots: tuple[_Shot, _Shot]) -> np.ndarray:
     return np.hstack([phi_l, -phi_r]) / _junction_scale(p)[:, None]
 
 
-def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUnknowns,
-                    refine_tol: float) -> _Junction:
+def _right_junction(geo: _Shooting, scaling: ScalingConfig,
+                    unknowns: MatchingUnknowns) -> _Junction:
     """Stage 3: anchor the right core and join it to the left core at x_hat.
 
     The right anchor is a fast stable offset on the A = 0 tail at x_hat + t_r,
     fitted to the stable trace of the matching; t_r keeps the amplification
     floor and exposes several oscillation maxima past the corner guard.  The
     junction match starts from the left core on the leaf (c = 0).  One that
-    ends above ``refine_tol`` has met the noise floor of its shots and
+    ends above REFINE_TOL has met the noise floor of its shots and
     restarts once from its last iterate with shots ten times tighter; one
     that still ends above a scaled mismatch of 1e-4 fails.  The dense cores
     come from the steps of the accepted iterate's shots."""
@@ -844,9 +833,9 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
         theta, r, (left, right), _, _, _ = _damped_newton(
             lambda th: _junction_residual(geo, x_r, th),
             lambda th, r, shots: _junction_jacobian(p, shots),
-            theta, refine_tol, REFINE_MAX_ITER, halvings=12)
+            theta, REFINE_TOL, REFINE_MAX_ITER, halvings=12)
         mismatch = float(np.abs(r).max())
-        if mismatch <= refine_tol:
+        if mismatch <= REFINE_TOL:
             break
         geo = replace(geo, rtol=geo.rtol / 10.0, atol=geo.atol / 10.0)
     if mismatch > 1e-4:
@@ -855,8 +844,7 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig, unknowns: MatchingUn
                      sol_right=geo.dense_core(right), x_r=x_r)
 
 
-def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
-                 tail_efolds: float) -> _Pieces:
+def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction) -> _Pieces:
     """Stage 4: the slow leaf tabulated once per solve over the left tail's
     amplitudes, the left tail by quadrature on it (:class:`_Pieces`), its
     B-profile inverted at the nodes of w by Newton in log B from the pole's
@@ -883,7 +871,7 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction,
     fast = _leaf_integral(leaf, lambda b: np.dot([1.0, -1.0j], frames.lambda_pair(b, p)), b0)
     # the right tail's decay exponent, integrated from x_r over blend and tail
     x_r = junction.x_r
-    tail_r = tail_efolds / (p.epsilon * math.sqrt(2.0)) + 25.0
+    tail_r = TAIL_EFOLDS / (p.epsilon * math.sqrt(2.0)) + 25.0
     hk = (tail_r + W_R + 1.0) / 4000.0
     n_blend = math.ceil((W_R + 1.0) / hk)
     k_x = x_r + hk * np.arange(-n_blend, math.floor(tail_r / hk) + 1)
@@ -902,7 +890,7 @@ def _b0_offset(x: float, pc: _Pieces, level: float) -> float:
 
 
 def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, info: dict,
-                         pc: _Pieces, cfg: SolveConfig) -> HeteroclinicProfile:
+                         pc: _Pieces, profile_points: int) -> HeteroclinicProfile:
     """Stage 5: fix the phase by B(0) = 1/sqrt(g) and sample the default grid."""
     geo, jn = pc.geo, pc.junction
     p, x_a, x_r = geo.p, geo.x_a, jn.x_r
@@ -913,9 +901,9 @@ def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, inf
     x_star_plus = brentq(_b0_offset, x_shift, x_r, args=(pc, scaling.b01),
                          xtol=1e-12) - x_shift
 
-    l_left = max(cfg.tail_efolds / (p.epsilon * p.delta), abs(x_a - x_shift) + 10.0)
-    l_right = max(cfg.tail_efolds / (p.epsilon * math.sqrt(2.0)), x_r - x_shift + 10.0)
-    grid = np.linspace(-l_left, l_right, cfg.profile_points)
+    l_left = max(TAIL_EFOLDS / (p.epsilon * p.delta), abs(x_a - x_shift) + 10.0)
+    l_right = max(TAIL_EFOLDS / (p.epsilon * math.sqrt(2.0)), x_r - x_shift + 10.0)
+    grid = np.linspace(-l_left, l_right, profile_points)
     states = _sample_pieces(grid + x_shift, pc, p)
     return HeteroclinicProfile(
         p=p, scaling=scaling, unknowns=unknowns, newton_iterations=info["iterations"],
@@ -936,8 +924,8 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
             "the eps = 0 limit is singular; use dynamics.singular_limit instead")
     cfg = cfg or SolveConfig()
     scaling = working_scaling(p, cfg.nu_minus, cfg.nu_plus)
-    unknowns, info = _matching(p, scaling, cfg, initial_guess)
-    geo = _core_geometry(p, scaling, cfg)
-    junction = _right_junction(geo, scaling, unknowns, cfg.refine_tol)
-    pieces = _tail_pieces(geo, scaling, junction, cfg.tail_efolds)
-    return _phase_fixed_profile(scaling, unknowns, info, pieces, cfg)
+    unknowns, info = _matching(scaling, initial_guess)
+    geo = _core_geometry(p, scaling)
+    junction = _right_junction(geo, scaling, unknowns)
+    pieces = _tail_pieces(geo, scaling, junction)
+    return _phase_fixed_profile(scaling, unknowns, info, pieces, cfg.profile_points)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
+PICARD_TOL = 1e-12      # sup-norm change of A at which a sweep has converged
 PICARD_MAX_ITER = 200   # Picard iterations per anchored sweep
 
 
@@ -72,13 +73,12 @@ def assemble_boundary(side: str, tangent, a: float, k: float | None = None) -> n
 
 @dataclass(frozen=True)
 class InnerProblem:
-    """Layer problem data: interval, boundary jet at z = a+, solver knobs."""
+    """Layer problem data: interval, boundary jet at z = a+, grid density."""
 
     a_minus: float
     a_plus: float
     boundary_plus: tuple[float, float, float, float]
     grid_points: int = 2048
-    tol: float = 1e-12
 
     def __post_init__(self):
         if self.a_plus <= 0 or self.a_minus <= 0:
@@ -169,8 +169,7 @@ def _apply_volterra(z: np.ndarray, a_vals: np.ndarray, anchor_jet: np.ndarray
     return a0, a1, a2, a3
 
 
-def _picard_sweep(z: np.ndarray, anchor_jet: np.ndarray,
-                  tol: float) -> tuple[np.ndarray, list[float]]:
+def _picard_sweep(z: np.ndarray, anchor_jet: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Iterate the anchored Volterra form to its fixed point on grid z.
 
     Only the A row is iterated, as :func:`_apply_volterra` forms it: the four
@@ -188,7 +187,7 @@ def _picard_sweep(z: np.ndarray, anchor_jet: np.ndarray,
         delta = float(np.abs(a0 - a).max())
         deltas.append(delta)
         a = a0
-        if delta < tol:
+        if delta < PICARD_TOL:
             jets = np.vstack(_apply_volterra(z, a, anchor_jet))
             return jets, deltas
         if not math.isfinite(delta) or delta > 1e8 or (
@@ -215,8 +214,7 @@ def picard_solve(problem: InnerProblem) -> InnerSolution:
             f"2*a_plus^5/3 = {cc:.5g} >= 1; single-sweep iteration not contractive"
         )
     z = np.linspace(-problem.a_plus, problem.a_plus, problem.grid_points)
-    jets, deltas = _picard_sweep(z, np.asarray(problem.boundary_plus, dtype=float),
-                                 problem.tol)
+    jets, deltas = _picard_sweep(z, np.asarray(problem.boundary_plus, dtype=float))
     return InnerSolution(z=z, jets=jets, deltas=[deltas],
                          segments=[(float(z[0]), float(z[-1]))], problem=problem)
 
@@ -252,7 +250,7 @@ def _anchored_sweep(z_hi: float, anchor: np.ndarray, step: float, target: float,
         z_lo = max(target, z_hi - step)
         z = np.linspace(z_lo, z_hi, max(101, int(round(density * (z_hi - z_lo))) + 1))
         try:
-            return (z, *_picard_sweep(z, anchor, problem.tol))
+            return (z, *_picard_sweep(z, anchor))
         except NonConvergence:
             if attempt == 9:
                 raise

@@ -130,10 +130,16 @@ def _bracket_vec(jets: np.ndarray, b0, p: Params):
 def leaf_b1(b0, p: Params, memo=None):
     """B' on the slow leaf: the W = 0 root of the level-0 slaved jet.
 
-    ``memo`` is handed to :func:`_leaf_jets`.
+    ``memo`` is handed to :func:`_leaf_jets`.  Raises ValueError where the
+    bracket is negative (no growing branch), as
+    :func:`dynamics.b1_from_invariant` does.
     """
     b0 = np.asarray(b0, dtype=float)
     br = _bracket_vec(_leaf_jets(b0, p, memo=memo), b0, p)
+    if np.any(br < 0.0):
+        k = np.argmin(br)
+        raise ValueError(f"slow leaf off the growing branch of W=0 at B = "
+                         f"{b0.flat[k]:.6g} (bracket={br.flat[k]:.3e})")
     return p.epsilon / math.sqrt(2.0) * np.sqrt(br)
 
 
@@ -168,8 +174,10 @@ def slow_leaf_state(b0: float, p: Params) -> np.ndarray:
 # Chebyshev nodes of a leaf table: the A, A' and B' columns reach the
 # rounding of leaf_states well before this many on the supported box
 LEAF_TABLE_NODES = 96
-# the table range stays this far below the branch edge: where a solve's range
-# comes near it (eps <= 0.025), the stencils of leaf_states fail within 0.021
+# a solve's table range stays this far below the branch edge: where the range
+# comes near it (eps <= 0.025), the stencils of leaf_states fail within 0.021.
+# At larger eps the W = 0 bracket of the leaf can turn negative farther below
+# the edge (0.16-0.19 at g = 2, eps = 0.25), where leaf_b1 raises
 LEAF_EDGE_MARGIN = 0.022
 
 
@@ -214,7 +222,9 @@ class LeafTable:
 
 def leaf_table(b_hi: float, p: Params) -> LeafTable:
     """Tabulate :func:`leaf_states` by :func:`cheb_fit` on [0, b_hi], b_hi at
-    least LEAF_EDGE_MARGIN below the branch edge 1/sqrt(1+delta^2).
+    least LEAF_EDGE_MARGIN below the branch edge 1/sqrt(1+delta^2).  Raises
+    ValueError where the leaf leaves the growing branch of W = 0 at a node or
+    its stencils (:func:`leaf_b1`), as it can below that margin at large eps.
 
     The leaf is analytic in B below the branch edge, so the interpolant
     converges geometrically (Trefethen, Approximation Theory and

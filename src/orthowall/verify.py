@@ -251,22 +251,6 @@ def verify_profile(profile) -> VerificationReport:
     return rep
 
 
-@dataclass
-class ScalingFit:
-    slope_a0: float
-    slope_width: float
-    rows: list[dict]
-    excluded: list[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "slope_a0": self.slope_a0,
-            "slope_width": self.slope_width,
-            "rows": self.rows,
-            "excluded": self.excluded,
-        }
-
-
 def fit_slopes(rows) -> tuple[float, float]:
     """Log-log slopes of |A(0)| and of the corner half-width against eps.
 
@@ -347,26 +331,23 @@ def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     return rows, excluded
 
 
-def scaling_study(g: float, eps_list, solve_cfg: connect.SolveConfig | None = None,
-                  workers: int = 1) -> ScalingFit:
-    """Exponents of A(0) and of the corner half-width across an eps sweep.
+def scaling_sweep(g: float, eps_list, solve_cfg: connect.SolveConfig | None = None,
+                  workers: int = 1, out_dir=None) -> dict:
+    """Exponents of A(0) and of the corner half-width across an eps sweep:
+    the ``scaling.json`` payload of ``orthowall sweep``.
 
     The corner half-width is the refined left-junction distance |x*| of the
     phase-fixed profile (the right-junction crossing is polluted at desk
-    scale by the slower-decaying flow corrections on that side).  Requires
-    at least 4 values spanning at least 3 octaves.  Failed member solves
-    are excluded from the fits and reported.  ``workers > 1`` solves the
-    members in forked processes (see :func:`solve_members`); the result is
-    identical to a serial run.
+    scale by the slower-decaying flow corrections on that side).  Needs at
+    least 4 eps values.  The members are solved by :func:`solve_members`
+    (``workers`` and ``out_dir`` go there); ``rows`` and ``excluded`` hold
+    its records, and ``slope_a0`` and ``slope_width`` (:func:`fit_slopes`)
+    are present when at least 2 members converged.
     """
-    eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 4:
-        raise ValueError(f"need at least 4 epsilon values, got {len(eps_list)}")
-    if eps_list[-1] / eps_list[0] < 8.0 * (1.0 - 1e-9):
-        raise ValueError("epsilon values must span at least 3 octaves")
-    rows, excluded = solve_members(g, eps_list, solve_cfg, workers)
-    if len(rows) < 2:
-        raise RuntimeError("fewer than 2 converged members; cannot fit slopes")
-    slope_a0, slope_w = fit_slopes(rows)
-    return ScalingFit(slope_a0=slope_a0, slope_width=slope_w,
-                      rows=rows, excluded=excluded)
+        raise ValueError(f"sweep needs at least 4 epsilon values, got {len(eps_list)}")
+    rows, excluded = solve_members(g, eps_list, solve_cfg, workers, out_dir)
+    scaling = {"rows": rows, "excluded": excluded}
+    if len(rows) >= 2:
+        scaling["slope_a0"], scaling["slope_width"] = fit_slopes(rows)
+    return scaling

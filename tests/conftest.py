@@ -28,5 +28,5 @@ def profile15(p15):
 @pytest.fixture(scope="session")
 def sweep15():
     t0 = time.perf_counter()
-    fit = verify.scaling_study(1.5, [0.2, 0.1, 0.05, 0.025])
+    fit = verify.scaling_sweep(1.5, [0.2, 0.1, 0.05, 0.025])
     return Timed(fit, time.perf_counter() - t0)

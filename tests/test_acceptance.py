@@ -88,13 +88,13 @@ def test_criterion_4_tail_rates(p15, profile15):
 
 def test_criterion_5_scaling_laws(sweep15):
     fit = sweep15.value
-    ok = (abs(fit.slope_a0 - 0.40) <= 0.08
-          and abs(fit.slope_width - (-0.20)) <= 0.05
-          and not fit.excluded
+    ok = (abs(fit["slope_a0"] - 0.40) <= 0.08
+          and abs(fit["slope_width"] - (-0.20)) <= 0.05
+          and not fit["excluded"]
           and sweep15.seconds < 300.0)
     _report("criterion 5 (scaling exponents)", ok,
-            f"A(0) slope {fit.slope_a0:.3f} (0.40 +- 0.08), width slope "
-            f"{fit.slope_width:.3f} (-0.20 +- 0.05), runtime "
+            f"A(0) slope {fit['slope_a0']:.3f} (0.40 +- 0.08), width slope "
+            f"{fit['slope_width']:.3f} (-0.20 +- 0.05), runtime "
             f"{sweep15.seconds:.0f} s")
 
 

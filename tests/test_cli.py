@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,34 @@ def test_sweep_rejects_malformed_grid(tmp_path, capsys):
                         epsilon_list=[0.2, 0.1, 0.05, 0.025])
     rc = cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "s")])
     assert rc == 1
-    assert "'grid' must be objects" in capsys.readouterr().err
+    assert "'grid' must be an object" in capsys.readouterr().err
+
+
+def test_readme_config_resolves(tmp_path):
+    # the JSON config block of README.md is a valid config file
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfgp = tmp_path / "readme.json"
+    cfgp.write_text(block)
+    args = cli.build_parser().parse_args(["sweep", "--config", str(cfgp), "--out", "o"])
+    cfg = cli._resolve_config(args)
+    assert cfg["epsilon_list"] == json.loads(block)["epsilon_list"]
+    assert cli._solve_config(cfg) == connect.SolveConfig()
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"tolerances": {"newton": 1e-10}}, "'tolerances'"),
+    ({"grid": {"inner_points": 2048}}, "'grid.inner_points'"),
+    ({"nu_plu": 0.5}, "'nu_plu'"),
+])
+def test_unknown_config_key_rejected(tmp_path, capsys, extra, key):
+    # a removed or misspelled key is an input error that names the key,
+    # not a setting silently ignored
+    cfgp = write_config(tmp_path / "c.json", **extra)
+    rc = cli.main(["solve", "--config", cfgp, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"unknown config key {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "profile.csv").exists()
 
 
 def test_sweep_too_few_points(tmp_path):

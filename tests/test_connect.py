@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import math
@@ -51,23 +52,27 @@ def test_boundary_map_pure_equating(p15):
     # without the layer equation the left jet is the stable family itself,
     # and the closed form equates it with the unstable family
     sc = working_scaling(p15)
-    ctx = connect.MatchContext(scaling=sc)
     u = connect.matching_closed_form(sc.rho).as_array()
     stable = inner.assemble_boundary("plus", u[2:], sc.a_plus)
-    assert np.abs(connect._unstable_mismatch(u, stable, ctx)).max() < 1e-12
+    assert np.abs(connect._unstable_mismatch(u, stable, sc)).max() < 1e-12
 
 
 def test_boundary_map_zero_unknowns(p15):
     sc = working_scaling(p15)
-    ctx = connect.MatchContext(scaling=sc)
-    r = connect.boundary_map(np.zeros(4), ctx)
+    r = connect.boundary_map(np.zeros(4), sc)
     # constant term of the left family, after scaling (solution minus family)
     assert r[0] == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_boundary_map_smoothness(p15):
+def _layer_grid(monkeypatch, n):
+    """Make the matching solve its layer problems on ``n`` grid points."""
+    monkeypatch.setattr(inner, "InnerProblem",
+                        functools.partial(inner.InnerProblem, grid_points=n))
+
+
+def test_boundary_map_smoothness(p15, monkeypatch):
     sc = working_scaling(p15)
-    ctx = connect.MatchContext(scaling=sc, grid_points=1024)
+    _layer_grid(monkeypatch, 1024)
     u0 = connect.matching_closed_form(sc.rho).as_array()
 
     def central(h):
@@ -75,8 +80,8 @@ def test_boundary_map_smoothness(p15):
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            J[:, j] = (connect.boundary_map(u0 + e, ctx)
-                       - connect.boundary_map(u0 - e, ctx)) / (2 * h)
+            J[:, j] = (connect.boundary_map(u0 + e, sc)
+                       - connect.boundary_map(u0 - e, sc)) / (2 * h)
         return J
 
     j1, j2 = central(1e-4), central(5e-5)
@@ -86,13 +91,12 @@ def test_boundary_map_smoothness(p15):
 
 def test_newton_match(p15):
     sc = working_scaling(p15)
-    ctx = connect.MatchContext(scaling=sc)
     u0 = connect.matching_closed_form(sc.rho).as_array()
-    u, info = connect.newton_match(ctx, u0)
+    u, info = connect.newton_match(sc, u0)
     assert info["converged"]
     assert info["iterations"] <= 25
     assert info["residual"] < 1e-10
-    r = connect.boundary_map(u.as_array(), ctx)
+    r = connect.boundary_map(u.as_array(), sc)
     assert np.abs(r).max() < 1e-10
 
 
@@ -112,12 +116,11 @@ def test_match_jacobian_is_bit_equal_to_difference_reference(p15, profile15):
     # layer jet of the iterate gives the same bits as solving the layer
     # problem again, at the closed-form seed and at the anchor's solution
     sc = working_scaling(p15)
-    ctx = connect.MatchContext(scaling=sc)
-    fn = lambda v: connect.boundary_map(v, ctx)
+    fn = lambda v: connect.boundary_map(v, sc)
     u0 = connect.matching_closed_form(sc.rho).as_array()
-    jet = connect._left_jet(u0, ctx)
+    jet = connect._left_jet(u0, sc)
     r0 = fn(u0)
-    assert np.array_equal(connect._match_jacobian(u0, r0, jet, ctx), _fd_jacobian(fn, u0, r0))
+    assert np.array_equal(connect._match_jacobian(u0, r0, jet, sc), _fd_jacobian(fn, u0, r0))
     prof = profile15.value
     u = prof.unknowns.as_array()
     assert np.array_equal(prof.matching_jacobian, _fd_jacobian(fn, u, fn(u)))
@@ -184,15 +187,14 @@ def test_neg_a_counterpart_same_residual(p15):
     # counterpart of the match, equated with the negated unstable family,
     # has the negated residual
     sc = working_scaling(p15)
-    ctx = connect.MatchContext(scaling=sc)
-    u, _ = connect.newton_match(ctx, connect.matching_closed_form(sc.rho).as_array())
+    u, _ = connect.newton_match(sc, connect.matching_closed_form(sc.rho).as_array())
     u = u.as_array()
-    jet = connect._left_jet(u, ctx)
-    jet_neg = connect._left_jet(u * [1.0, 1.0, -1.0, -1.0], ctx)
+    jet = connect._left_jet(u, sc)
+    jet_neg = connect._left_jet(u * [1.0, 1.0, -1.0, -1.0], sc)
     assert np.abs(jet_neg + jet).max() < 1e-12
-    r_plus = connect._unstable_mismatch(u, jet, ctx)
+    r_plus = connect._unstable_mismatch(u, jet, sc)
     # (jet_neg + unstable family) / scales; the mismatch is linear in the jet
-    r_minus = -connect._unstable_mismatch(u, -jet_neg, ctx)
+    r_minus = -connect._unstable_mismatch(u, -jet_neg, sc)
     assert np.abs(r_plus + r_minus).max() < 1e-12
     assert abs(np.abs(r_plus).max() - np.abs(r_minus).max()) < 1e-12
 
@@ -258,14 +260,14 @@ def test_transversality_degenerate_fixture():
     assert rep.smallest == pytest.approx(1e-9, rel=1e-12)
 
 
-def test_condition_number_stable_under_refinement(p15, profile15):
+def test_condition_number_stable_under_refinement(p15, profile15, monkeypatch):
     prof = profile15.value
     sc = prof.scaling
     u0 = prof.unknowns.as_array()
     conds = []
     for n in (2048, 4096):
-        ctx = connect.MatchContext(scaling=sc, grid_points=n)
-        _, info = connect.newton_match(ctx, u0)
+        _layer_grid(monkeypatch, n)
+        _, info = connect.newton_match(sc, u0)
         sv = np.linalg.svd(info["jacobian"], compute_uv=False)
         conds.append(sv.max() / sv.min())
     assert abs(conds[1] - conds[0]) <= 0.2 * conds[0]
@@ -285,7 +287,7 @@ def _flatten(obj, prefix=""):
 # Equivalence gate of the anchor's report against the values recorded with
 # the benchmark (forward-difference shooting Jacobians).  Fields the core
 # shots cannot reach are bit-equal; the junction match need only reach
-# refine_tol; W, B' and B(0) sit at round-off; every other scalar (positions,
+# REFINE_TOL; W, B' and B(0) sit at round-off; every other scalar (positions,
 # blend windows, A(0), tail rates) moves with the junction iterate, within 1e-6.
 _BIT_EQUAL = ("epsilon", "g", "delta", "nu_minus", "nu_plus", "alpha_minus",
               "alpha_plus", "a_minus", "a_plus", "rho", "supported_regime",
@@ -372,7 +374,7 @@ def test_extreme_corner_solve(monkeypatch):
         assert prof.sup_w < 1e-8
         assert prof.min_b1 > 0.0
         assert abs(prof.b0_at_zero - p.inv_sqrt_g) < 1e-10
-        assert prof.junction_mismatch <= connect.SolveConfig().refine_tol
+        assert prof.junction_mismatch <= connect.REFINE_TOL
         assert len(nfev) <= 60
         assert verify.verify_profile(prof).passed
 
@@ -478,7 +480,7 @@ def test_leaf_start_at_box_edge(g, eps):
     # ((1.12, 0.01) needs 7 junction evaluations there, 5 from a left
     # calibration)
     prof = connect.heteroclinic_solve(derive_params(eps, g))
-    assert prof.junction_mismatch <= connect.SolveConfig().refine_tol
+    assert prof.junction_mismatch <= connect.REFINE_TOL
     assert prof.sup_w < 1e-8
     assert prof.min_b1 > 0.0
     assert np.all(np.diff(prof.states[:, 4]) > 0)
@@ -674,7 +676,7 @@ def test_dense_cores_from_junction_records(profile15):
 def test_junction_match_restarts_with_tighter_shots(monkeypatch):
     # near g = 10/9 the match meets the noise floor of its shots: at
     # (1.1113, 0.25) it stalls at 2.43e-7 after 85 evaluations, above
-    # refine_tol, and restarts from its last iterate with shots ten times
+    # REFINE_TOL, and restarts from its last iterate with shots ten times
     # tighter, which reach 7.2e-8 in 2 more
     rtols = []
     residual = connect._junction_residual
@@ -685,22 +687,21 @@ def test_junction_match_restarts_with_tighter_shots(monkeypatch):
 
     monkeypatch.setattr(connect, "_junction_residual", recorded)
     prof = connect.heteroclinic_solve(derive_params(0.25, 1.1113))
-    cfg = connect.SolveConfig()
-    assert prof.junction_mismatch <= cfg.refine_tol
-    tight = rtols.index(cfg.ode_rtol / 10.0)
-    assert set(rtols[:tight]) == {cfg.ode_rtol}
-    assert set(rtols[tight:]) == {cfg.ode_rtol / 10.0} and len(rtols) - tight <= 4
+    assert prof.junction_mismatch <= connect.REFINE_TOL
+    tight = rtols.index(connect.ODE_RTOL / 10.0)
+    assert set(rtols[:tight]) == {connect.ODE_RTOL}
+    assert set(rtols[tight:]) == {connect.ODE_RTOL / 10.0} and len(rtols) - tight <= 4
     assert prof.sup_w < 1e-8
 
 
 @pytest.mark.parametrize("g, eps", [(1.19109, 0.199994), (1.19254, 0.0987172)])
 def test_panel_cells_at_the_noise_floor(g, eps):
     # solve-panel cells (seeds 11 and 12) at g ~ 1.19, where the match can
-    # end within the shots' noise of refine_tol: a change to the shots'
+    # end within the shots' noise of REFINE_TOL: a change to the shots'
     # rounding re-rolls where such a cell ends (these end at 2.0e-8 and
     # 1.98e-7 here), and none may end above it
     prof = connect.heteroclinic_solve(derive_params(eps, g))
-    assert prof.junction_mismatch <= connect.SolveConfig().refine_tol
+    assert prof.junction_mismatch <= connect.REFINE_TOL
     assert prof.sup_w < 1e-8
 
 

@@ -70,7 +70,7 @@ def _cascade_problem() -> inner.InnerProblem:
                               boundary_plus=tuple(fam), grid_points=3000)
 
 
-def _volterra_sweep_reference(z, anchor, tol):
+def _volterra_sweep_reference(z, anchor):
     # the sweep as one full application of the Volterra operator per
     # iteration, kept as the reference for the A-row iteration
     a = inner._taylor_rows(z - z[-1], anchor)[0]
@@ -79,7 +79,7 @@ def _volterra_sweep_reference(z, anchor, tol):
         a0 = inner._apply_volterra(z, a, anchor)[0]
         deltas.append(float(np.abs(a0 - a).max()))
         a = a0
-        if deltas[-1] < tol:
+        if deltas[-1] < inner.PICARD_TOL:
             return np.vstack(inner._apply_volterra(z, a, anchor)), deltas
 
 
@@ -88,9 +88,9 @@ def test_picard_sweep_matches_volterra_reference(monkeypatch, sweep):
     calls = []
     picard = inner._picard_sweep
 
-    def recorded(z, anchor, tol):
-        calls.append((z, anchor.copy(), tol))
-        return picard(z, anchor, tol)
+    def recorded(z, anchor):
+        calls.append((z, anchor.copy()))
+        return picard(z, anchor)
 
     monkeypatch.setattr(inner, "_picard_sweep", recorded)
     inner.solve_inner(_cascade_problem())
@@ -123,11 +123,11 @@ def _failing_sweeps(monkeypatch, failing) -> list[float]:
     spans = []
     sweep = inner._picard_sweep
 
-    def flaky(z, anchor, tol):
+    def flaky(z, anchor):
         spans.append(z[-1] - z[0])
         if len(spans) - 1 in failing:
             raise inner.NonConvergence("injected failure", [1.0])
-        return sweep(z, anchor, tol)
+        return sweep(z, anchor)
 
     monkeypatch.setattr(inner, "_picard_sweep", flaky)
     return spans

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from orthowall import connect, dynamics, frames, integrate, outer
 from orthowall.params import derive_params, working_scaling
@@ -22,51 +23,57 @@ def shot(s0, span, p, **kw):
     return sol
 
 
+def kernel_shot(s0, span, p, rtol=1e-10, atol=1e-12):
+    """The program's core shot: the accepted steps of ``connect._shoot``."""
+    return connect._shoot(np.asarray(s0, dtype=float), span, p, rtol, atol)[1]
+
+
 def w_of(states, p):
     return np.array([dynamics.first_integral(s, p) for s in states])
 
 
 def test_equilibrium_constant(p):
-    sol = shot(dynamics.M_MINUS, (0.0, 50.0), p)
-    assert np.abs(sol.y.T - dynamics.M_MINUS).max() < 1e-12
-    w = w_of(sol.y.T, p)
+    steps = kernel_shot(dynamics.M_MINUS, (0.0, 50.0), p)
+    assert steps.ts[-1] == 50.0
+    assert np.abs(steps.ys - dynamics.M_MINUS).max() < 1e-12
+    w = w_of(steps.ys, p)
     assert np.abs(w - w[0]).max() == 0.0
 
 
 def test_tanh_branch_oracle(p):
     s0 = outer.right_leaf_state(p.inv_sqrt_g, p)
-    sol = shot(s0, (0.0, 10.0 / p.epsilon), p, rtol=1e-12, atol=1e-14)
-    ref = outer.right_tail_b0(sol.t, 0.0, p.inv_sqrt_g, p)
-    assert np.abs(sol.y[4] - ref).max() < 1e-8
-    assert np.abs(sol.y[:4]).max() == 0.0
+    steps = kernel_shot(s0, (0.0, 10.0 / p.epsilon), p, rtol=1e-12, atol=1e-14)
+    ref = outer.right_tail_b0(steps.ts, 0.0, p.inv_sqrt_g, p)
+    assert np.abs(steps.ys[:, 4] - ref).max() < 1e-8
+    assert np.abs(steps.ys[:, :4]).max() == 0.0
 
 
 def test_event_location_against_bisection(p):
+    # stage 5 locates B crossings by brentq on the dense output of kernel
+    # shots; the root here is checked against plain bisection on the same
+    # dense solution
     sc = working_scaling(p)
     b_start = 0.9 * sc.b00
     seed = outer.slow_leaf_state(b_start, p)
     # nudge the fast pair so the orbit actually leaves the branch and crosses
+    # (it runs away near x = 14, so the shot stops at 10)
     fr = frames.slow_frame(b_start, p)
     dev = fr._coord_matrix()[:, :2] @ np.array([1e-3, 0.0])
     seed[:4] += dev[:4]
     seed[5] = dynamics.b1_from_invariant(seed[:4], b_start, p)
     target = p.inv_sqrt_g
-
-    def mid(x, y):
-        return y[4] - target
-    mid.direction = 1
-    mid.terminal = True
-
-    sol = shot(seed, (0.0, 60.0), p, rtol=1e-12, atol=1e-14,
-               dense_output=True, events=mid)
-    assert sol.t_events[0].size == 1
-    xe = sol.t_events[0][0]
-    # independent bisection on the dense output
-    lo, hi = xe - 0.5, xe + 0.5
+    steps = kernel_shot(seed, (0.0, 10.0), p, rtol=1e-12, atol=1e-14)
+    dense = connect._dense_solution(p, steps)
 
     def fn(x):
-        return sol.sol(x)[4] - target
+        return float(dense(np.array([x]))[4, 0]) - target
 
+    above = np.flatnonzero(steps.ys[:, 4] > target)
+    # one crossing between the step knots
+    assert above.size and above[0] > 0 and above.size == steps.ts.size - above[0]
+    xe = brentq(fn, steps.ts[above[0] - 1], steps.ts[above[0]], xtol=1e-13, rtol=8.9e-16)
+    # independent bisection on the dense output
+    lo, hi = xe - 0.5, xe + 0.5
     assert fn(lo) < 0 < fn(hi)
     for _ in range(60):
         m = 0.5 * (lo + hi)
@@ -93,16 +100,17 @@ def test_step_halving_order(p):
 
 def test_w_drift_bound(p):
     s0 = outer.right_leaf_state(0.8, p) + np.array([0.05, 0, 0.01, 0, 0, 0.002])
-    w = w_of(shot(s0, (0.0, 10.0), p).y.T, p)
+    w = w_of(kernel_shot(s0, (0.0, 10.0), p).ys, p)
     assert np.abs(w - w[0]).max() <= 100.0 * 1e-10 * (1.0 + 10.0)
 
 
 def test_backward_return(p):
     s0 = outer.right_leaf_state(0.75, p)
-    fwd = shot(s0, (0.0, 5.0), p)
-    back = shot(fwd.y[:, -1], (5.0, 0.0), p)
+    fwd = kernel_shot(s0, (0.0, 5.0), p)
+    back = kernel_shot(fwd.ys[-1], (5.0, 0.0), p)
+    assert back.ts[-1] == 0.0
     tol = 1e-10 * np.abs(s0).max() + 1e-12
-    assert np.abs(back.y[:, -1] - s0).max() <= 10.0 * tol * 1e3  # margin
+    assert np.abs(back.ys[-1] - s0).max() <= 10.0 * tol * 1e3  # margin
 
 
 def test_blowup_reports_error(p):

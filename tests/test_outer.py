@@ -222,6 +222,29 @@ def test_sample_outside_table_range_is_leaf_states_plus_correction(p, profile15)
     assert np.abs(correction[:, 4]).max() == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_leaf_b1_off_the_growing_branch_raises():
+    # at (g, eps) = (2.0, 0.25) the W = 0 bracket of the slow leaf is
+    # negative on B ~ 0.515-0.547, 0.16-0.19 below the branch edge: the vector
+    # leaf raises there, as the scalar root of dynamics does, instead of
+    # returning NaN under a RuntimeWarning
+    p2 = derive_params(0.25, 2.0)
+    with pytest.raises(ValueError, match="growing branch"):
+        outer.leaf_b1(0.53, p2)
+    with pytest.raises(ValueError, match="growing branch"):
+        outer.leaf_states(np.array([0.3, 0.53]), p2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_leaf_table_over_the_margin_range_raises():
+    # near g = 10/9 at eps = 0.25 the leaf leaves the growing branch 0.077
+    # below the edge, farther than LEAF_EDGE_MARGIN: a table over the whole
+    # range below the margin raises rather than holding NaN coefficients
+    p2 = derive_params(0.25, 1.1115)
+    with pytest.raises(ValueError, match="growing branch"):
+        outer.leaf_table(1.0 / math.sqrt(p2.g1) - outer.LEAF_EDGE_MARGIN, p2)
+
+
 def test_right_leaf_states_match_scalar(p):
     bs = np.linspace(0.05, 0.95, 37)
     assert np.array_equal(outer.right_leaf_states(bs, p),

@@ -106,17 +106,15 @@ def test_verify_profile_battery(profile15):
 
 def test_scaling_study_preconditions():
     with pytest.raises(ValueError, match="at least 4"):
-        verify.scaling_study(1.5, [0.1])
-    with pytest.raises(ValueError, match="octaves"):
-        verify.scaling_study(1.5, [0.1, 0.09, 0.08, 0.07])
+        verify.scaling_sweep(1.5, [0.1])
 
 
 def test_scaling_study_slopes(sweep15):
     fit = sweep15.value
-    assert abs(fit.slope_a0 - 0.40) <= 0.08
-    assert abs(fit.slope_width - (-0.20)) <= 0.05
-    assert len(fit.rows) == 4
-    assert not fit.excluded
+    assert abs(fit["slope_a0"] - 0.40) <= 0.08
+    assert abs(fit["slope_width"] - (-0.20)) <= 0.05
+    assert len(fit["rows"]) == 4
+    assert not fit["excluded"]
 
 
 def test_scaling_study_excludes_failures():
@@ -124,11 +122,11 @@ def test_scaling_study_excludes_failures():
     # when the members run in forked worker processes
     fits = {}
     for workers in (1, 2):
-        fit = verify.scaling_study(1.5, [0.2, 0.1, 0.05, 0.025, 0.26],
+        fit = verify.scaling_sweep(1.5, [0.2, 0.1, 0.05, 0.025, 0.26],
                                    workers=workers)
-        assert len(fit.excluded) == 1
-        assert fit.excluded[0]["epsilon"] == 0.26
-        assert fit.excluded[0]["error"].startswith("epsilon_ceiling: ")
-        assert len(fit.rows) == 4
-        fits[workers] = fit.to_dict()
+        assert len(fit["excluded"]) == 1
+        assert fit["excluded"][0]["epsilon"] == 0.26
+        assert fit["excluded"][0]["error"].startswith("epsilon_ceiling: ")
+        assert len(fit["rows"]) == 4
+        fits[workers] = fit
     assert fits[1] == fits[2]
