@@ -1,11 +1,12 @@
 """Command-line surface: solve, sweep, inner, spectrum, verify.
 
 ``solve`` and ``sweep`` read one JSON configuration file plus flag overrides
-(flags win); a key the file may not name is an input error.  The file
-chooses the orbit (eps, g, nu-/nu+) and its output grid; the solver's
-tolerances are constants of :mod:`connect` and :mod:`inner`.  Exit codes:
-0 success, 1 configuration or input error, 2 numerical failure.  Runs are
-deterministic; no clock-dependent seeds exist anywhere.
+(flags win); a key the file may not name, or a value of the wrong type, is
+an input error.  The file chooses the orbit (eps, g, nu-/nu+) and its output
+grid; the solver's tolerances are constants of :mod:`connect` and
+:mod:`inner`.  Exit codes: 0 success, 1 configuration or input error, 2
+numerical failure.  Runs are deterministic; no clock-dependent seeds exist
+anywhere.
 """
 
 from __future__ import annotations
@@ -38,6 +39,28 @@ class ConfigError(ValueError):
     pass
 
 
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what each value of a config file must be: (description, test)
+_VALUE_TYPES = {
+    "epsilon": ("a real number", _real),
+    "g": ("a real number", _real),
+    "nu_minus": ("null or a real number", lambda v: v is None or _real(v)),
+    "nu_plus": ("null or a real number", lambda v: v is None or _real(v)),
+    "grid": ("an object", lambda v: isinstance(v, dict)),
+    "grid.profile_points": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "epsilon_list": ("a list of real numbers", lambda v: isinstance(v, list) and all(map(_real, v))),
+}
+
+
+def _check_value(key: str, val, path: str) -> None:
+    what, ok = _VALUE_TYPES[key]
+    if not ok(val):
+        raise ConfigError(f"config entry {key!r} must be {what}, got {val!r} (in {path})")
+
+
 def _resolve_config(args) -> dict:
     cfg = json.loads(json.dumps(_DEFAULT_CONFIG))
     if getattr(args, "config", None):
@@ -49,11 +72,14 @@ def _resolve_config(args) -> dict:
             # epsilon_list, read by sweep, has no default
             if key not in cfg and key != "epsilon_list":
                 raise ConfigError(f"unknown config key {key!r} in {args.config}")
-            if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+            _check_value(key, val, args.config)
+            if isinstance(val, dict):
                 unknown = sorted(set(val) - set(cfg[key]))
                 if unknown:
                     raise ConfigError(f"unknown config key '{key}.{unknown[0]}' "
                                       f"in {args.config}")
+                for sub, v in val.items():
+                    _check_value(f"{key}.{sub}", v, args.config)
                 cfg[key].update(val)
             else:
                 cfg[key] = val
@@ -67,8 +93,6 @@ def _resolve_config(args) -> dict:
 
 
 def _solve_config(cfg: dict) -> connect.SolveConfig:
-    if not isinstance(cfg["grid"], dict):
-        raise ConfigError("config entry 'grid' must be an object")
     return connect.SolveConfig(nu_minus=cfg["nu_minus"], nu_plus=cfg["nu_plus"],
                                profile_points=cfg["grid"]["profile_points"])
 

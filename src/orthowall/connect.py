@@ -7,16 +7,18 @@ jet at the left end is equated to the unstable-side boundary family (seeded
 by the closed-form solution of the pure equating system, which is eps-free).
 (2) The core geometry: a forward left core starts on the slow leaf deep in
 the slow region, with two fast parameters c that start at c = 0, the leaf
-itself.
+itself.  The slow leaf is evaluated here, once per solve: on the nodes of
+its Chebyshev table, which every later read of it uses, and at the core's
+seed.
 (3) The right anchor starts a backward core on the far-right A = 0 leaf,
 fitted to the stable trace of the matching, and a 5-parameter least-squares
 match of (c, right-core parameters) joins the two cores at the right
 junction x_hat: the intersection of the 3-dimensional unstable manifold of
 M- with the 3-dimensional stable manifold of M+.
 (4) The tail pieces are analytic invariant leaves far out on both tails: the
-left one follows the slow leaf, tabulated once per solve, by quadrature; the
-right one carries the right core's fast stable offset past x_r by
-Liouville-Green transport (Olver, Asymptotics and Special Functions, ch. 6).
+left one follows the slow leaf's table by quadrature; the right one carries
+the right core's fast stable offset past x_r by Liouville-Green transport
+(Olver, Asymptotics and Special Functions, ch. 6).
 (5) Phase fixing translates x so that B(0) = 1/sqrt(g); the default grid is
 then sampled.  The matching Newton and the junction match run through the
 one damped Newton driver :func:`_damped_newton`.  The dense cores are
@@ -341,7 +343,7 @@ class HeteroclinicProfile:
             "a_plus": self.scaling.a_plus,
             "rho": self.scaling.rho,
             "scaling_violations": list(self.scaling.violations),
-            "supported_regime": self.scaling.supported and self.p.supported,
+            "supported_regime": self.scaling.supported,
             "unknowns": {
                 "x1u": self.unknowns.x1u, "x2u": self.unknowns.x2u,
                 "x10s": self.unknowns.x10s, "x20s": self.unknowns.x20s,
@@ -550,7 +552,8 @@ class _Shooting:
     p: Params
     x_a: float
     b0_a: float
-    leaf_a: np.ndarray
+    leaf: outer.LeafTable   # the slow leaf over the left tail's amplitudes
+    leaf_a: np.ndarray      # its state at b0_a
     cols_a: np.ndarray      # A-jet response to the left parameters (x1, x2)
     x_hat: float
     rtol: float
@@ -646,16 +649,17 @@ def _leaf_integral(leaf: outer.LeafTable, g, b0: float) -> tuple[complex, Chebys
     value at 0 is the pole's strength, and the remainder (B g / F - pole) / B
     is a polynomial, whose Chebyshev series is integrated exactly (Trefethen,
     Approximation Theory and Approximation Practice, ch. 19)."""
-    y = Chebyshev(outer.cheb_fit(lambda b: g(b) * b / leaf(b)[:, 5], leaf.b_hi), [0.0, leaf.b_hi])
+    b = outer.cheb_nodes(leaf.b_hi)
+    y = Chebyshev(outer.cheb_fit(g(b) * b / leaf(b)[:, 5]), [0.0, leaf.b_hi])
     pole = y(0.0)
-    rest = Chebyshev(outer.cheb_fit(lambda b: (y(b) - pole) / b, leaf.b_hi), y.domain)
+    rest = Chebyshev(outer.cheb_fit((y(b) - pole) / b), y.domain)
     return pole, rest.integ(lbnd=b0) - pole * math.log(b0)
 
 
 @dataclass(frozen=True, eq=False)
 class _Pieces:
     """Stitched representation (stage 4).  The left leaf takes its states from
-    ``leaf`` along the B-profile x = x_a + a log B + I(B), the
+    the table ``geo.leaf`` along the B-profile x = x_a + a log B + I(B), the
     :func:`_leaf_integral` of 1 from the left core's seed, so B' = F(B) with
     the table's own B' column F; its inverse is B = w h(w), w = exp((x - x_a)
     / a), h smooth down to B = 0 since a is the quadrature's own pole.  The
@@ -667,7 +671,6 @@ class _Pieces:
 
     geo: _Shooting
     junction: _Junction
-    leaf: outer.LeafTable
     a: float
     h: Chebyshev
     fast: tuple[complex, Chebyshev]
@@ -711,7 +714,7 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
     def leaf(xs):
         w = np.exp((xs - x_a) / pc.a)
         b0s = w * pc.h(w)
-        states = pc.leaf(b0s)
+        states = geo.leaf(b0s)
         # the left core's fast offset c, fitted by the junction match, decays
         # backward through the transition map of the slow pair
         taper = _smoothstep((xs - (x_a - DEV_REACH)) / 6.0)
@@ -765,7 +768,10 @@ def _matching(scaling: ScalingConfig, initial_guess) -> tuple[MatchingUnknowns, 
 
 def _core_geometry(p: Params, scaling: ScalingConfig) -> _Shooting:
     """Stage 2: the core geometry.  The left core starts on the slow leaf at
-    x_a; the junction match starts its fast parameters at c = 0, the leaf."""
+    x_a; the junction match starts its fast parameters at c = 0, the leaf.
+    The leaf is evaluated once, by :func:`outer.leaf_table`: its table over
+    the left tail's amplitudes, up to B at the end of the left blend and
+    below the branch edge, and its state at the seed amplitude b0_a."""
     b00, x_star = scaling.b00, scaling.x_star
     # walk back along the closed-form slow profile until the accumulated
     # fast exponent reaches the amplification budget
@@ -776,9 +782,12 @@ def _core_geometry(p: Params, scaling: ScalingConfig) -> _Shooting:
         lam_r, _ = frames.lambda_pair(b_here, p)
         acc += lam_r * dx
     b0_a = float(outer.b0_left_profile(xa, b00, p, x_star))
-    return _Shooting(p=p, x_a=xa, b0_a=b0_a,
-                     cols_a=frames.slow_frame(b0_a, p)._coord_matrix()[:4, :2],
-                     leaf_a=outer.slow_leaf_state(b0_a, p),
+    # room above B at x_a + W_A, the last leaf sample, kept below the branch edge
+    b_hi = min(float(outer.b0_left_profile(xa + 7.0, b00, p, x_star)) + 0.02,
+               1.0 / math.sqrt(p.g1) - outer.LEAF_EDGE_MARGIN)
+    leaf, leaf_a = outer.leaf_table(b_hi, b0_a, p)
+    return _Shooting(p=p, x_a=xa, b0_a=b0_a, leaf=leaf, leaf_a=leaf_a,
+                     cols_a=frames.slow_coord_matrices(b0_a, p)[:4, :2],
                      x_hat=scaling.x_star_plus, rtol=ODE_RTOL, atol=ODE_ATOL)
 
 
@@ -844,16 +853,12 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig,
                      sol_right=geo.dense_core(right), x_r=x_r)
 
 
-def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction) -> _Pieces:
-    """Stage 4: the slow leaf tabulated once per solve over the left tail's
-    amplitudes, the left tail by quadrature on it (:class:`_Pieces`), its
-    B-profile inverted at the nodes of w by Newton in log B from the pole's
-    B = b0 w, kept inside the table, and the right tail's decay exponent."""
-    p, x_a, b0 = geo.p, geo.x_a, geo.b0_a
-    # room above B at x_a + W_A, the last leaf sample, kept below the branch edge
-    b_hi = min(float(outer.b0_left_profile(x_a + 7.0, scaling.b00, p, scaling.x_star)) + 0.02,
-               1.0 / math.sqrt(p.g1) - outer.LEAF_EDGE_MARGIN)
-    leaf = outer.leaf_table(b_hi, p)
+def _tail_pieces(geo: _Shooting, junction: _Junction) -> _Pieces:
+    """Stage 4: the left tail by quadrature on the slow leaf's table of stage
+    2 (:class:`_Pieces`), its B-profile inverted at the nodes of w by Newton
+    in log B from the pole's B = b0 w, kept inside the table, and the right
+    tail's decay exponent."""
+    p, b0, leaf = geo.p, geo.b0_a, geo.leaf
     a, x_rest = _leaf_integral(leaf, lambda b: 1.0, b0)
 
     def b_over_w(w):
@@ -861,13 +866,13 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction) ->
         for _ in range(50):
             b = np.exp(u)
             step = (a * (u - np.log(w)) + x_rest(b)) / (a + b * x_rest.deriv()(b))
-            u = np.minimum(u - step, math.log(b_hi))
+            u = np.minimum(u - step, math.log(leaf.b_hi))
             if np.abs(step).max() < 1e-14:
                 return np.exp(u) / w
         raise RealizationError(f"the left tail leaves the leaf table before x_a + {W_A}")
 
     w_hi = math.exp(W_A / a)
-    h = Chebyshev(outer.cheb_fit(b_over_w, w_hi), [0.0, w_hi])
+    h = Chebyshev(outer.cheb_fit(b_over_w(outer.cheb_nodes(w_hi))), [0.0, w_hi])
     fast = _leaf_integral(leaf, lambda b: np.dot([1.0, -1.0j], frames.lambda_pair(b, p)), b0)
     # the right tail's decay exponent, integrated from x_r over blend and tail
     x_r = junction.x_r
@@ -877,7 +882,7 @@ def _tail_pieces(geo: _Shooting, scaling: ScalingConfig, junction: _Junction) ->
     k_x = x_r + hk * np.arange(-n_blend, math.floor(tail_r / hk) + 1)
     kappa = -_leaf_exponent(outer.right_tail_b0(k_x, x_r, float(junction.theta[4]), p), p).real
     k_int = inner._cumquad_right(kappa, hk)
-    return _Pieces(geo=geo, junction=junction, leaf=leaf, a=a, h=h, fast=fast,
+    return _Pieces(geo=geo, junction=junction, a=a, h=h, fast=fast,
                    kappa_r=CubicSpline(k_x, k_int[n_blend] - k_int))
 
 
@@ -927,5 +932,5 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
     unknowns, info = _matching(scaling, initial_guess)
     geo = _core_geometry(p, scaling)
     junction = _right_junction(geo, scaling, unknowns)
-    pieces = _tail_pieces(geo, scaling, junction)
+    pieces = _tail_pieces(geo, junction)
     return _phase_fixed_profile(scaling, unknowns, info, pieces, cfg.profile_points)

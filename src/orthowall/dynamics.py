@@ -128,31 +128,38 @@ def equilibrium_eigenvalues(which: str, p: Params) -> np.ndarray:
     return np.array(fast + slow, dtype=complex)
 
 
-def invariant_bracket(a_jet: np.ndarray, b0: float, p: Params) -> float:
-    """Bracket whose square root gives B' on the invariant set W = 0.
+def invariant_bracket(a_jet, b0, p: Params):
+    """Bracket whose square root gives B' on the invariant set W = 0, at a
+    float amplitude ``b0`` or elementwise on an array of them (``a_jet``
+    then holds the four rows of the A-jet).
 
     Equals (2/eps^2) * (W-terms without B'^2); nonnegative wherever the
     growing branch exists.
     """
     a0, a1, a2, a3 = a_jet
     d2 = p.delta**2
+    b2 = b0 * b0
     return (
-        (1.0 - b0 * b0) ** 2
-        + a0 * a0 * (a0 * a0 + 2.0 * d2 * b0 * b0 + 2.0 * (b0 * b0 - 1.0))
+        (1.0 - b2) ** 2
+        + a0 * a0 * (a0 * a0 + 2.0 * d2 * b2 + 2.0 * (b2 - 1.0))
         - 2.0 * a2 * a2
         + 4.0 * a1 * a3
     )
 
 
-def b1_from_invariant(a_jet: np.ndarray, b0: float, p: Params) -> float:
-    """Positive root B' = (eps/sqrt(2)) * sqrt(bracket) of W = 0.
+def b1_from_invariant(a_jet, b0, p: Params):
+    """Positive root B' = (eps/sqrt(2)) * sqrt(bracket) of W = 0, at a float
+    amplitude or elementwise on arrays (see :func:`invariant_bracket`).
 
-    Raises ValueError when the bracket is negative (no growing branch).
+    Raises ValueError where the bracket is negative (no growing branch).
     """
     br = invariant_bracket(a_jet, b0, p)
-    if br < 0.0:
-        raise ValueError(f"state off the growing branch of W=0 (bracket={br:.3e})")
-    return p.epsilon / math.sqrt(2.0) * math.sqrt(br)
+    if np.any(br < 0.0):
+        k = np.argmin(br)
+        raise ValueError(f"state off the growing branch of W=0 at B = "
+                         f"{np.broadcast_to(b0, np.shape(br)).flat[k]:.6g} "
+                         f"(bracket={np.ravel(br)[k]:.3e})")
+    return p.epsilon / math.sqrt(2.0) * np.sqrt(br)
 
 
 @dataclass(frozen=True)

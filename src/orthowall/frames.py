@@ -49,9 +49,10 @@ class SlowFrame:
 
 def _cube(b: np.ndarray) -> np.ndarray:
     """b**3 through the libm pow of Python floats, element by element, so an
-    array of base points gets the bits of the scalar frame, whose columns
-    seed the left core (``cols_a``); numpy's vectorized power differs from
-    libm in the last bit for about one argument in twenty."""
+    array of base points gets the bits of the scalar :class:`SlowFrame`;
+    numpy's vectorized power differs from libm in the last bit for about one
+    argument in twenty.  The cube enters only the B' row, which the seed
+    columns of the left core (``cols_a``, the A-rows) do not read."""
     return np.array([v**3 for v in b.ravel().tolist()]).reshape(b.shape)
 
 
@@ -85,8 +86,8 @@ def _coord_matrices(b0, a, lr, li, eps: float, delta: float) -> np.ndarray:
 
 
 def slow_coord_matrices(b0, p: Params) -> np.ndarray:
-    """``slow_frame(b, p)._coord_matrix()`` for every b in the array ``b0``,
-    bit for bit; shape b0.shape + (5, 5)."""
+    """``slow_frame(b, p)._coord_matrix()`` for every b in ``b0``, a float or
+    an array, bit for bit; shape b0.shape + (5, 5)."""
     b0 = np.asarray(b0, dtype=float)
     lam_r, lam_i = lambda_pair(b0, p)
     return _coord_matrices(b0, np.sqrt(1.0 - p.g1 * b0 * b0), lam_r, lam_i,

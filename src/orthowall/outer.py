@@ -3,12 +3,13 @@
 The left outer region rides the slow branch A = sqrt(1 - (1+delta^2) B^2);
 its leading B-profile integrates in closed form to a sech shape, and the
 slow-leaf states carry the slaved A-jet with B' from the W = 0 root; a
-solve tabulates them once on Chebyshev nodes in B (:func:`leaf_table`).  The
-right outer region rides A = 0, where the W = 0 reduction turns the
-B-equation into the exactly solvable dB/dx = (eps/sqrt(2)) (1 - B^2), whose
-tanh solution is the right tail.  The seed state on the right matching
-section realizes the tangent trace of the stable manifold, projected onto
-W = 0 through the positive root of B'.
+solve evaluates them once, on the Chebyshev nodes in B of its table and at
+the left core's seed (:func:`leaf_table`).  The right outer region rides
+A = 0, where the W = 0 reduction turns the B-equation into the exactly
+solvable dB/dx = (eps/sqrt(2)) (1 - B^2), whose tanh solution is the right
+tail.  The seed state on the right matching section realizes the tangent
+trace of the stable manifold, projected onto W = 0 through the positive root
+of B'.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ def _leaf_jets(b0, p: Params, b1_fn=None, memo=None) -> np.ndarray:
     Each node of the nested difference tree is evaluated once per ``memo``,
     keyed by its exact abscissae: the chain-independent a0 = astar + eta and
     the chain rows of the principal chain or of ``b1_fn``.  :func:`leaf_states`
-    shares one memo, per chunk of amplitudes, between its jet chain and every
-    nested :func:`leaf_b1` evaluation of its stencil values; without a memo
-    nothing outlives the call.
+    shares one memo between its jet chain and every nested :func:`leaf_b1`
+    evaluation of its stencil values; without a memo nothing outlives the
+    call.
     """
     b0 = np.asarray(b0, dtype=float)
     g1 = 1.0 + p.delta**2
@@ -118,33 +119,13 @@ def _leaf_jets(b0, p: Params, b1_fn=None, memo=None) -> np.ndarray:
     return np.array([a0_fn(b0), a1_fn(b0), a2_fn(b0), a3_fn(b0)])
 
 
-def _bracket_vec(jets: np.ndarray, b0, p: Params):
-    a0, a1, a2, a3 = jets
-    d2 = p.delta**2
-    b0 = np.asarray(b0, dtype=float)
-    return ((1.0 - b0**2) ** 2
-            + a0**2 * (a0**2 + 2.0 * d2 * b0**2 + 2.0 * (b0**2 - 1.0))
-            - 2.0 * a2**2 + 4.0 * a1 * a3)
-
-
 def leaf_b1(b0, p: Params, memo=None):
-    """B' on the slow leaf: the W = 0 root of the level-0 slaved jet.
-
-    ``memo`` is handed to :func:`_leaf_jets`.  Raises ValueError where the
-    bracket is negative (no growing branch), as
-    :func:`dynamics.b1_from_invariant` does.
+    """B' on the slow leaf: the W = 0 root :func:`dynamics.b1_from_invariant`
+    of the level-0 slaved jet, which raises ValueError where the bracket is
+    negative (no growing branch).  ``memo`` is handed to :func:`_leaf_jets`.
     """
     b0 = np.asarray(b0, dtype=float)
-    br = _bracket_vec(_leaf_jets(b0, p, memo=memo), b0, p)
-    if np.any(br < 0.0):
-        k = np.argmin(br)
-        raise ValueError(f"slow leaf off the growing branch of W=0 at B = "
-                         f"{b0.flat[k]:.6g} (bracket={br.flat[k]:.3e})")
-    return p.epsilon / math.sqrt(2.0) * np.sqrt(br)
-
-
-# amplitudes per memo in leaf_states: bounds the memo's memory
-_LEAF_CHUNK = 512
+    return b1_from_invariant(_leaf_jets(b0, p, memo=memo), b0, p)
 
 
 def leaf_states(b0, p: Params) -> np.ndarray:
@@ -153,22 +134,15 @@ def leaf_states(b0, p: Params) -> np.ndarray:
     B' is the first-integral root of the slaved jet, and the jet chain is
     differentiated through that same root, so the sampled columns are
     mutually derivative-consistent along any B-profile integrated from
-    :func:`leaf_b1` while W vanishes to the slaving accuracy.
+    :func:`leaf_b1` while W vanishes to the slaving accuracy.  One memo
+    serves the jet chain and every nested :func:`leaf_b1` evaluation.  A
+    solve makes one call, the 97 amplitudes of :func:`leaf_table`.
     """
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
-    out = np.empty((b0.size, 6))
-    for lo in range(0, b0.size, _LEAF_CHUNK):
-        chunk = b0[lo:lo + _LEAF_CHUNK]
-        memo = {}
-        b1_fn = _memoized(memo, "b1", lambda bb: leaf_b1(bb, p, memo))
-        jets = _leaf_jets(chunk, p, b1_fn=b1_fn, memo=memo)
-        out[lo:lo + chunk.size] = np.column_stack([jets.T, chunk, b1_fn(chunk)])
-    return out
-
-
-def slow_leaf_state(b0: float, p: Params) -> np.ndarray:
-    """State on the slow invariant leaf (X = Y = 0) at amplitude b0."""
-    return leaf_states(b0, p)[0]
+    memo = {}
+    b1_fn = _memoized(memo, "b1", lambda bb: leaf_b1(bb, p, memo))
+    jets = _leaf_jets(b0, p, b1_fn=b1_fn, memo=memo)
+    return np.column_stack([jets.T, b0, b1_fn(b0)])
 
 
 # Chebyshev nodes of a leaf table: the A, A' and B' columns reach the
@@ -181,48 +155,47 @@ LEAF_TABLE_NODES = 96
 LEAF_EDGE_MARGIN = 0.022
 
 
-def cheb_fit(fn, hi: float) -> np.ndarray:
+def cheb_nodes(hi: float) -> np.ndarray:
+    """The LEAF_TABLE_NODES first-kind Chebyshev nodes of [0, hi]."""
+    theta = math.pi * (np.arange(LEAF_TABLE_NODES) + 0.5) / LEAF_TABLE_NODES
+    return 0.5 * hi * (1.0 + np.cos(theta))
+
+
+def cheb_fit(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients, in t = 2 x / hi - 1 and along axis 0, of the
-    interpolant of ``fn`` on LEAF_TABLE_NODES first-kind nodes of [0, hi]: the
+    interpolant of ``values`` at the :func:`cheb_nodes` of [0, hi]: the
     type-II DCT (``chebinterpolate``'s Vandermonde sum loses 2 digits on A)."""
-    n = LEAF_TABLE_NODES
-    theta = math.pi * (np.arange(n) + 0.5) / n
-    coef = dct(fn(0.5 * hi * (1.0 + np.cos(theta))), type=2, axis=0) / n
+    coef = dct(values, type=2, axis=0) / LEAF_TABLE_NODES
     coef[0] *= 0.5
     return coef
 
 
 @dataclass(frozen=True, eq=False)
 class LeafTable:
-    """Chebyshev interpolant of :func:`leaf_states` on 0 < B < ``b_hi``.
+    """Chebyshev interpolant of :func:`leaf_states` on 0 <= B <= ``b_hi``.
 
     ``coef`` holds the Chebyshev coefficients, in t = 2 B / b_hi - 1, of
     the columns (A, A', A'', A''', B'); calling the table evaluates them by
-    Clenshaw's recurrence.  Amplitudes outside (0, b_hi) go to
-    :func:`leaf_states` itself, so the table can stand in for it anywhere.
+    Clenshaw's recurrence.  An amplitude outside [0, b_hi] raises ValueError.
     """
 
-    p: Params
     b_hi: float
     coef: np.ndarray
 
     def __call__(self, b0) -> np.ndarray:
         """Slow-leaf states at amplitudes ``b0``, shape (n, 6)."""
         b0 = np.atleast_1d(np.asarray(b0, dtype=float))
-        inside = (b0 > 0.0) & (b0 < self.b_hi)
-        out = np.empty((b0.size, 6))
-        cols = chebval(2.0 * b0[inside] / self.b_hi - 1.0, self.coef, tensor=True)
-        out[inside, :4] = cols[:4].T
-        out[inside, 4] = b0[inside]
-        out[inside, 5] = cols[4]
-        if not inside.all():
-            out[~inside] = leaf_states(b0[~inside], self.p)
-        return out
+        if not np.all((b0 >= 0.0) & (b0 <= self.b_hi)):
+            raise ValueError(f"amplitude outside the leaf table's range [0, {self.b_hi:.6g}]")
+        cols = chebval(2.0 * b0 / self.b_hi - 1.0, self.coef, tensor=True)
+        return np.column_stack([cols[:4].T, b0, cols[4]])
 
 
-def leaf_table(b_hi: float, p: Params) -> LeafTable:
-    """Tabulate :func:`leaf_states` by :func:`cheb_fit` on [0, b_hi], b_hi at
-    least LEAF_EDGE_MARGIN below the branch edge 1/sqrt(1+delta^2).  Raises
+def leaf_table(b_hi: float, b0: float, p: Params) -> tuple[LeafTable, np.ndarray]:
+    """The slow leaf of a solve: its :class:`LeafTable` on [0, b_hi], b_hi at
+    least LEAF_EDGE_MARGIN below the branch edge 1/sqrt(1+delta^2), and its
+    state at the left core's seed amplitude ``b0``, from one
+    :func:`leaf_states` call on the :func:`cheb_nodes` and ``b0``.  Raises
     ValueError where the leaf leaves the growing branch of W = 0 at a node or
     its stencils (:func:`leaf_b1`), as it can below that margin at large eps.
 
@@ -230,10 +203,12 @@ def leaf_table(b_hi: float, p: Params) -> LeafTable:
     converges geometrically (Trefethen, Approximation Theory and
     Approximation Practice, ch. 7-8) until it meets the rounding noise of
     the nested differences, which grows with eps: about 1e-15 on A, up to
-    3e-13 on A' and B', and 1e-12 to 7e-9 on A'' and A'''.
+    3e-13 on A' and B', and 1e-12 to 7e-9 on A'' and A'''.  The seed state
+    is the differences' own row, not the interpolant's (which can be 4e-10
+    off it).
     """
-    coef = cheb_fit(lambda b: leaf_states(b, p)[:, [0, 1, 2, 3, 5]], b_hi)
-    return LeafTable(p=p, b_hi=float(b_hi), coef=coef)
+    states = leaf_states(np.append(cheb_nodes(b_hi), b0), p)
+    return LeafTable(b_hi=float(b_hi), coef=cheb_fit(states[:-1, [0, 1, 2, 3, 5]])), states[-1]
 
 
 # -- right reduced profile ------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 G_MIN = 10.0 / 9.0
 G_MAX = 2.0
-DEFAULT_EPS_CEILING = 0.25
+EPS_CEILING = 0.25
 
 #: upper bound on nu_minus * (1 + delta^2) / sqrt(delta)
 NU_MINUS_COEFF = 1.0 / 84.33
@@ -38,8 +38,6 @@ class Params:
     epsilon: float
     g: float
     delta: float
-    eps_ceiling: float = DEFAULT_EPS_CEILING
-    supported: bool = True
 
     @property
     def g1(self) -> float:
@@ -52,40 +50,21 @@ class Params:
         return 1.0 / math.sqrt(self.g)
 
 
-def derive_params(
-    epsilon: float,
-    g: float,
-    eps_ceiling: float = DEFAULT_EPS_CEILING,
-    allow_unsupported: bool = False,
-) -> Params:
+def derive_params(epsilon: float, g: float) -> Params:
     """Validate (epsilon, g) and derive delta = sqrt(g - 1).
 
     ``g`` must lie in (10/9, 2], equivalently delta in (1/3, 1], and
-    epsilon in (0, eps_ceiling].  With ``allow_unsupported`` the range
-    checks are relaxed (g > 1 still required) and the result is flagged.
+    epsilon in (0, EPS_CEILING]; NaN lies in neither.
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise AdmissibilityError("epsilon_positive", f"epsilon must be > 0, got {epsilon}")
-    supported = True
-    if g <= G_MIN or g > G_MAX:
-        if not (allow_unsupported and g > 1.0):
-            raise AdmissibilityError(
-                "g_range", f"g must lie in (10/9, 2], got {g}"
-            )
-        supported = False
-    if epsilon > eps_ceiling:
-        if not allow_unsupported:
-            raise AdmissibilityError(
-                "epsilon_ceiling", f"epsilon must be <= {eps_ceiling}, got {epsilon}"
-            )
-        supported = False
-    return Params(
-        epsilon=float(epsilon),
-        g=float(g),
-        delta=math.sqrt(g - 1.0),
-        eps_ceiling=float(eps_ceiling),
-        supported=supported,
-    )
+    if not G_MIN < g <= G_MAX:
+        raise AdmissibilityError("g_range", f"g must lie in (10/9, 2], got {g}")
+    if epsilon > EPS_CEILING:
+        raise AdmissibilityError(
+            "epsilon_ceiling", f"epsilon must be <= {EPS_CEILING}, got {epsilon}"
+        )
+    return Params(epsilon=float(epsilon), g=float(g), delta=math.sqrt(g - 1.0))
 
 
 def nu_plus_window(delta: float) -> tuple[float, float]:
@@ -209,8 +188,9 @@ def scaling_from_epsilon(
         nu_minus = default_nu_minus(p.delta)
     if nu_plus is None:
         nu_plus = default_nu_plus(p.delta)
-    if nu_minus <= 0 or nu_plus <= 0:
-        raise AdmissibilityError("nu_positive", "nu_minus and nu_plus must be > 0")
+    if not (0.0 < nu_minus < math.inf and 0.0 < nu_plus < math.inf):
+        raise AdmissibilityError("nu_positive", "nu_minus and nu_plus must be finite and > 0, "
+                                 f"got {nu_minus} and {nu_plus}")
 
     violations = _admissibility_violations(p, nu_minus, nu_plus)
     if strict and violations:

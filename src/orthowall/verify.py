@@ -339,13 +339,18 @@ def scaling_sweep(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     The corner half-width is the refined left-junction distance |x*| of the
     phase-fixed profile (the right-junction crossing is polluted at desk
     scale by the slower-decaying flow corrections on that side).  Needs at
-    least 4 eps values.  The members are solved by :func:`solve_members`
+    least 4 eps values, no two of which share a member directory
+    ``eps_{eps:g}``.  The members are solved by :func:`solve_members`
     (``workers`` and ``out_dir`` go there); ``rows`` and ``excluded`` hold
     its records, and ``slope_a0`` and ``slope_width`` (:func:`fit_slopes`)
     are present when at least 2 members converged.
     """
     if len(eps_list) < 4:
         raise ValueError(f"sweep needs at least 4 epsilon values, got {len(eps_list)}")
+    names = [f"eps_{eps:g}" for eps in eps_list]
+    if len(set(names)) < len(names):
+        repeated = next(n for n in names if names.count(n) > 1)
+        raise ValueError(f"two epsilon values share the sweep member {repeated}")
     rows, excluded = solve_members(g, eps_list, solve_cfg, workers, out_dir)
     scaling = {"rows": rows, "excluded": excluded}
     if len(rows) >= 2:

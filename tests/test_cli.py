@@ -170,6 +170,44 @@ def test_unknown_config_key_rejected(tmp_path, capsys, extra, key):
     assert not (tmp_path / "o" / "profile.csv").exists()
 
 
+@pytest.mark.parametrize("command, extra, key", [
+    ("solve", {"epsilon": "0.1"}, "'epsilon' must be a real number"),
+    ("solve", {"g": True}, "'g' must be a real number"),
+    ("solve", {"nu_plus": "0.5"}, "'nu_plus' must be null or a real number"),
+    ("sweep", {"grid": {"profile_points": "x"}}, "'grid.profile_points' must be an integer"),
+    ("sweep", {"epsilon_list": [0.2, "0.1", 0.05, 0.025]},
+     "'epsilon_list' must be a list of real numbers"),
+])
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, extra, key):
+    # a value of the wrong type is an input error naming its key (exit 1),
+    # not a traceback or a numerical failure in every member
+    extra.setdefault("epsilon_list", [0.2, 0.1, 0.05, 0.025])
+    cfgp = write_config(tmp_path / "c.json", **extra)
+    rc = cli.main([command, "--config", cfgp, "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--g", "g_range"), ("--nu-plus", "nu_positive")])
+def test_nan_flag_is_an_admissibility_error(tmp_path, capsys, flag, name):
+    rc = cli.main(["solve", "--out", str(tmp_path / "o"), "--epsilon", "0.1", "--g", "1.5",
+                   flag, "nan", "--quiet"])
+    assert rc == 1
+    assert f"error: {name}: " in capsys.readouterr().err
+
+
+def test_sweep_rejects_repeated_members(tmp_path, capsys):
+    # two members with one eps_{eps:g} directory would write the same files
+    # and count twice in the slope fit: rejected before any solve
+    out = tmp_path / "s"
+    rc = cli.main(["sweep", "--out", str(out), "--g", "1.5", "--quiet",
+                   "--epsilons", "0.1,0.1,0.05,0.025", "--workers", "2"])
+    assert rc == 1
+    assert "eps_0.1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_too_few_points(tmp_path):
     cfgp = write_config(tmp_path / "c.json", epsilon_list=[0.1])
     rc = cli.main(["sweep", "--config", cfgp, "--out", str(tmp_path / "s")])

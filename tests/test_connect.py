@@ -487,12 +487,12 @@ def test_leaf_start_at_box_edge(g, eps):
 
 
 def test_leaf_table_work_guard(monkeypatch, p15):
-    # the slow leaf is tabulated once per solve (96 Chebyshev nodes), and
-    # with the seed that is 97 amplitudes: every later sample reads the
-    # table, where sampling through the difference tree took 2,364.  At
-    # (1.12, 0.01) and (1.1115, 0.01) the table reaches up to B at x_a + W_A
-    # too (a range capped at 0.97/sqrt(g1) left 6 and 7 amplitudes to the
-    # difference tree)
+    # the slow leaf is evaluated once per solve, in one call on the 96
+    # Chebyshev nodes of its table and the left core's seed: every later
+    # sample reads the table, where sampling through the difference tree
+    # took 2,364 amplitudes.  At (1.12, 0.01) and (1.1115, 0.01) the table
+    # reaches up to B at x_a + W_A too (a range capped at 0.97/sqrt(g1) left
+    # 6 and 7 amplitudes to the difference tree)
     amplitudes = []
     leaf_states = outer.leaf_states
 
@@ -504,7 +504,7 @@ def test_leaf_table_work_guard(monkeypatch, p15):
     for p in (p15, derive_params(0.01, 1.12), derive_params(0.01, 1.1115)):
         amplitudes.clear()
         connect.heteroclinic_solve(p)
-        assert sum(amplitudes) == 1 + outer.LEAF_TABLE_NODES
+        assert amplitudes == [1 + outer.LEAF_TABLE_NODES]
 
 
 def _stacked(sol: OdeSolution) -> tuple[np.ndarray, ...]:

@@ -154,3 +154,20 @@ def test_b1_from_invariant(p):
     bad = np.array([0.0, 0.0, 5.0, 0.0])
     with pytest.raises(ValueError):
         dynamics.b1_from_invariant(bad, 0.5, p)
+
+
+def test_b1_from_invariant_elementwise(p):
+    # on arrays the root is taken elementwise: each column matches the float
+    # root of its own jet (the float path squares 1 - B^2 through libm pow,
+    # so the two may differ in the last bit), and a negative bracket names
+    # its amplitude
+    rng = np.random.default_rng(3)
+    jets = rng.uniform(-0.01, 0.01, (4, 50))
+    jets[0] += 0.3
+    b0 = rng.uniform(0.1, 0.6, 50)
+    got = dynamics.b1_from_invariant(jets, b0, p)
+    ref = [dynamics.b1_from_invariant(jets[:, i], float(b0[i]), p) for i in range(50)]
+    assert np.allclose(got, ref, rtol=4e-16, atol=0.0)
+    jets[2, 7] = 5.0
+    with pytest.raises(ValueError, match=f"growing branch of W=0 at B = {b0[7]:.6g}"):
+        dynamics.b1_from_invariant(jets, b0, p)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from orthowall import frames, outer
-from orthowall.params import derive_params, working_scaling
+from orthowall.params import Params, derive_params, working_scaling
+
+# eps = 0.9 lies above the solver's ceiling, so derive_params rejects it
+P_LARGE_EPS = Params(epsilon=0.9, g=1.5, delta=math.sqrt(0.5))
 
 
 def test_slow_frame_at_zero():
@@ -31,9 +34,8 @@ def test_slow_frame_domain_errors():
 
 def test_degeneracy_error():
     # large eps pushes the discriminant condition over
-    p = derive_params(0.9, 1.5, eps_ceiling=1.0)
     with pytest.raises(frames.FrameDegeneracyError):
-        frames.slow_frame(0.81, p)
+        frames.slow_frame(0.81, P_LARGE_EPS)
 
 
 def test_quartic_residual_and_bounds():
@@ -201,4 +203,4 @@ def test_lambda_pair_array_errors():
     with pytest.raises(frames.FrameDomainError):
         frames.lambda_pair(np.array([0.2, 1.0, 0.3]), p)
     with pytest.raises(frames.FrameDegeneracyError):
-        frames.lambda_pair(np.array([0.2, 0.81]), derive_params(0.9, 1.5, eps_ceiling=1.0))
+        frames.lambda_pair(np.array([0.2, 0.81]), P_LARGE_EPS)

@@ -54,7 +54,7 @@ def test_event_location_against_bisection(p):
     # dense solution
     sc = working_scaling(p)
     b_start = 0.9 * sc.b00
-    seed = outer.slow_leaf_state(b_start, p)
+    seed = outer.leaf_states(b_start, p)[0]
     # nudge the fast pair so the orbit actually leaves the branch and crosses
     # (it runs away near x = 14, so the shot stops at 10)
     fr = frames.slow_frame(b_start, p)

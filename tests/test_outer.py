@@ -75,12 +75,12 @@ def test_stable_seed(p, sc):
 
 
 def test_slow_leaf_flow_consistency(p):
-    s0 = outer.slow_leaf_state(0.35, p)
+    s0 = outer.leaf_states(0.35, p)[0]
     assert abs(dynamics.first_integral(s0, p)) < 1e-10
     sol = solve_ivp(lambda x, y: dynamics.vector_field(y, p), (0.0, 2.0), s0,
                     method="DOP853", rtol=1e-13, atol=1e-16)
     b_end = sol.y[4, -1]
-    ref = outer.slow_leaf_state(float(b_end), p)
+    ref = outer.leaf_states(b_end, p)[0]
     assert np.abs(sol.y[:, -1] - ref).max() < 5e-6
 
 
@@ -180,9 +180,9 @@ def _reference_leaf_states(b0, p):
 
 def test_leaf_states_match_unshared_recursion(p, sc):
     # shared stencil values must reproduce the plain recursion bit for bit,
-    # for a scalar and across several chunks (the last one partial)
+    # for a scalar and for many amplitudes in one memo
     b_edge = 0.9 / math.sqrt(p.g1)
-    for b0 in (0.35, np.linspace(1e-4, b_edge, 3 * outer._LEAF_CHUNK + 37)):
+    for b0 in (0.35, np.linspace(1e-4, b_edge, 1573)):
         got = outer.leaf_states(b0, p)
         ref = _reference_leaf_states(b0, p)
         assert got.shape == ref.shape
@@ -197,7 +197,7 @@ def test_leaf_table_matches_leaf_states(p, profile15):
     # on the anchor's own leaf range the table reproduces the difference
     # tree to rounding on A, A' and B', and to its noise on A'' and A'''
     prof = profile15.value
-    table = prof._pieces.leaf
+    table = prof._pieces.geo.leaf
     bs = np.linspace(prof.states[0, 4], table.b_hi, 2001)[:-1]
     got, ref = table(bs), outer.leaf_states(bs, p)
     assert np.array_equal(got[:, 4], bs)
@@ -206,17 +206,15 @@ def test_leaf_table_matches_leaf_states(p, profile15):
     assert err[[2, 3]].max() < 1e-8
 
 
-def test_sample_outside_table_range_is_leaf_states_plus_correction(p, profile15):
-    # with every amplitude above the table's range, the leaf piece is
-    # leaf_states itself plus the transported fast offset of the left core
+def test_leaf_piece_is_leaf_states_plus_correction(p, profile15):
+    # with leaf_states itself in place of the table, the leaf piece is the
+    # leaf plus the transported fast offset of the left core, which leaves B
     prof = profile15.value
     pc = prof._pieces
     xs = np.linspace(prof.x_left_leaf_end - 16.0, prof.x_left_leaf_end, 60)
-    b_min = prof.sample(xs)[:, 4].min()
-    narrow = dataclasses.replace(pc, leaf=outer.leaf_table(0.5 * b_min, p))
-    direct = dataclasses.replace(pc, leaf=lambda b: outer.leaf_states(b, p))
-    got = connect._sample_pieces(xs + prof.x_shift, narrow, p)
-    assert np.array_equal(got, connect._sample_pieces(xs + prof.x_shift, direct, p))
+    direct = dataclasses.replace(
+        pc, geo=dataclasses.replace(pc.geo, leaf=lambda b: outer.leaf_states(b, p)))
+    got = connect._sample_pieces(xs + prof.x_shift, direct, p)
     correction = got - outer.leaf_states(got[:, 4], p)
     assert np.abs(correction).max() > 0.0
     assert np.abs(correction[:, 4]).max() == 0.0
@@ -242,7 +240,23 @@ def test_leaf_table_over_the_margin_range_raises():
     # range below the margin raises rather than holding NaN coefficients
     p2 = derive_params(0.25, 1.1115)
     with pytest.raises(ValueError, match="growing branch"):
-        outer.leaf_table(1.0 / math.sqrt(p2.g1) - outer.LEAF_EDGE_MARGIN, p2)
+        outer.leaf_table(1.0 / math.sqrt(p2.g1) - outer.LEAF_EDGE_MARGIN, 0.3, p2)
+
+
+def test_leaf_table_raises_outside_its_range(p, profile15):
+    # the table is only an interpolant: B = 0 and b_hi are inside, anything
+    # beyond them (or NaN) raises instead of falling back to leaf_states
+    table = profile15.value._pieces.geo.leaf
+    assert np.all(np.isfinite(table([0.0, table.b_hi])))
+    for b in (-1e-12, np.nextafter(table.b_hi, 1.0), math.nan):
+        with pytest.raises(ValueError, match="outside the leaf table"):
+            table(np.array([0.5 * table.b_hi, b]))
+
+
+def test_leaf_table_seed_row_is_leaf_states(p, profile15):
+    # the seed state handed to the left core is leaf_states' own row at b0_a
+    geo = profile15.value._pieces.geo
+    assert np.array_equal(geo.leaf_a, outer.leaf_states(geo.b0_a, p)[0])
 
 
 def test_right_leaf_states_match_scalar(p):

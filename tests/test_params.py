@@ -23,8 +23,29 @@ def test_derive_params_rejections():
     with pytest.raises(params.AdmissibilityError) as exc:
         params.derive_params(0.3, 1.5)
     assert exc.value.name == "epsilon_ceiling"
-    p = params.derive_params(0.3, 1.5, allow_unsupported=True)
-    assert not p.supported
+
+
+@pytest.mark.parametrize("eps, g, name", [
+    (0.1, math.nan, "g_range"),
+    (math.nan, 1.5, "epsilon_positive"),
+    (0.1, math.inf, "g_range"),
+])
+def test_derive_params_rejects_nan(eps, g, name):
+    # NaN compares false with every bound, so each check must be written to
+    # fail on it rather than to pass
+    with pytest.raises(params.AdmissibilityError) as exc:
+        params.derive_params(eps, g)
+    assert exc.value.name == name
+
+
+@pytest.mark.parametrize("nu", [{"nu_plus": math.nan}, {"nu_minus": math.nan},
+                                {"nu_plus": math.inf}, {"nu_minus": -0.1}])
+def test_scaling_rejects_nan_nu(nu):
+    p = params.derive_params(0.1, 1.5)
+    for build in (params.scaling_from_epsilon, params.working_scaling):
+        with pytest.raises(params.AdmissibilityError) as exc:
+            build(p, **nu)
+        assert exc.value.name == "nu_positive"
 
 
 def test_a_plus_at_extremal_nu():
@@ -102,9 +123,10 @@ def test_working_scaling_flags_unsupported_regime():
 
 
 def test_working_scaling_rejects_huge_epsilon():
-    p = params.derive_params(0.25, 2.0, eps_ceiling=0.5)
+    p = params.derive_params(0.25, 2.0)
     params.working_scaling(p)  # still fine at the ceiling
-    p2 = params.derive_params(0.5, 2.0, eps_ceiling=0.5, allow_unsupported=True)
+    # above the ceiling, which derive_params rejects
+    p2 = params.Params(epsilon=0.5, g=2.0, delta=1.0)
     with pytest.raises(params.AdmissibilityError):
         params.working_scaling(p2)
 
