@@ -19,9 +19,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
-from . import __version__, connect, dynamics, inner, linop, verify
+from . import __version__, connect, dynamics, inner, verify
 from .integrate import read_profile_csv, write_json
 from .params import AdmissibilityError, derive_params, load_config
 
@@ -125,9 +124,10 @@ def _say(args, message: str) -> None:
 
 def cmd_solve(args) -> int:
     cfg = _resolve_config(args)
+    solve_cfg = _solve_config(cfg)
     out = _out_dir(args)
     p = derive_params(cfg["epsilon"], cfg["g"])
-    profile = connect.heteroclinic_solve(p, _solve_config(cfg))
+    profile = connect.heteroclinic_solve(p, solve_cfg)
     # the report is complete before any file is written, so a failed rate
     # fit leaves no profile.csv without its report.json
     report = profile.report()
@@ -150,13 +150,13 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
+    solve_cfg = _solve_config(cfg)
     out = _out_dir(args)
     eps_list = cfg.get("epsilon_list") or []
     if getattr(args, "epsilons", None):
         eps_list = [float(v) for v in args.epsilons.split(",")]
     workers = max(1, int(getattr(args, "workers", 1) or 1))
-    scaling = verify.scaling_sweep(cfg["g"], eps_list, _solve_config(cfg), workers,
-                                   out_dir=out)
+    scaling = verify.scaling_sweep(cfg["g"], eps_list, solve_cfg, workers, out_dir=out)
     rows, excluded = scaling["rows"], scaling["excluded"]
     for rec in excluded:
         _say(args, f"sweep: epsilon = {rec['epsilon']:g} failed: {rec['error']}")
@@ -211,6 +211,11 @@ def _load_profile(args):
 
 
 def cmd_spectrum(args) -> int:
+    """Kernel diagnostics of a written profile.  :mod:`linop` is imported
+    here, and ``scipy.sparse`` with it, so that the other commands do not
+    load them."""
+    from . import linop
+
     out = _out_dir(args)
     x, states, w, report = _load_profile(args)
     p = derive_params(report["epsilon"], report["g"])
@@ -243,8 +248,11 @@ def _csv_profile(x, states, w, report) -> SimpleNamespace:
 
     The CSV columns are the state and the vector field is their
     x-derivative, so ``sample`` is the cubic Hermite interpolant of the grid
-    states with those derivatives.
+    states with those derivatives (``scipy.interpolate`` is imported here,
+    for ``verify`` alone).
     """
+    from scipy.interpolate import CubicHermiteSpline
+
     p = derive_params(report["epsilon"], report["g"])
     dydx = np.array([dynamics.vector_field(s, p) for s in states])
     return SimpleNamespace(p=p, x_star_plus=report["x_star_plus"], x=x,

@@ -18,16 +18,19 @@ M- with the 3-dimensional stable manifold of M+.
 (4) The tail pieces are analytic invariant leaves far out on both tails: the
 left one follows the slow leaf's table by quadrature; the right one carries
 the right core's fast stable offset past x_r by Liouville-Green transport
-(Olver, Asymptotics and Special Functions, ch. 6).
-(5) Phase fixing translates x so that B(0) = 1/sqrt(g); the default grid is
-then sampled.  The matching Newton and the junction match run through the
+(Olver, Asymptotics and Special Functions, ch. 6), with its decay exponent
+a cubic Hermite interpolant whose knot slopes are the decay rate itself.
+(5) Phase fixing translates x so that B(0) = 1/sqrt(g), a root found by
+:func:`_brentq`, a port of scipy's Brent method; the default grid is then
+sampled.  The matching Newton and the junction match run through the
 one damped Newton driver :func:`_damped_newton`.  The dense cores are
 evaluated from their stacked step interpolants, :class:`_DenseSolution`,
 one vectorized pass per call.
 
 Every integration runs through one DOP853 kernel, :func:`_dop853`, with the
-tableau and step control of scipy's ``DOP853`` (Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.4-II.6).  Every core shot is a plain 6-component
+step control of scipy's ``DOP853`` and its tableau (Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.4-II.6), copied into :mod:`._dop853_tableau` and
+pinned to scipy's by a test.  Every core shot is a plain 6-component
 shot that records its accepted steps.  The shooting Jacobians are exact:
 DOP853 applied to the variational equation Phi' = J(s) Phi (sec. I.14) on a
 shot's own steps is the derivative of that shot, so :func:`_step_tangents`
@@ -37,6 +40,10 @@ takes a step.  The dense cores are built from the steps of the accepted
 junction shots, continued past x_hat by a short shot; no core is shot
 again.  At the anchor (g = 1.5, eps = 0.1) a solve makes 13 core shots and
 8,450 field evaluations.
+
+A solve reads numpy and, through :func:`outer.cheb_fit`, ``scipy.fft``;
+the tableau, the root finder and the interpolant above are this module's
+own, so the solve loads no other scipy subpackage.
 """
 
 from __future__ import annotations
@@ -47,11 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import Chebyshev
-from scipy.integrate import DOP853
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
-from . import dynamics, frames, inner, outer
+from . import _dop853_tableau as dop, dynamics, frames, inner, outer
 from .params import Params, ScalingConfig, working_scaling
 
 NEWTON_TOL = 1e-10            # matching Newton: max |residual| at convergence
@@ -265,11 +269,16 @@ def transversality(source) -> TransversalityReport:
 class SolveConfig:
     """What a caller chooses: the auxiliary scalings nu-/nu+ (None for the
     solver's choice, see :func:`params.working_scaling`) and the number of
-    points of the default output grid."""
+    points of the default output grid, at least 3 so that the grid has an
+    interior point for the checks of :func:`verify.verify_profile`."""
 
     nu_minus: float | None = None
     nu_plus: float | None = None
     profile_points: int = 4001
+
+    def __post_init__(self):
+        if self.profile_points < 3:
+            raise ValueError(f"profile_points must be at least 3, got {self.profile_points}")
 
 
 @dataclass
@@ -386,8 +395,8 @@ class _Steps(NamedTuple):
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5): the
 # 12 stages with the solution weights B as a 13th row, and the two error
 # estimators.
-_DOP_A = np.vstack([DOP853.A, DOP853.B])
-_DOP_E = np.vstack([DOP853.E5, DOP853.E3])
+_DOP_A = np.vstack([dop.A, dop.B])
+_DOP_E = np.vstack([dop.E5, dop.E3])
 
 
 def _rms(v: np.ndarray) -> np.float64:
@@ -473,7 +482,7 @@ def _dense_solution(p: Params, steps: _Steps) -> _DenseSolution:
     K = np.empty((h.size, 16, ys.shape[1]))
     K[:, :13] = ks
     for Ki, hi, y in zip(K, h, ys):
-        hA = hi * DOP853.A_EXTRA
+        hA = hi * dop.A_EXTRA
         for s in range(13, 16):
             Ki[s] = dynamics.vector_field(y + hA[s - 13, :s].dot(Ki[:s]), p)
     dy = ys[1:] - ys[:-1]
@@ -482,7 +491,7 @@ def _dense_solution(p: Params, steps: _Steps) -> _DenseSolution:
     F[:, 0] = dy
     F[:, 1] = hc * K[:, 0] - dy
     F[:, 2] = 2.0 * dy - hc * (K[:, 12] + K[:, 0])
-    F[:, 3:] = hc[:, :, None] * np.einsum("jk,ikm->ijm", DOP853.D, K)
+    F[:, 3:] = hc[:, :, None] * np.einsum("jk,ikm->ijm", dop.D, K)
     return _DenseSolution(ts[:-1], h, ys[:-1], F)
 
 
@@ -505,18 +514,18 @@ def _step_tangents(steps: _Steps, d_seed: np.ndarray, p: Params) -> np.ndarray:
     """
     ts, ys, ks = steps
     h = np.diff(ts)[:, None, None]
-    stages = ys[:-1, None] + h * np.einsum("sj,njm->nsm", DOP853.A, ks[:, :12])
+    stages = ys[:-1, None] + h * np.einsum("sj,njm->nsm", dop.A, ks[:, :12])
     j30, j34, j50, j54 = dynamics._coupling(stages[..., 0], stages[..., 4], p)
     eye = np.eye(6)
     L = np.empty((12, h.size, 6, 6))
     for s in range(12):
-        D = eye + h * np.tensordot(DOP853.A[s, :s], L[:s], axes=1)
+        D = eye + h * np.tensordot(dop.A[s, :s], L[:s], axes=1)
         L[s, :, :3] = D[:, 1:4]
         L[s, :, 4] = D[:, 5]
         L[s, :, 3] = j30[:, s, None] * D[:, 0] + j34[:, s, None] * D[:, 4]
         L[s, :, 5] = j50[:, s, None] * D[:, 0] + j54[:, s, None] * D[:, 4]
     phi = d_seed
-    for m in eye + h * np.tensordot(DOP853.B, L, axes=1):
+    for m in eye + h * np.tensordot(dop.B, L, axes=1):
         phi = m @ phi
     return phi
 
@@ -667,20 +676,39 @@ class _Pieces:
     (pole, rest), the slow pair's transition map int_b0^B (lambda_r - i
     lambda_i) / F.  The right tail carries the right core's fast stable
     offset, decaying by ``kappa_r``, the integral of the leaf's decay rate
-    from x_r (zero past its last knot, where the offset is below rounding)."""
+    kappa from x_r: the cubic Hermite interpolant of its quadrature with
+    kappa itself as the slope at each knot (zero past its last knot, where
+    the offset is below rounding)."""
 
     geo: _Shooting
     junction: _Junction
     a: float
     h: Chebyshev
     fast: tuple[complex, Chebyshev]
-    kappa_r: CubicSpline
+    kappa_r: _UniformHermite
 
     def blend_cuts(self) -> np.ndarray:
         """The ends of the three blends: leaf to left core, left core to right
         core, right core to right tail."""
         x_a, x_hat, x_r = self.geo.x_a, self.geo.x_hat, self.junction.x_r
         return np.array([x_a, x_a + W_A, x_hat - W_H, x_hat + W_H, x_r - W_R, x_r])
+
+
+class _UniformHermite(NamedTuple):
+    """Cubic Hermite interpolant of ``y`` with slopes ``m`` at the uniform
+    knots ``x`` (spacing ``hk``); it extends its end cubics outside them."""
+
+    x: np.ndarray
+    hk: float
+    y: np.ndarray
+    m: np.ndarray
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        i = np.clip(np.floor((xs - self.x[0]) / self.hk).astype(int), 0, self.x.size - 2)
+        t = (xs - self.x[i]) / self.hk
+        y0, dy = self.y[i], self.y[i + 1] - self.y[i]
+        m0, m1 = self.hk * self.m[i], self.hk * self.m[i + 1]
+        return y0 + t * (m0 + t * (3.0 * dy - 2.0 * m0 - m1 + t * (m0 + m1 - 2.0 * dy)))
 
 
 def _leaf_exponent(b, p: Params):
@@ -883,14 +911,79 @@ def _tail_pieces(geo: _Shooting, junction: _Junction) -> _Pieces:
     kappa = -_leaf_exponent(outer.right_tail_b0(k_x, x_r, float(junction.theta[4]), p), p).real
     k_int = inner._cumquad_right(kappa, hk)
     return _Pieces(geo=geo, junction=junction, a=a, h=h, fast=fast,
-                   kappa_r=CubicSpline(k_x, k_int[n_blend] - k_int))
+                   kappa_r=_UniformHermite(k_x, hk, k_int[n_blend] - k_int, kappa))
+
+
+_BRENT_RTOL = 4.0 * np.finfo(float).eps    # the smallest rtol scipy's brentq takes
+
+
+def _brentq(f, xa: float, xb: float, args: tuple = (), xtol: float = 2e-12,
+            rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+    """A root of ``f(x, *args)`` in [xa, xb] by Brent's method.
+
+    A port of scipy's C ``brentq`` (scipy/optimize/Zeros/brentq.c, under
+    scipy's BSD-3 license, reproduced in :mod:`._dop853_tableau`): the same
+    operations in the same order, so the same iterates and root.
+    Like scipy's wrapper it raises ``ValueError`` when f has the same sign
+    at both ends or a value of f is NaN, and ``RuntimeError`` when maxiter
+    iterations do not converge.
+    """
+    def value(x):
+        fx = f(x, *args)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.6g} is NaN; brentq cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
 
 
 def _b0_offset(x: float, pc: _Pieces, level: float) -> float:
-    """B at the unshifted abscissa x minus ``level``.  A module function with
-    the pieces passed as an argument: ``brentq`` wraps its function in a
-    closure that refers to itself, and a closure over ``pc`` would leave the
-    pieces in cyclic garbage."""
+    """B at the unshifted abscissa x minus ``level``, the function of stage
+    5's three roots."""
     return float(_sample_pieces(np.array([x]), pc, pc.geo.p)[0, 4]) - level
 
 
@@ -899,12 +992,12 @@ def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, inf
     """Stage 5: fix the phase by B(0) = 1/sqrt(g) and sample the default grid."""
     geo, jn = pc.geo, pc.junction
     p, x_a, x_r = geo.p, geo.x_a, jn.x_r
-    x_shift = brentq(_b0_offset, x_a, x_r, args=(pc, p.inv_sqrt_g),
-                     xtol=1e-13, rtol=8.9e-16)
-    x_star_left = brentq(_b0_offset, x_a, x_shift, args=(pc, scaling.b00),
-                         xtol=1e-12) - x_shift
-    x_star_plus = brentq(_b0_offset, x_shift, x_r, args=(pc, scaling.b01),
-                         xtol=1e-12) - x_shift
+    x_shift = _brentq(_b0_offset, x_a, x_r, args=(pc, p.inv_sqrt_g),
+                      xtol=1e-13, rtol=8.9e-16)
+    x_star_left = _brentq(_b0_offset, x_a, x_shift, args=(pc, scaling.b00),
+                          xtol=1e-12) - x_shift
+    x_star_plus = _brentq(_b0_offset, x_shift, x_r, args=(pc, scaling.b01),
+                          xtol=1e-12) - x_shift
 
     l_left = max(TAIL_EFOLDS / (p.epsilon * p.delta), abs(x_a - x_shift) + 10.0)
     l_right = max(TAIL_EFOLDS / (p.epsilon * math.sqrt(2.0)), x_r - x_shift + 10.0)

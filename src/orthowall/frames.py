@@ -4,7 +4,9 @@ The slow frame diagonalizes the linearization transported along the branch
 A = sqrt(1 - (1+delta^2) B^2); the fast frame does the same along A = 0 for
 (1+delta^2) B^2 > 1.  Both come with mutually inverse coordinate changes,
 and the slow side with a bound check for the transition (monodromy)
-operator of its rotation block.
+operator of its rotation block.  The check integrates by scipy's
+``solve_ivp``, which it imports itself, so that the solve, which uses the
+frames but not the check, loads no ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .params import Params
 
@@ -212,6 +213,8 @@ def monodromy_check(b0_path, p: Params, x_lo: float, x_hi: float,
     has the exact scaled-rotation form built from the running integrals of
     lam_r and lam_i, which is compared against the integrated map.
     """
+    from scipy.integrate import solve_ivp
+
     xs = np.linspace(x_hi, x_lo, n_samples)
     astars = np.array([
         math.sqrt(1.0 - p.g1 * float(b0_path(x)) ** 2) for x in xs

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 PICARD_TOL = 1e-12      # sup-norm change of A at which a sweep has converged
 PICARD_MAX_ITER = 200   # Picard iterations per anchored sweep
@@ -111,7 +110,10 @@ class InnerSolution:
                 if d[i] > floor and d[i + 1] > floor]
 
     def resampled(self, n: int) -> "InnerSolution":
-        """Hermite-resample onto a uniform grid of n points."""
+        """Hermite-resample onto a uniform grid of n points (``scipy.interpolate``
+        is imported here: the solve never resamples)."""
+        from scipy.interpolate import CubicHermiteSpline
+
         zu = np.linspace(self.z[0], self.z[-1], n)
         g = self.jets[0] * (self.jets[0] ** 2 + self.z)
         derivs = [self.jets[1], self.jets[2], self.jets[3], -g]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy.fft import dct
 
 from .dynamics import b1_from_invariant
 from .params import Params, ScalingConfig
@@ -164,7 +163,11 @@ def cheb_nodes(hi: float) -> np.ndarray:
 def cheb_fit(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients, in t = 2 x / hi - 1 and along axis 0, of the
     interpolant of ``values`` at the :func:`cheb_nodes` of [0, hi]: the
-    type-II DCT (``chebinterpolate``'s Vandermonde sum loses 2 digits on A)."""
+    type-II DCT (``chebinterpolate``'s Vandermonde sum loses 2 digits on A).
+    ``scipy.fft`` is imported here, so that commands which fit no table do
+    not load it."""
+    from scipy.fft import dct
+
     coef = dct(values, type=2, axis=0) / LEAF_TABLE_NODES
     coef[0] *= 0.5
     return coef

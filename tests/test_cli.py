@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +209,62 @@ def test_sweep_rejects_repeated_members(tmp_path, capsys):
     assert rc == 1
     assert "eps_0.1" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_profile_points_below_three_rejected():
+    # a grid of fewer than 3 points has no interior row for verify_profile's
+    # b_interior check, and 0 or 1 points fail inside the rate fit
+    with pytest.raises(ValueError, match="profile_points must be at least 3"):
+        connect.SolveConfig(profile_points=2)
+    assert connect.SolveConfig(profile_points=3).profile_points == 3
+
+
+@pytest.mark.parametrize("grid", ["-5", "0", "1", "2"])
+def test_too_small_grid_flag_exits_before_the_solve(tmp_path, capsys, grid):
+    # before any solve and before the output directory is made (at the
+    # parent --grid 0 and 1 failed after the whole solve, --grid 2 passed)
+    rc = cli.main(["solve", "--out", str(tmp_path / "o"), "--epsilon", "0.1", "--g", "1.5",
+                   "--grid", grid, "--quiet"])
+    assert rc == 1
+    assert "profile_points must be at least 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_too_small_grid_in_config_exits_before_the_solve(tmp_path, capsys, command):
+    # the sweep builds its SolveConfig before it starts a member, so it
+    # writes no member directory
+    cfgp = write_config(tmp_path / "c.json", grid={"profile_points": 2},
+                        epsilon_list=[0.2, 0.1, 0.05, 0.025])
+    argv = [command, "--config", cfgp, "--out", str(tmp_path / "o"), "--quiet"]
+    rc = cli.main(argv + ["--workers", "2"] if command == "sweep" else argv)
+    assert rc == 1
+    assert "profile_points must be at least 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_path_loads_no_unused_scipy_subpackage(tmp_path):
+    # a fresh interpreter imports the CLI and solves one cell: of scipy the
+    # solve needs scipy.fft alone (which imports scipy.special), so
+    # scipy.integrate, .interpolate, .optimize and .sparse stay unloaded
+    # (module names compared, nothing timed)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "from orthowall import cli\n"
+        f"rc = cli.main(['solve', '--out', {str(tmp_path / 'o')!r}, '--epsilon', '0.1',"
+        " '--g', '1.5', '--quiet'])\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300, check=True)
+    rc, modules = json.loads(res.stdout.strip().splitlines()[-1])
+    assert rc == 0
+    assert "scipy.fft" in modules
+    subpackages = {".".join(m.split(".")[:2]) for m in modules}
+    assert subpackages.isdisjoint({"scipy.integrate", "scipy.interpolate", "scipy.optimize",
+                                   "scipy.sparse"})
 
 
 def test_sweep_too_few_points(tmp_path):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from orthowall import connect, dynamics, frames, integrate, outer
 from orthowall.params import derive_params, working_scaling
@@ -49,9 +48,9 @@ def test_tanh_branch_oracle(p):
 
 
 def test_event_location_against_bisection(p):
-    # stage 5 locates B crossings by brentq on the dense output of kernel
-    # shots; the root here is checked against plain bisection on the same
-    # dense solution
+    # stage 5 locates B crossings by Brent's method (connect._brentq) on the
+    # dense output of kernel shots; the root here is checked against plain
+    # bisection on the same dense solution
     sc = working_scaling(p)
     b_start = 0.9 * sc.b00
     seed = outer.leaf_states(b_start, p)[0]
@@ -71,7 +70,8 @@ def test_event_location_against_bisection(p):
     above = np.flatnonzero(steps.ys[:, 4] > target)
     # one crossing between the step knots
     assert above.size and above[0] > 0 and above.size == steps.ts.size - above[0]
-    xe = brentq(fn, steps.ts[above[0] - 1], steps.ts[above[0]], xtol=1e-13, rtol=8.9e-16)
+    xe = connect._brentq(fn, steps.ts[above[0] - 1], steps.ts[above[0]],
+                         xtol=1e-13, rtol=8.9e-16)
     # independent bisection on the dense output
     lo, hi = xe - 0.5, xe + 0.5
     assert fn(lo) < 0 < fn(hi)
