@@ -206,8 +206,26 @@ def _load_profile(args):
     if not rp.exists():
         raise ConfigError(f"{args.command} needs the report.json of the solve; "
                           f"{rp} not found")
+    try:
+        report = json.loads(rp.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"cannot read report {rp}: {exc}") from exc
+    if not isinstance(report, dict):
+        raise ConfigError(f"report {rp} must be a JSON object, "
+                          f"not a {type(report).__name__}")
+    # verify reads x_star_plus, spectrum the blend windows
+    keys = ("epsilon", "g", "x_star_plus") if args.command == "verify" else ("epsilon", "g")
+    for key in keys:
+        if not _real(report.get(key)):
+            raise ConfigError(f"report entry {key!r} must be a real number, "
+                              f"got {report.get(key)!r} (in {rp})")
+    windows = report.get("blend_windows", [])
+    if not (isinstance(windows, list) and all(
+            isinstance(wd, list) and len(wd) == 2 and all(map(_real, wd)) for wd in windows)):
+        raise ConfigError(f"report entry 'blend_windows' must be a list of number "
+                          f"pairs, got {windows!r} (in {rp})")
     x, states, w = read_profile_csv(str(path))
-    return x, states, w, json.loads(rp.read_text(encoding="utf-8"))
+    return x, states, w, report
 
 
 def cmd_spectrum(args) -> int:
@@ -216,8 +234,8 @@ def cmd_spectrum(args) -> int:
     load them."""
     from . import linop
 
-    out = _out_dir(args)
     x, states, w, report = _load_profile(args)
+    out = _out_dir(args)
     p = derive_params(report["epsilon"], report["g"])
     op = linop.assemble_Mg(x, states, p)
     diag = linop.kernel_diagnostics(op, states, p)
@@ -261,8 +279,9 @@ def _csv_profile(x, states, w, report) -> SimpleNamespace:
 
 
 def cmd_verify(args) -> int:
+    profile = _csv_profile(*_load_profile(args))
     out = _out_dir(args)
-    rep = verify.verify_profile(_csv_profile(*_load_profile(args)))
+    rep = verify.verify_profile(profile)
     write_json(out / "verify.json", rep.to_dict())
     _manifest(args, out, {"profile": str(args.profile)}, ["verify.json"],
               {"passed": rep.passed})
@@ -332,6 +351,11 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.fn(args)
+    except verify.InsufficientTail as exc:
+        # the solved profile's tail lets no decay rate be fitted: a
+        # ValueError by type, but a numerical failure
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, AdmissibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -112,22 +112,6 @@ def symmetry_apply(s: np.ndarray, name: str) -> np.ndarray:
     raise ValueError(f"unknown symmetry {name!r}; expected one of {SYMMETRIES}")
 
 
-def equilibrium_eigenvalues(which: str, p: Params) -> np.ndarray:
-    """Closed-form spectrum of the linearization at M- ('minus') or M+ ('plus')."""
-    c = 2.0**-0.25
-    if which == "minus":
-        fast = [c * (1 + 1j), c * (1 - 1j), -c * (1 + 1j), -c * (1 - 1j)]
-        slow = [p.epsilon * p.delta, -p.epsilon * p.delta]
-    elif which == "plus":
-        dp = math.sqrt(p.delta)
-        cf = dp / math.sqrt(2.0)
-        fast = [cf * (1 + 1j), cf * (1 - 1j), -cf * (1 + 1j), -cf * (1 - 1j)]
-        slow = [p.epsilon * math.sqrt(2.0), -p.epsilon * math.sqrt(2.0)]
-    else:
-        raise ValueError("which must be 'minus' or 'plus'")
-    return np.array(fast + slow, dtype=complex)
-
-
 def invariant_bracket(a_jet, b0, p: Params):
     """Bracket whose square root gives B' on the invariant set W = 0, at a
     float amplitude ``b0`` or elementwise on an array of them (``a_jet``

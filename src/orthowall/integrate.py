@@ -8,6 +8,7 @@ keys so that equal payloads give equal bytes.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +36,17 @@ def write_profile_csv(path: str, x: np.ndarray, states: np.ndarray,
 
 
 def read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a profile CSV; returns (x, states, w)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
+    """Read a profile CSV; returns (x, states, w).  Raises ValueError unless
+    the file holds at least 3 rows of the 8 columns, the fewest points a
+    solve writes (``SolveConfig.profile_points``)."""
+    with warnings.catch_warnings():
+        # an empty file is reported below, as an error
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 3 or data.shape[1] != 8:
+        raise ValueError(f"profile {path} must hold at least 3 rows of 8 columns "
+                         f"(x, A0..A3, B0, B1, W); it holds {data.shape[0]} row(s) "
+                         f"of {data.shape[1] if data.size else 0} column(s)")
     return data[:, 0], data[:, 1:7], data[:, 7]
 
 

@@ -48,10 +48,6 @@ class GridOperator:
     def n_nodes(self) -> int:
         return self.x.size
 
-    def is_symmetric(self) -> bool:
-        d = self.matrix - self.matrix.T
-        return d.nnz == 0 or abs(d.data).max() == 0.0
-
 
 def _check_grid(x: np.ndarray, p: Params) -> float:
     x = np.asarray(x, dtype=float)
@@ -144,10 +140,6 @@ class KernelReport:
     kernel_angle: float
     orthogonality_defect: float
     l_smallest: float
-
-    @property
-    def kernel_dimension_one(self) -> bool:
-        return self.separation >= 1e4
 
 
 def kernel_diagnostics(op: GridOperator, states: np.ndarray, p: Params) -> KernelReport:

@@ -226,13 +226,6 @@ def right_leaf_states(b0, p: Params) -> np.ndarray:
     return out
 
 
-def right_leaf_state(b0: float, p: Params) -> np.ndarray:
-    """State on the A = 0 leaf at amplitude b0 < 1 (W = 0 exactly)."""
-    if not 0.0 < b0 < 1.0:
-        raise ValueError(f"b0 must lie in (0, 1), got {b0}")
-    return right_leaf_states(b0, p)[0]
-
-
 def right_tail_b0(x, x_ref: float, b0_ref: float, p: Params):
     """Closed-form A = 0 tail: B(x) = tanh(atanh(b0_ref) + eps (x - x_ref)/sqrt(2))."""
     theta = math.atanh(b0_ref) + p.epsilon / math.sqrt(2.0) * (np.asarray(x, dtype=float) - x_ref)

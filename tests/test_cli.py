@@ -57,7 +57,7 @@ def test_default_config_is_solve_config():
     assert cli._solve_config(cli._DEFAULT_CONFIG) == connect.SolveConfig()
 
 
-def test_solve_writes_nothing_when_rate_fit_fails(tmp_path, monkeypatch, profile15):
+def test_solve_writes_nothing_when_rate_fit_fails(tmp_path, monkeypatch, profile15, capsys):
     def no_tail(profile):
         raise verify.InsufficientTail("right_a_envelope: only 2 usable envelope maxima")
 
@@ -65,7 +65,9 @@ def test_solve_writes_nothing_when_rate_fit_fails(tmp_path, monkeypatch, profile
     monkeypatch.setattr(verify, "fit_decay_rates", no_tail)
     out = tmp_path / "corner"
     rc = cli.main(["solve", "--out", str(out), "--quiet"])
-    assert rc == 1
+    # a rate the profile lets no fit find is a numerical failure
+    assert rc == 2
+    assert "numerical failure: right_a_envelope" in capsys.readouterr().err
     assert not (out / "profile.csv").exists()
     assert not (out / "report.json").exists()
 
@@ -354,6 +356,57 @@ def test_verify_command_records_unfittable_rate(tmp_path, solve_dir):
     rep = json.loads((out / "verify.json").read_text(), parse_constant=no_constant)
     failed = {e["name"]: e for e in rep["checks"] if not e["passed"]}
     assert failed["rate_right_a_envelope"]["measured"] is None
+
+
+_HEADER = "x,A0,A1,A2,A3,B0,B1,W\n"
+_ROW = "0,1,0,0,0,0.5,0.01,0\n"
+_BOTH = ("verify", "spectrum")
+# (name, profile.csv text or None for the solve's, the report.json from the
+# solve's (a str is written as it is) or None for it, the part of the
+# message, the commands)
+_MALFORMED = [
+    ("header-only", _HEADER, None, "0 row(s)", _BOTH),
+    ("7-columns", _HEADER + "0,1,0,0,0,0.5,0.01\n" * 5, None, "7 column(s)", _BOTH),
+    ("1-row", _HEADER + _ROW, None, "1 row(s)", _BOTH),
+    ("2-rows", _HEADER + _ROW * 2, None, "2 row(s)", _BOTH),
+    ("not-json", None, lambda r: "{epsilon", "cannot read report", _BOTH),
+    ("empty-report", None, lambda r: {}, "'epsilon'", _BOTH),
+    ("list-report", None, lambda r: [1], "JSON object", _BOTH),
+    ("string-g", None, lambda r: {**r, "g": "1.5"}, "'g'", _BOTH),
+    ("no-x_star_plus", None, lambda r: {k: v for k, v in r.items() if k != "x_star_plus"},
+     "'x_star_plus'", ("verify",)),
+    ("short-window", None, lambda r: {**r, "blend_windows": [[1.0]]}, "'blend_windows'",
+     ("spectrum",)),
+    ("string-window-end", None, lambda r: {**r, "blend_windows": [[1.0, "2"]]},
+     "'blend_windows'", ("spectrum",)),
+    ("number-windows", None, lambda r: {**r, "blend_windows": 3}, "'blend_windows'",
+     ("spectrum",)),
+]
+
+
+@pytest.mark.parametrize("command, csv, report, message", [
+    pytest.param(command, csv, report, message, id=f"{command}-{name}")
+    for name, csv, report, message, commands in _MALFORMED for command in commands])
+def test_malformed_profile_is_an_input_error(tmp_path, solve_dir, capsys, command, csv,
+                                             report, message):
+    # a malformed profile.csv or report.json exits 1 with a message naming
+    # the file, before verify or spectrum makes its output directory
+    run = tmp_path / "run"
+    run.mkdir()
+    csv_path = run / "profile.csv"
+    if csv is None:
+        shutil.copy(solve_dir / "profile.csv", csv_path)
+    else:
+        csv_path.write_text(csv)
+    body = json.loads((solve_dir / "report.json").read_text())
+    body = report(body) if report else body
+    (run / "report.json").write_text(body if isinstance(body, str) else json.dumps(body))
+    out = tmp_path / "o"
+    rc = cli.main([command, "--out", str(out), "--quiet", str(csv_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and message in err and str(run) in err
+    assert not out.exists()
 
 
 def test_missing_profile(tmp_path):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ def test_equilibrium_constant(p):
 
 
 def test_tanh_branch_oracle(p):
-    s0 = outer.right_leaf_state(p.inv_sqrt_g, p)
+    s0 = outer.right_leaf_states(p.inv_sqrt_g, p)[0]
     steps = kernel_shot(s0, (0.0, 10.0 / p.epsilon), p, rtol=1e-12, atol=1e-14)
     ref = outer.right_tail_b0(steps.ts, 0.0, p.inv_sqrt_g, p)
     assert np.abs(steps.ys[:, 4] - ref).max() < 1e-8
@@ -56,8 +58,7 @@ def test_event_location_against_bisection(p):
     seed = outer.leaf_states(b_start, p)[0]
     # nudge the fast pair so the orbit actually leaves the branch and crosses
     # (it runs away near x = 14, so the shot stops at 10)
-    fr = frames.slow_frame(b_start, p)
-    dev = fr._coord_matrix()[:, :2] @ np.array([1e-3, 0.0])
+    dev = frames.slow_coord_matrices(b_start, p)[:, :2] @ np.array([1e-3, 0.0])
     seed[:4] += dev[:4]
     seed[5] = dynamics.b1_from_invariant(seed[:4], b_start, p)
     target = p.inv_sqrt_g
@@ -85,7 +86,7 @@ def test_event_location_against_bisection(p):
 
 
 def test_step_halving_order(p):
-    s0 = outer.right_leaf_state(p.inv_sqrt_g, p)
+    s0 = outer.right_leaf_states(p.inv_sqrt_g, p)[0]
     s0 = s0 + np.array([1e-3, 0, 0, 0, 0, 0])
     s0[5] = dynamics.b1_from_invariant(s0[:4], s0[4], p)
     ref = shot(s0, (0.0, 4.0), p, rtol=1e-13, atol=1e-15).y[:, -1]
@@ -99,13 +100,13 @@ def test_step_halving_order(p):
 
 
 def test_w_drift_bound(p):
-    s0 = outer.right_leaf_state(0.8, p) + np.array([0.05, 0, 0.01, 0, 0, 0.002])
+    s0 = outer.right_leaf_states(0.8, p)[0] + np.array([0.05, 0, 0.01, 0, 0, 0.002])
     w = w_of(kernel_shot(s0, (0.0, 10.0), p).ys, p)
     assert np.abs(w - w[0]).max() <= 100.0 * 1e-10 * (1.0 + 10.0)
 
 
 def test_backward_return(p):
-    s0 = outer.right_leaf_state(0.75, p)
+    s0 = outer.right_leaf_states(0.75, p)[0]
     fwd = kernel_shot(s0, (0.0, 5.0), p)
     back = kernel_shot(fwd.ys[-1], (5.0, 0.0), p)
     assert back.ts[-1] == 0.0
@@ -120,7 +121,7 @@ def test_blowup_reports_error(p):
 
 
 def test_csv_round_trip(tmp_path, p):
-    s0 = outer.right_leaf_state(0.8, p)
+    s0 = outer.right_leaf_states(0.8, p)[0]
     sol = shot(s0, (0.0, 3.0), p)
     states = sol.y.T
     w = w_of(states, p)
@@ -147,3 +148,21 @@ def test_csv_bytes_equal_savetxt(tmp_path):
                fmt="%.17g")
     assert path.read_bytes() == ref.read_bytes()
     assert path.read_bytes().count(b"\n") == n + 1
+
+
+def test_one_integration_path():
+    # every shot goes through connect._dop853: no module of the package
+    # imports scipy.integrate or solve_ivp, not even inside a function
+    found = []
+    for path in sorted(Path(connect.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if (name + ".").startswith("scipy.integrate.")
+                      or name.split(".")[-1] == "solve_ivp"]
+    assert found == []

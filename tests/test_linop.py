@@ -15,8 +15,9 @@ def grid15(profile15):
 
 def test_symmetry_exact(p15, grid15):
     x, st = grid15
-    assert linop.assemble_Mg(x, st, p15).is_symmetric()
-    assert linop.assemble_Lg(x, st, p15).is_symmetric()
+    for op in (linop.assemble_Mg(x, st, p15), linop.assemble_Lg(x, st, p15)):
+        d = op.matrix - op.matrix.T
+        assert d.nnz == 0 or abs(d.data).max() == 0.0
 
 
 def test_decay_closure_matches_lil_reference(p15, grid15):
@@ -82,7 +83,6 @@ def test_kernel_diagnostics(p15, grid15, profile15):
     diag = linop.kernel_diagnostics(op, st, p15)
     assert diag.smallest[0] < 1e-4 * diag.smallest[1]
     assert diag.separation >= 1e4
-    assert diag.kernel_dimension_one
     assert diag.kernel_angle < 1e-3
     assert diag.orthogonality_defect < 1e-6
     assert diag.l_smallest > 1e-3  # no near-kernel in the decoupled block

@@ -257,9 +257,3 @@ def test_leaf_table_seed_row_is_leaf_states(p, profile15):
     # the seed state handed to the left core is leaf_states' own row at b0_a
     geo = profile15.value._pieces.geo
     assert np.array_equal(geo.leaf_a, outer.leaf_states(geo.b0_a, p)[0])
-
-
-def test_right_leaf_states_match_scalar(p):
-    bs = np.linspace(0.05, 0.95, 37)
-    assert np.array_equal(outer.right_leaf_states(bs, p),
-                          [outer.right_leaf_state(float(b), p) for b in bs])
