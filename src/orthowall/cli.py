@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, connect, dynamics, inner, verify
+from .hermite import CubicHermite
 from .integrate import read_profile_csv, write_json
 from .params import AdmissibilityError, derive_params, load_config
 
@@ -266,16 +267,14 @@ def _csv_profile(x, states, w, report) -> SimpleNamespace:
 
     The CSV columns are the state and the vector field is their
     x-derivative, so ``sample`` is the cubic Hermite interpolant of the grid
-    states with those derivatives (``scipy.interpolate`` is imported here,
-    for ``verify`` alone).
+    states with those derivatives, :class:`hermite.CubicHermite`: the values
+    of scipy's ``CubicHermiteSpline``, with no scipy module loaded.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
     p = derive_params(report["epsilon"], report["g"])
     dydx = np.array([dynamics.vector_field(s, p) for s in states])
     return SimpleNamespace(p=p, x_star_plus=report["x_star_plus"], x=x,
                            states=states, w=w,
-                           sample=CubicHermiteSpline(x, states, dydx, axis=0))
+                           sample=CubicHermite(x, states, dydx))
 
 
 def cmd_verify(args) -> int:

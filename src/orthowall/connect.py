@@ -41,9 +41,10 @@ junction shots, continued past x_hat by a short shot; no core is shot
 again.  At the anchor (g = 1.5, eps = 0.1) a solve makes 13 core shots and
 8,450 field evaluations.
 
-A solve reads numpy and, through :func:`outer.cheb_fit`, ``scipy.fft``;
-the tableau, the root finder and the interpolant above are this module's
-own, so the solve loads no other scipy subpackage.
+A solve runs on numpy alone: the tableau, the root finder and the
+interpolant above are this module's own, and the Chebyshev fits of
+:func:`outer.cheb_fit` are one product with a fixed DCT matrix, so the
+solve loads no scipy module.
 """
 
 from __future__ import annotations

@@ -160,9 +160,6 @@ class SingularLimitProfile:
     right_x: np.ndarray
     right_b: np.ndarray
 
-    def right_branch(self, x: np.ndarray, p: Params) -> np.ndarray:
-        return _right_branch(np.asarray(x, dtype=float), p)
-
 
 def _right_branch(x: np.ndarray, p: Params) -> np.ndarray:
     theta0 = math.atanh(p.inv_sqrt_g)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hermite import CubicHermite
+
 PICARD_TOL = 1e-12      # sup-norm change of A at which a sweep has converged
 PICARD_MAX_ITER = 200   # Picard iterations per anchored sweep
 
@@ -110,17 +112,13 @@ class InnerSolution:
                 if d[i] > floor and d[i + 1] > floor]
 
     def resampled(self, n: int) -> "InnerSolution":
-        """Hermite-resample onto a uniform grid of n points (``scipy.interpolate``
-        is imported here: the solve never resamples)."""
-        from scipy.interpolate import CubicHermiteSpline
-
+        """Hermite-resample onto a uniform grid of n points: the jet rows by
+        one :class:`hermite.CubicHermite`, each with the next row as its
+        slopes, and -A (A^2 + z), the layer equation's A'''', for the last."""
         zu = np.linspace(self.z[0], self.z[-1], n)
         g = self.jets[0] * (self.jets[0] ** 2 + self.z)
-        derivs = [self.jets[1], self.jets[2], self.jets[3], -g]
-        jets = np.array([
-            CubicHermiteSpline(self.z, self.jets[j], derivs[j])(zu)
-            for j in range(4)
-        ])
+        slopes = np.column_stack([self.jets[1], self.jets[2], self.jets[3], -g])
+        jets = CubicHermite(self.z, self.jets.T, slopes)(zu).T
         return InnerSolution(z=zu, jets=jets, deltas=self.deltas,
                              segments=self.segments, problem=self.problem)
 

@@ -298,8 +298,8 @@ def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
 
     Both lists follow the sorted eps order.  With ``workers > 1`` the members
     run in at most that many forked worker processes; the records match a
-    serial run's byte for byte.  Fork shares the parent's imported numpy and
-    scipy, which a fresh interpreter per worker would have to load again;
+    serial run's byte for byte.  Fork shares the parent's imported numpy
+    and orthowall, which a fresh interpreter per worker would load again;
     where the platform has no fork, the members run serially.  A fork copies
     only the calling thread, so call this from a process that runs no other
     threads of its own; the CLI runs none.

@@ -245,28 +245,45 @@ def test_too_small_grid_in_config_exits_before_the_solve(tmp_path, capsys, comma
     assert not (tmp_path / "o").exists()
 
 
-def test_solve_path_loads_no_unused_scipy_subpackage(tmp_path):
-    # a fresh interpreter imports the CLI and solves one cell: of scipy the
-    # solve needs scipy.fft alone (which imports scipy.special), so
-    # scipy.integrate, .interpolate, .optimize and .sparse stay unloaded
-    # (module names compared, nothing timed)
+# each command, its arguments besides --out and --quiet ({profile} is the
+# solve_dir's profile.csv) and the scipy subpackages it loads: spectrum
+# alone needs scipy, for linop's sparse eigensolves
+_COMMANDS = [
+    ("solve", "--epsilon 0.1 --g 1.5", set()),
+    ("sweep", "--g 1.5 --epsilons 0.2,0.1,0.05,0.025 --workers 2", set()),
+    ("verify", "{profile}", set()),
+    ("inner", "--a-plus 1.0 --a-minus 2.0", set()),
+    ("spectrum", "{profile}", {"scipy.sparse", "scipy.linalg"}),
+]
+
+
+@pytest.mark.parametrize("command, extra, loaded", _COMMANDS, ids=[c[0] for c in _COMMANDS])
+def test_command_loads_only_its_scipy(tmp_path, solve_dir, command, extra, loaded):
+    # a fresh interpreter imports the CLI and runs one command; solve,
+    # sweep, verify and inner load no scipy module at all, spectrum only
+    # scipy.sparse and scipy.linalg of the subpackages below (module names
+    # compared, nothing timed)
+    argv = [command, "--out", str(tmp_path / "o"), "--quiet",
+            *extra.format(profile=solve_dir / "profile.csv").split()]
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = (
-        "import json, sys\n"
-        "from orthowall import cli\n"
-        f"rc = cli.main(['solve', '--out', {str(tmp_path / 'o')!r}, '--epsilon', '0.1',"
-        " '--g', '1.5', '--quiet'])\n"
-        "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    code = ("import json, sys\n"
+            "from orthowall import cli\n"
+            f"rc = cli.main({argv!r})\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=300, check=True)
     rc, modules = json.loads(res.stdout.strip().splitlines()[-1])
     assert rc == 0
-    assert "scipy.fft" in modules
-    subpackages = {".".join(m.split(".")[:2]) for m in modules}
-    assert subpackages.isdisjoint({"scipy.integrate", "scipy.interpolate", "scipy.optimize",
-                                   "scipy.sparse"})
+    scipy_modules = {m for m in modules if m.split(".")[0] == "scipy"}
+    subpackages = {".".join(m.split(".")[:2]) for m in scipy_modules}
+    if loaded:
+        assert loaded <= subpackages
+        assert subpackages.isdisjoint({"scipy.fft", "scipy.special", "scipy.interpolate",
+                                       "scipy.integrate", "scipy.optimize", "scipy.spatial"})
+    else:
+        assert scipy_modules == set()
 
 
 def test_sweep_too_few_points(tmp_path):

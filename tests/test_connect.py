@@ -3,18 +3,21 @@ import gc
 import json
 import math
 import pickle
+import re
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
+from scipy.fft import dct
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
 # the DOP853 step interpolant OdeSolution is built from (no public name)
 from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 
-from orthowall import _dop853_tableau, connect, dynamics, inner, outer, verify
+from orthowall import _dop853_tableau, connect, dynamics, frames, hermite, inner, outer, verify
 from orthowall.params import derive_params, working_scaling
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline_report.json"
@@ -850,3 +853,71 @@ def test_kappa_r_hermite_matches_not_a_knot_spline(tail_profiles):
         assert np.array_equal(k.m, -connect._leaf_exponent(b0, prof.p).real)
         xs = np.linspace(k.x[0], k.x[-1], 7 * k.x.size)
         assert np.abs(k(xs) - CubicSpline(k.x, k.y)(xs)).max() <= 1e-9
+
+
+def test_cubic_hermite_is_scipys(tail_profiles):
+    # verify's and inner's Hermite makes CubicHermiteSpline's bits, on a
+    # solve's states with the field as slopes ((n, 6) values) and on single
+    # columns (1-D): at the knots, inside the intervals, at the right end
+    # and outside the knots
+    rng = np.random.default_rng(7)
+    for prof in tail_profiles:
+        x, states = prof.x, prof.states
+        dydx = np.array([dynamics.vector_field(s, prof.p) for s in states])
+        span = x[-1] - x[0]
+        xs = np.concatenate([x, x[:-1] + 0.5 * np.diff(x), rng.uniform(x[0], x[-1], 5000),
+                             [np.nextafter(x[-1], -np.inf), np.nextafter(x[-1], np.inf)],
+                             rng.uniform(x[0] - span, x[0], 200),
+                             rng.uniform(x[-1], x[-1] + span, 200)])
+        got = hermite.CubicHermite(x, states, dydx)(xs)
+        assert got.shape == (xs.size, 6)
+        assert np.array_equal(got, CubicHermiteSpline(x, states, dydx, axis=0)(xs))
+        for j in (0, 3, 4):
+            assert np.array_equal(hermite.CubicHermite(x, states[:, j], dydx[:, j])(xs),
+                                  CubicHermiteSpline(x, states[:, j], dydx[:, j])(xs))
+
+
+@pytest.mark.parametrize("x, y, m", [
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+    ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+    ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+    ([0.0, 1.0, 2.0], [0.0, math.inf, 2.0], [0.0, 0.0, 0.0]),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, math.nan, 0.0]),
+], ids=["unsorted", "repeated-knot", "nan-knot", "inf-value", "nan-slope"])
+def test_cubic_hermite_rejects_what_scipy_rejects(x, y, m):
+    # a written profile reaches the Hermite from outside: bad knots or
+    # values raise scipy's ValueError, which the CLI reports with exit 1
+    with pytest.raises(ValueError) as ref:
+        CubicHermiteSpline(x, y, m)
+    with pytest.raises(ValueError, match=re.escape(str(ref.value))):
+        hermite.CubicHermite(x, y, m)
+
+
+def _cheb_fit_inputs(prof):
+    """Every array a solve hands to outer.cheb_fit, rebuilt from its pieces:
+    the leaf table's columns, the two leaf integrals' series (1 and the slow
+    pair's lambda_r - i lambda_i over B') and the left tail's h at its nodes."""
+    pc, p = prof._pieces, prof.p
+    leaf = pc.geo.leaf
+    b = outer.cheb_nodes(leaf.b_hi)
+    inputs = [outer.leaf_states(b, p)[:, [0, 1, 2, 3, 5]]]
+    for g in (np.ones_like(b), np.dot([1.0, -1.0j], frames.lambda_pair(b, p))):
+        y = g * b / leaf(b)[:, 5]
+        series = Chebyshev(outer.cheb_fit(y), [0.0, leaf.b_hi])
+        inputs += [y, (series(b) - series(0.0)) / b]
+    return inputs + [pc.h(outer.cheb_nodes(pc.h.domain[1]))]
+
+
+def test_cheb_fit_matches_scipy_dct(tail_profiles):
+    # the matrix DCT against scipy's type-II DCT on every series of four
+    # solves; bound set before measuring: a 96-term sum of terms no larger
+    # than 2 max|v|, divided by 96, is off by at most 96 eps max|v| per
+    # column (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1)
+    # (measured: at most 1.52 eps max|v|)
+    n = outer.LEAF_TABLE_NODES
+    for prof in tail_profiles:
+        for v in _cheb_fit_inputs(prof):
+            ref = dct(v, type=2, axis=0) / n
+            ref[0] *= 0.5
+            err = np.abs(outer.cheb_fit(v) - ref)
+            assert np.all(err <= n * np.finfo(float).eps * np.abs(v).max(axis=0))

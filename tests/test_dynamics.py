@@ -151,7 +151,7 @@ def test_singular_limit(p):
     assert prof.right_b[0] == pytest.approx(p.inv_sqrt_g, rel=1e-14)
     assert np.all(np.diff(prof.right_b) > 0)
     assert prof.right_b[-1] < 1.0
-    big = prof.right_branch(np.array([1e4]), p)
+    big = dynamics._right_branch(np.array([1e4]), p)
     assert big[0] == pytest.approx(1.0, abs=1e-12)
 
 

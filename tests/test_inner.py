@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 
 from orthowall import inner, outer
 from orthowall.params import derive_params, working_scaling
@@ -115,6 +116,21 @@ def test_extension_cascade_count():
     # and five leftward ones
     assert len(ext.segments) == 6
     assert inner.inner_residual(ext) < 1e-8
+
+
+def test_resampled_is_scipys_hermite():
+    # the resampling behind inner_residual on a multi-sweep solution makes
+    # the values of scipy's CubicHermiteSpline on each jet row, bit for bit
+    ext = inner.solve_inner(_cascade_problem())
+    g = ext.jets[0] * (ext.jets[0] ** 2 + ext.z)
+    slopes = [ext.jets[1], ext.jets[2], ext.jets[3], -g]
+    for n in (ext.z.size, 3 * ext.z.size + 1):
+        got = ext.resampled(n)
+        zu = np.linspace(ext.z[0], ext.z[-1], n)
+        assert np.array_equal(got.z, zu)
+        ref = np.array([CubicHermiteSpline(ext.z, ext.jets[j], slopes[j])(zu)
+                        for j in range(4)])
+        assert np.array_equal(got.jets, ref)
 
 
 def _failing_sweeps(monkeypatch, failing) -> list[float]:

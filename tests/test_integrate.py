@@ -150,10 +150,9 @@ def test_csv_bytes_equal_savetxt(tmp_path):
     assert path.read_bytes().count(b"\n") == n + 1
 
 
-def test_one_integration_path():
-    # every shot goes through connect._dop853: no module of the package
-    # imports scipy.integrate or solve_ivp, not even inside a function
-    found = []
+def _package_imports():
+    """(file name, line, imported name) of every import statement in the
+    package's modules, also those inside a function."""
     for path in sorted(Path(connect.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -162,7 +161,22 @@ def test_one_integration_path():
                 names = [f"{node.module}.{a.name}" for a in node.names]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if (name + ".").startswith("scipy.integrate.")
-                      or name.split(".")[-1] == "solve_ivp"]
+            yield from ((path.name, node.lineno, name) for name in names)
+
+
+def test_one_integration_path():
+    # every shot goes through connect._dop853: no module of the package
+    # imports scipy.integrate or solve_ivp, not even inside a function
+    found = [f"{file}:{line} {name}" for file, line, name in _package_imports()
+             if (name + ".").startswith("scipy.integrate.")
+             or name.split(".")[-1] == "solve_ivp"]
+    assert found == []
+
+
+def test_only_linop_imports_scipy():
+    # the solve, sweep, verify and inner run on numpy alone: of the
+    # package's modules only linop, behind the spectrum command, imports
+    # scipy, at the top or inside a function
+    found = [f"{file}:{line} {name}" for file, line, name in _package_imports()
+             if name.split(".")[0] == "scipy" and file != "linop.py"]
     assert found == []
