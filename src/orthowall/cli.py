@@ -174,13 +174,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_inner(args) -> int:
-    out = _out_dir(args)
     prob = inner.InnerProblem(
         a_minus=args.a_minus, a_plus=args.a_plus,
         boundary_plus=tuple(inner.assemble_boundary(
             "plus", (args.x10, args.x20), args.a_plus)),
         grid_points=args.points,
     )
+    out = _out_dir(args)
     sol = inner.solve_inner(prob)
     sol.to_csv(str(out / "inner.csv"))
     residual = inner.inner_residual(sol)

@@ -19,13 +19,14 @@ M- with the 3-dimensional stable manifold of M+.
 left one follows the slow leaf's table by quadrature; the right one carries
 the right core's fast stable offset past x_r by Liouville-Green transport
 (Olver, Asymptotics and Special Functions, ch. 6), with its decay exponent
-a cubic Hermite interpolant whose knot slopes are the decay rate itself.
-(5) Phase fixing translates x so that B(0) = 1/sqrt(g), a root found by
-:func:`_brentq`, a port of scipy's Brent method; the default grid is then
-sampled.  The matching Newton and the junction match run through the
-one damped Newton driver :func:`_damped_newton`.  The dense cores are
-evaluated from their stacked step interpolants, :class:`_DenseSolution`,
-one vectorized pass per call.
+a :class:`hermite.CubicHermite` whose knot slopes are the decay rate itself.
+(5) Phase fixing translates x so that B(0) = 1/sqrt(g).  B rises strictly
+along the orbit, so this root and the corner crossings B = B00, B01 are
+found by :func:`_b_crossing`, bracketed Newton on the profile's own B'
+column; the default grid is then sampled.  The matching Newton and the
+junction match run through the one damped Newton driver
+:func:`_damped_newton`.  The dense cores are evaluated from their stacked
+step interpolants, :class:`_DenseSolution`, one vectorized pass per call.
 
 Every integration runs through one DOP853 kernel, :func:`_dop853`, with the
 step control of scipy's ``DOP853`` and its tableau (Hairer, Norsett & Wanner,
@@ -41,10 +42,10 @@ junction shots, continued past x_hat by a short shot; no core is shot
 again.  At the anchor (g = 1.5, eps = 0.1) a solve makes 13 core shots and
 8,450 field evaluations.
 
-A solve runs on numpy alone: the tableau, the root finder and the
-interpolant above are this module's own, and the Chebyshev fits of
-:func:`outer.cheb_fit` are one product with a fixed DCT matrix, so the
-solve loads no scipy module.
+A solve runs on numpy alone: the tableau and the root finder above are
+this module's own, the interpolant is the package's :mod:`hermite`, and the
+Chebyshev fits of :func:`outer.cheb_fit` are one product with a fixed DCT
+matrix, so the solve loads no scipy module.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 
 from . import _dop853_tableau as dop, dynamics, frames, inner, outer
+from .hermite import CubicHermite
 from .params import Params, ScalingConfig, working_scaling
 
 NEWTON_TOL = 1e-10            # matching Newton: max |residual| at convergence
@@ -686,30 +688,13 @@ class _Pieces:
     a: float
     h: Chebyshev
     fast: tuple[complex, Chebyshev]
-    kappa_r: _UniformHermite
+    kappa_r: CubicHermite
 
     def blend_cuts(self) -> np.ndarray:
         """The ends of the three blends: leaf to left core, left core to right
         core, right core to right tail."""
         x_a, x_hat, x_r = self.geo.x_a, self.geo.x_hat, self.junction.x_r
         return np.array([x_a, x_a + W_A, x_hat - W_H, x_hat + W_H, x_r - W_R, x_r])
-
-
-class _UniformHermite(NamedTuple):
-    """Cubic Hermite interpolant of ``y`` with slopes ``m`` at the uniform
-    knots ``x`` (spacing ``hk``); it extends its end cubics outside them."""
-
-    x: np.ndarray
-    hk: float
-    y: np.ndarray
-    m: np.ndarray
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        i = np.clip(np.floor((xs - self.x[0]) / self.hk).astype(int), 0, self.x.size - 2)
-        t = (xs - self.x[i]) / self.hk
-        y0, dy = self.y[i], self.y[i + 1] - self.y[i]
-        m0, m1 = self.hk * self.m[i], self.hk * self.m[i + 1]
-        return y0 + t * (m0 + t * (3.0 * dy - 2.0 * m0 - m1 + t * (m0 + m1 - 2.0 * dy)))
 
 
 def _leaf_exponent(b, p: Params):
@@ -912,80 +897,29 @@ def _tail_pieces(geo: _Shooting, junction: _Junction) -> _Pieces:
     kappa = -_leaf_exponent(outer.right_tail_b0(k_x, x_r, float(junction.theta[4]), p), p).real
     k_int = inner._cumquad_right(kappa, hk)
     return _Pieces(geo=geo, junction=junction, a=a, h=h, fast=fast,
-                   kappa_r=_UniformHermite(k_x, hk, k_int[n_blend] - k_int, kappa))
+                   kappa_r=CubicHermite(k_x, k_int[n_blend] - k_int, kappa))
 
 
-_BRENT_RTOL = 4.0 * np.finfo(float).eps    # the smallest rtol scipy's brentq takes
-
-
-def _brentq(f, xa: float, xb: float, args: tuple = (), xtol: float = 2e-12,
-            rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
-    """A root of ``f(x, *args)`` in [xa, xb] by Brent's method.
-
-    A port of scipy's C ``brentq`` (scipy/optimize/Zeros/brentq.c, under
-    scipy's BSD-3 license, reproduced in :mod:`._dop853_tableau`): the same
-    operations in the same order, so the same iterates and root.
-    Like scipy's wrapper it raises ``ValueError`` when f has the same sign
-    at both ends or a value of f is NaN, and ``RuntimeError`` when maxiter
-    iterations do not converge.
-    """
-    def value(x):
-        fx = f(x, *args)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x:.6g} is NaN; brentq cannot continue")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 delta
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _b_crossing(state_at, level: float, x0: float, lo: float, hi: float) -> float:
+    """The x in (lo, hi) where B rises through ``level``, ``state_at(x)`` the
+    6-state at x: Newton on its own B' column, kept inside a bracket that
+    each value of B shrinks (rtsafe, Press et al., Numerical Recipes, sec.
+    9.4).  A step that is not finite or leaves the bracket bisects it; a
+    start x0 outside it starts at its midpoint."""
+    x = x0 if lo < x0 < hi else 0.5 * (lo + hi)
+    for _ in range(100):
+        b, b1 = (float(v) for v in state_at(x)[4:])
+        if b == level:
+            return x
+        if b < level:
+            lo = x
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, "
-                       f"value is {xcur}")
-
-
-def _b0_offset(x: float, pc: _Pieces, level: float) -> float:
-    """B at the unshifted abscissa x minus ``level``, the function of stage
-    5's three roots."""
-    return float(_sample_pieces(np.array([x]), pc, pc.geo.p)[0, 4]) - level
+            hi = x
+        step = (level - b) / b1 if b1 != 0.0 else math.inf
+        if abs(step) <= 1e-13 * (1.0 + abs(x)):
+            return x + step
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+    raise RealizationError(f"B does not cross {level:.6g} in ({lo:.6g}, {hi:.6g})")
 
 
 def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, info: dict,
@@ -993,12 +927,13 @@ def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, inf
     """Stage 5: fix the phase by B(0) = 1/sqrt(g) and sample the default grid."""
     geo, jn = pc.geo, pc.junction
     p, x_a, x_r = geo.p, geo.x_a, jn.x_r
-    x_shift = _brentq(_b0_offset, x_a, x_r, args=(pc, p.inv_sqrt_g),
-                      xtol=1e-13, rtol=8.9e-16)
-    x_star_left = _brentq(_b0_offset, x_a, x_shift, args=(pc, scaling.b00),
-                          xtol=1e-12) - x_shift
-    x_star_plus = _brentq(_b0_offset, x_shift, x_r, args=(pc, scaling.b01),
-                          xtol=1e-12) - x_shift
+
+    def state_at(x):
+        return _sample_pieces(np.array([x]), pc, p)[0]
+
+    x_shift = _b_crossing(state_at, p.inv_sqrt_g, 0.0, x_a, x_r)
+    x_star_left = _b_crossing(state_at, scaling.b00, -scaling.x_star, x_a, x_shift) - x_shift
+    x_star_plus = _b_crossing(state_at, scaling.b01, geo.x_hat, x_shift, x_r) - x_shift
 
     l_left = max(TAIL_EFOLDS / (p.epsilon * p.delta), abs(x_a - x_shift) + 10.0)
     l_right = max(TAIL_EFOLDS / (p.epsilon * math.sqrt(2.0)), x_r - x_shift + 10.0)

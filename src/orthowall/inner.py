@@ -82,8 +82,8 @@ class InnerProblem:
     grid_points: int = 2048
 
     def __post_init__(self):
-        if self.a_plus <= 0 or self.a_minus <= 0:
-            raise ValueError("half-widths must be positive")
+        if not (0.0 < self.a_plus < math.inf and 0.0 < self.a_minus < math.inf):
+            raise ValueError("half-widths must be finite and positive")
         if self.grid_points < 8:
             raise ValueError("grid_points must be at least 8")
 

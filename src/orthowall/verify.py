@@ -340,7 +340,9 @@ def scaling_sweep(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     phase-fixed profile (the right-junction crossing is polluted at desk
     scale by the slower-decaying flow corrections on that side).  Needs at
     least 4 eps values, no two of which share a member directory
-    ``eps_{eps:g}``.  The members are solved by :func:`solve_members`
+    ``eps_{eps:g}``, and raises the ``AdmissibilityError`` of the first
+    inadmissible (eps, g) before any member is solved.  The members are
+    solved by :func:`solve_members`
     (``workers`` and ``out_dir`` go there); ``rows`` and ``excluded`` hold
     its records, and ``slope_a0`` and ``slope_width`` (:func:`fit_slopes`)
     are present when at least 2 members converged.
@@ -351,6 +353,8 @@ def scaling_sweep(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     if len(set(names)) < len(names):
         repeated = next(n for n in names if names.count(n) > 1)
         raise ValueError(f"two epsilon values share the sweep member {repeated}")
+    for eps in eps_list:
+        derive_params(eps, g)
     rows, excluded = solve_members(g, eps_list, solve_cfg, workers, out_dir)
     scaling = {"rows": rows, "excluded": excluded}
     if len(rows) >= 2:

@@ -35,6 +35,20 @@ def sweep15():
     return Timed(fit, time.perf_counter() - t0)
 
 
+@pytest.fixture
+def member_fault(monkeypatch):
+    """The sweep member at eps = 0.15, admissible, fails in its solve with
+    "injected fault"; forked sweep workers inherit the patch."""
+    solve = ow.connect.heteroclinic_solve
+
+    def failing(p, *args):
+        if p.epsilon == 0.15:
+            raise ow.connect.RealizationError("injected fault")
+        return solve(p, *args)
+
+    monkeypatch.setattr(ow.connect, "heteroclinic_solve", failing)
+
+
 def _integrated_transition_map(b_of_x, p, x_hi, xs):
     """Reference transition map of the slow frame's rotation block along a
     B-profile: M' = L0(B(x)) M with L0 = [[lam_r, lam_i], [-lam_i, lam_r]]

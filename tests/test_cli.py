@@ -100,6 +100,17 @@ def test_creates_out_dir_when_parent_exists(tmp_path):
     assert (out / "inner.csv").exists()
 
 
+@pytest.mark.parametrize("a_plus, a_minus", [("nan", "1.0"), ("1.0", "nan")])
+def test_inner_rejects_nan_half_width(tmp_path, capsys, a_plus, a_minus):
+    # the problem is checked before the output directory is made
+    out = tmp_path / "inner"
+    rc = cli.main(["inner", "--out", str(out), "--a-plus", a_plus, "--a-minus", a_minus,
+                   "--quiet"])
+    assert rc == 1
+    assert "half-widths must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inner_zero_data(tmp_path):
     out = tmp_path / "inner0"
     rc = cli.main(["inner", "--out", str(out), "--a-plus", "1.0",
@@ -111,11 +122,11 @@ def test_inner_zero_data(tmp_path):
     assert report["residual"] == 0.0
 
 
-def test_sweep_with_fault_injection(tmp_path):
+def test_sweep_with_fault_injection(tmp_path, member_fault):
     # serial and forked-worker runs: the failing member is recorded with its
     # own message and both write the same bytes
     cfgp = write_config(tmp_path / "c.json",
-                        epsilon_list=[0.2, 0.1, 0.05, 0.025, 0.26])
+                        epsilon_list=[0.2, 0.1, 0.05, 0.025, 0.15])
     written = {}
     for workers in ("1", "2"):
         out = tmp_path / f"sweep{workers}"
@@ -125,12 +136,12 @@ def test_sweep_with_fault_injection(tmp_path):
         scaling = json.loads((out / "scaling.json").read_text())
         assert [r["epsilon"] for r in scaling["rows"]] == [0.025, 0.05, 0.1, 0.2]
         assert len(scaling["excluded"]) == 1
-        assert scaling["excluded"][0]["epsilon"] == 0.26
-        assert scaling["excluded"][0]["error"].startswith("epsilon_ceiling: ")
+        assert scaling["excluded"][0]["epsilon"] == 0.15
+        assert scaling["excluded"][0]["error"] == "injected fault"
         assert abs(scaling["slope_a0"] - 0.40) <= 0.08
         assert abs(scaling["slope_width"] + 0.20) <= 0.05
         assert (out / "eps_0.1" / "profile.csv").exists()
-        assert not (out / "eps_0.26").exists()
+        assert not (out / "eps_0.15").exists()
         written[workers] = {
             str(f.relative_to(out)): f.read_bytes()
             for f in sorted(out.rglob("*"))
@@ -138,6 +149,22 @@ def test_sweep_with_fault_injection(tmp_path):
         }
     assert written["1"] == written["2"]
     assert len(written["1"]) == 9
+
+
+@pytest.mark.parametrize("g, epsilons, name", [
+    ("1.5", "nan,0.2,0.1,0.05", "epsilon_positive"),
+    ("1.5", "0.3,0.2,0.1,0.05", "epsilon_ceiling"),
+    ("2.5", "0.2,0.1,0.05,0.025", "g_range"),
+])
+def test_sweep_rejects_inadmissible_member(tmp_path, capsys, g, epsilons, name):
+    # an inadmissible (eps, g) is an input error of the whole sweep, found
+    # before any member is solved: exit 1, no member directory and no
+    # scaling.json
+    out = tmp_path / "s"
+    rc = cli.main(["sweep", "--out", str(out), "--g", g, "--epsilons", epsilons, "--quiet"])
+    assert rc == 1
+    assert f"error: {name}: " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_rejects_malformed_grid(tmp_path, capsys):

@@ -15,7 +15,6 @@ from scipy.integrate import DOP853, OdeSolution, solve_ivp
 # the DOP853 step interpolant OdeSolution is built from (no public name)
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.optimize import brentq
 
 from orthowall import _dop853_tableau, connect, dynamics, frames, hermite, inner, outer, verify
 from orthowall.params import derive_params, working_scaling
@@ -769,63 +768,43 @@ def test_dop853_tableau_is_scipys():
         assert np.array_equal(getattr(_dop853_tableau, name), getattr(DOP853, name)), name
 
 
-def _brackets(rng, n):
-    """n brackets [r - u, r + v] about roots r of the functions below."""
-    r = rng.uniform(-1.0, 1.0, n)
-    return zip(r, r - rng.uniform(1e-3, 2.0, n), r + rng.uniform(1e-3, 2.0, n))
+def test_stage5_roots_are_crossings(tail_profiles):
+    # phase fixing's three roots are B's crossings of its levels: B(0) is
+    # 1/sqrt(g) and B at the corners B00 and B01, each to 2 ulp
+    for prof in tail_profiles:
+        sc = prof.scaling
+        b0, b_left, b_plus = prof.sample(np.array([0.0, prof.x_star_left, prof.x_star_plus]))[:, 4]
+        for got, level in ((b0, prof.p.inv_sqrt_g), (b_left, sc.b00), (b_plus, sc.b01)):
+            assert abs(got - level) <= 2 * np.spacing(level), (prof.p, got, level)
+        assert prof.x_star_left < 0.0 < prof.x_star_plus
 
 
-# monotone and oscillating functions, a flat root among them: f(x, r) is 0 at r
-_BRENT_FUNCTIONS = (
-    lambda x, r: math.tanh(3.0 * x) - math.tanh(3.0 * r),
-    lambda x, r: x**3 + 0.1 * x - (r**3 + 0.1 * r),
-    lambda x, r: math.exp(x) - math.exp(r),
-    lambda x, r: math.sin(5.0 * x) - math.sin(5.0 * r),
-    lambda x, r: (x - r) ** 5 + 1e-9 * (x - r),
-)
+def test_b_crossing_raises_without_crossing():
+    # a bracket that B does not cross, from below or from above, exhausts
+    # the evaluations and is a typed failure
+    def state_at(x):
+        return np.array([0.0, 0.0, 0.0, 0.0, math.tanh(x), 1.0 / math.cosh(x) ** 2])
+
+    assert connect._b_crossing(state_at, 0.5, 0.0, -3.0, 3.0) == pytest.approx(math.atanh(0.5),
+                                                                               abs=1e-15)
+    for lo, hi in ((-3.0, 0.0), (1.0, 3.0)):
+        with pytest.raises(connect.RealizationError, match="does not cross"):
+            connect._b_crossing(state_at, 0.5, 0.5 * (lo + hi), lo, hi)
 
 
-def test_brentq_port_matches_scipy():
-    # the port makes scipy's iterates: the same root, bit for bit, at stage
-    # 5's tolerances (1e-13, 8.9e-16) and (1e-12, 4 ulp)
-    rng = np.random.default_rng(5)
-    compared = 0
-    for f in _BRENT_FUNCTIONS:
-        for r, a, b in _brackets(rng, 120):
-            if (f(a, r) < 0.0) == (f(b, r) < 0.0):
-                continue
-            for tol in ({"xtol": 1e-13, "rtol": 8.9e-16}, {"xtol": 1e-12}):
-                want = brentq(f, a, b, args=(r,), **tol)
-                assert connect._brentq(f, a, b, args=(r,), **tol) == want, (r, a, b, tol)
-                compared += 1
-    assert compared >= 1000
+def test_phase_fixing_sample_count(monkeypatch):
+    # stage 5 reads B and B' from one sample per Newton step: at most 16
+    # one-point samples in the anchor solve
+    calls = []
 
+    def counted(raw, pc, p):
+        calls.append(raw.size)
+        return sample(raw, pc, p)
 
-def test_brentq_port_raises_as_scipy():
-    # same-sign ends and a NaN value raise ValueError, no convergence within
-    # maxiter RuntimeError, as scipy's brentq does
-    cases = ((lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError, "different signs"),
-             (lambda x: math.nan if 0.0 < x < 0.7 else x**3 - 0.5, -1.0, 1.0, {},
-              ValueError, "NaN"),
-             (math.sin, 1.0, 4.0, {"maxiter": 2}, RuntimeError, "converge"))
-    for f, a, b, kw, error, message in cases:
-        with pytest.raises(error):
-            brentq(f, a, b, **kw)
-        with pytest.raises(error, match=message):
-            connect._brentq(f, a, b, **kw)
-
-
-def test_stage5_roots_match_scipy_brentq(tail_profiles):
-    # phase fixing's three roots are scipy's
-    for prof in tail_profiles[:3]:
-        pc = prof._pieces
-        x_a, x_r = pc.geo.x_a, pc.junction.x_r
-        shift = brentq(connect._b0_offset, x_a, x_r, args=(pc, prof.p.inv_sqrt_g),
-                       xtol=1e-13, rtol=8.9e-16)
-        assert shift == prof.x_shift
-        for lo, hi, level, got in ((x_a, shift, prof.scaling.b00, prof.x_star_left),
-                                   (shift, x_r, prof.scaling.b01, prof.x_star_plus)):
-            assert brentq(connect._b0_offset, lo, hi, args=(pc, level), xtol=1e-12) - shift == got
+    sample = connect._sample_pieces
+    monkeypatch.setattr(connect, "_sample_pieces", counted)
+    connect.heteroclinic_solve(derive_params(0.1, 1.5))
+    assert 0 < calls.count(1) <= 16
 
 
 def test_uniform_hermite_is_exact_on_cubics():
@@ -835,7 +814,7 @@ def test_uniform_hermite_is_exact_on_cubics():
         return 2.0 - t + 0.5 * t**2 - 1.5 * t**3
 
     x = 0.3 + 0.05 * np.arange(41)
-    herm = connect._UniformHermite(x, 0.05, cubic(x), -1.0 + x - 4.5 * x**2)
+    herm = hermite.CubicHermite(x, cubic(x), -1.0 + x - 4.5 * x**2)
     xs = np.linspace(x[0], x[-1], 997)
     assert np.abs(herm(xs) - cubic(xs)).max() <= 8 * np.finfo(float).eps * np.abs(cubic(xs)).max()
     xs = np.linspace(x[0] - 0.1, x[-1] + 0.1, 997)
@@ -850,9 +829,14 @@ def test_kappa_r_hermite_matches_not_a_knot_spline(tail_profiles):
         pc = prof._pieces
         k = pc.kappa_r
         b0 = outer.right_tail_b0(k.x, pc.junction.x_r, float(pc.junction.theta[4]), prof.p)
-        assert np.array_equal(k.m, -connect._leaf_exponent(b0, prof.p).real)
+        kappa = -connect._leaf_exponent(b0, prof.p).real
+        assert np.array_equal(k.c[2], kappa[:-1])
+        # the last knot's slope is the last cubic's derivative at its end
+        c0, c1, c2, _ = k.c[:, -1]
+        dx = k.x[-1] - k.x[-2]
+        assert abs((3.0 * c0 * dx + 2.0 * c1) * dx + c2 - kappa[-1]) <= 1e-9
         xs = np.linspace(k.x[0], k.x[-1], 7 * k.x.size)
-        assert np.abs(k(xs) - CubicSpline(k.x, k.y)(xs)).max() <= 1e-9
+        assert np.abs(k(xs) - CubicSpline(k.x, k(k.x))(xs)).max() <= 1e-9
 
 
 def test_cubic_hermite_is_scipys(tail_profiles):

@@ -18,6 +18,15 @@ def test_cumquad_exact_on_cubics():
     assert np.abs(inner._cumquad_right(f, h) - ref).max() < 1e-13
 
 
+@pytest.mark.parametrize("a_minus, a_plus", [
+    (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -1.0),
+])
+def test_problem_rejects_bad_half_widths(a_minus, a_plus):
+    # an infinite half-width would make the layer solve run without end
+    with pytest.raises(ValueError, match="half-widths must be finite and positive"):
+        inner.InnerProblem(a_minus=a_minus, a_plus=a_plus, boundary_plus=(0.0, 0.0, 0.0, 0.0))
+
+
 def test_scale_constant():
     assert inner.scale_constant(1.0) == pytest.approx(2.0**0.2, rel=1e-14)
 

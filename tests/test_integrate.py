@@ -50,9 +50,9 @@ def test_tanh_branch_oracle(p):
 
 
 def test_event_location_against_bisection(p):
-    # stage 5 locates B crossings by Brent's method (connect._brentq) on the
-    # dense output of kernel shots; the root here is checked against plain
-    # bisection on the same dense solution
+    # stage 5 locates B crossings by bracketed Newton on B' (connect._b_crossing)
+    # on the dense output of kernel shots; the root here is checked against
+    # plain bisection on the same dense solution
     sc = working_scaling(p)
     b_start = 0.9 * sc.b00
     seed = outer.leaf_states(b_start, p)[0]
@@ -65,14 +65,17 @@ def test_event_location_against_bisection(p):
     steps = kernel_shot(seed, (0.0, 10.0), p, rtol=1e-12, atol=1e-14)
     dense = connect._dense_solution(p, steps)
 
+    def state_at(x):
+        return dense(np.array([x]))[:, 0]
+
     def fn(x):
-        return float(dense(np.array([x]))[4, 0]) - target
+        return float(state_at(x)[4]) - target
 
     above = np.flatnonzero(steps.ys[:, 4] > target)
     # one crossing between the step knots
     assert above.size and above[0] > 0 and above.size == steps.ts.size - above[0]
-    xe = connect._brentq(fn, steps.ts[above[0] - 1], steps.ts[above[0]],
-                         xtol=1e-13, rtol=8.9e-16)
+    lo, hi = steps.ts[above[0] - 1], steps.ts[above[0]]
+    xe = connect._b_crossing(state_at, target, 0.5 * (lo + hi), lo, hi)
     # independent bisection on the dense output
     lo, hi = xe - 0.5, xe + 0.5
     assert fn(lo) < 0 < fn(hi)

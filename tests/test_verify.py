@@ -117,16 +117,16 @@ def test_scaling_study_slopes(sweep15):
     assert not fit["excluded"]
 
 
-def test_scaling_study_excludes_failures():
-    # one member beyond the epsilon ceiling fails and is reported, also
-    # when the members run in forked worker processes
+def test_scaling_study_excludes_failures(member_fault):
+    # one member whose solve fails is reported, also when the members run
+    # in forked worker processes
     fits = {}
     for workers in (1, 2):
-        fit = verify.scaling_sweep(1.5, [0.2, 0.1, 0.05, 0.025, 0.26],
+        fit = verify.scaling_sweep(1.5, [0.2, 0.1, 0.05, 0.025, 0.15],
                                    workers=workers)
         assert len(fit["excluded"]) == 1
-        assert fit["excluded"][0]["epsilon"] == 0.26
-        assert fit["excluded"][0]["error"].startswith("epsilon_ceiling: ")
+        assert fit["excluded"][0]["epsilon"] == 0.15
+        assert fit["excluded"][0]["error"] == "injected fault"
         assert len(fit["rows"]) == 4
         fits[workers] = fit
     assert fits[1] == fits[2]
