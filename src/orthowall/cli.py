@@ -126,8 +126,8 @@ def _say(args, message: str) -> None:
 def cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     solve_cfg = _solve_config(cfg)
-    out = _out_dir(args)
     p = derive_params(cfg["epsilon"], cfg["g"])
+    out = _out_dir(args)
     profile = connect.heteroclinic_solve(p, solve_cfg)
     # the report is complete before any file is written, so a failed rate
     # fit leaves no profile.csv without its report.json
@@ -152,10 +152,11 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     solve_cfg = _solve_config(cfg)
-    out = _out_dir(args)
     eps_list = cfg.get("epsilon_list") or []
     if getattr(args, "epsilons", None):
         eps_list = [float(v) for v in args.epsilons.split(",")]
+    verify.check_sweep_members(cfg["g"], eps_list)
+    out = _out_dir(args)
     workers = max(1, int(getattr(args, "workers", 1) or 1))
     scaling = verify.scaling_sweep(cfg["g"], eps_list, solve_cfg, workers, out_dir=out)
     rows, excluded = scaling["rows"], scaling["excluded"]

@@ -12,6 +12,8 @@ Both are self-adjoint in the flat inner product; the profile derivative
 stencils on a uniform grid; the truncation rows of M fold in the known
 exponential decay of the far field (diagonal decaying-mode closure, which
 keeps the matrix symmetric), those of L drop outside values (Dirichlet).
+The matrices are built in CSC, the format the shift-invert eigensolves
+factor, straight from their band values.
 """
 
 from __future__ import annotations
@@ -25,6 +27,18 @@ from scipy.sparse.linalg import eigsh
 
 from .inner import _cumquad_right
 from .params import Params
+
+
+# ARPACK's relative accuracy for the Ritz values of the shift-invert
+# eigensolves.  The near-kernel diagnostics are ill-conditioned in the
+# profile: a 1e-15 move of it moves the smallest eigenvalue by up to 8.6e-5
+# relative and orthogonality_defect by up to 2.8e-5.  Converging the Ritz
+# values to machine precision (tol=0) therefore buys nothing.  Against tol=0,
+# on 9 cells of the box at 5,601 nodes, 1e-10 moves the eigenvalues by at most
+# 1.9e-15 relative, orthogonality_defect by 2.8e-10 and kernel_angle by
+# 1.5e-5 relative (4e-11 rad), and leaves l_smallest as it is; M takes 21-67
+# LU solves where it took 36-82, L 21 either way.
+EIGSH_TOL = 1e-10
 
 
 class GridError(ValueError):
@@ -41,7 +55,7 @@ class SolvabilityError(ValueError):
 class GridOperator:
     x: np.ndarray
     h: float
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     kind: str          # "M" or "L"
 
     @property
@@ -65,34 +79,63 @@ def _check_grid(x: np.ndarray, p: Params) -> float:
     return float(h)
 
 
-def _d2(n: int, h: float) -> sp.dia_matrix:
-    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
+def _stencil(weights, h_power: float, scale: float = 1.0) -> np.ndarray:
+    """A stencil's band values as scipy forms them for a sparse matrix divided
+    by h_power and then by ``scale``: each division is a product with the
+    reciprocal."""
+    return np.array(weights) * (1 / h_power) * (1 / scale)
 
 
-def _d4(n: int, h: float) -> sp.dia_matrix:
-    return sp.diags([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2], shape=(n, n)) / h**4
+def _band_rows(n: int, half: int, base: int) -> np.ndarray:
+    """Row numbers of a (2 half + 1)-band block of order n placed at row
+    ``base``, column by column (n x (2 half + 1), ascending); -1 off the
+    block."""
+    rows = (np.arange(base - half, base - half + n, dtype=np.int32)[:, None]
+            + np.arange(2 * half + 1, dtype=np.int32))
+    for i in range(half):
+        # the first and last half columns reach off the block
+        rows[i, :half - i] = -1
+        rows[n - 1 - i, half + 1 + i:] = -1
+    return rows
+
+
+def _csc(columns, size: int) -> sp.csc_matrix:
+    """The CSC matrix of order ``size`` whose columns are given in groups
+    (rows, values): column j of a group holds values[j, k] at row rows[j, k],
+    rows ascending in k.  A slot at row -1 or with value 0 is left out, as
+    scipy's format conversions leave out explicit zeros."""
+    keep = [(rows >= 0) & (vals != 0.0) for rows, vals in columns]
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([k.sum(axis=1) for k in keep]), out=indptr[1:])
+    data = np.concatenate([vals[k] for (_, vals), k in zip(columns, keep)])
+    indices = np.concatenate([rows[k] for (rows, _), k in zip(columns, keep)])
+    return sp.csc_matrix((data, indices, indptr), shape=(size, size))
 
 
 def assemble_Mg(x: np.ndarray, states: np.ndarray, p: Params) -> GridOperator:
     """Assemble the coupled (A, C) operator on the profile samples.
 
-    Block layout: unknowns [A_0..A_{n-1}, C_0..C_{n-1}].  The decay closure
-    adds the exponential fold-in of the slow far-field modes to the
-    first/last diagonal entries of the C block.
+    Block layout: unknowns [A_0..A_{n-1}, C_0..C_{n-1}]; an A column holds
+    its 5-point D4 band and the coupling below it, a C column the coupling
+    above its 3-point D2 band.  The decay closure adds the exponential
+    fold-in of the slow far-field modes to the first/last diagonal entries
+    of the C block.
     """
     h = _check_grid(x, p)
     n = x.size
     a_star = states[:, 0]
     b_star = states[:, 4]
     e2 = p.epsilon**2
-    aa = -_d4(n, h) + sp.diags(1.0 - 3.0 * a_star**2 - p.g * b_star**2)
-    cc = _d2(n, h) / e2 + sp.diags(1.0 - p.g * a_star**2 - 3.0 * b_star**2)
-    boost = sp.coo_matrix(([math.exp(-p.epsilon * p.delta * h) / (e2 * h**2),
-                            math.exp(-math.sqrt(2.0) * p.epsilon * h) / (e2 * h**2)],
-                           ([0, n - 1], [0, n - 1])), shape=(n, n))
-    cc = cc + boost
-    ac = sp.diags(-2.0 * p.g * a_star * b_star)
-    mat = sp.bmat([[aa, ac], [ac, cc]], format="csr")
+    aa = np.tile(-_stencil([1.0, -4.0, 6.0, -4.0, 1.0], h**4), (n, 1))
+    aa[:, 2] += 1.0 - 3.0 * a_star**2 - p.g * b_star**2
+    cc = np.tile(_stencil([1.0, -2.0, 1.0], h**2, e2), (n, 1))
+    cc[:, 1] += 1.0 - p.g * a_star**2 - 3.0 * b_star**2
+    cc[0, 1] += math.exp(-p.epsilon * p.delta * h) / (e2 * h**2)
+    cc[-1, 1] += math.exp(-math.sqrt(2.0) * p.epsilon * h) / (e2 * h**2)
+    ac = (-2.0 * p.g * a_star * b_star)[:, None]
+    coupling = np.arange(n, dtype=np.int32)[:, None]
+    mat = _csc([(np.hstack([_band_rows(n, 2, 0), coupling + n]), np.hstack([aa, ac])),
+                (np.hstack([coupling, _band_rows(n, 1, n)]), np.hstack([ac, cc]))], 2 * n)
     return GridOperator(x=np.asarray(x, dtype=float), h=h, matrix=mat, kind="M")
 
 
@@ -102,8 +145,9 @@ def assemble_Lg(x: np.ndarray, states: np.ndarray, p: Params) -> GridOperator:
     n = x.size
     a_star = states[:, 0]
     b_star = states[:, 4]
-    mat = (_d2(n, h) / p.epsilon**2
-           + sp.diags(1.0 - p.g * a_star**2 - b_star**2)).tocsr()
+    ll = np.tile(_stencil([1.0, -2.0, 1.0], h**2, p.epsilon**2), (n, 1))
+    ll[:, 1] += 1.0 - p.g * a_star**2 - b_star**2
+    mat = _csc([(_band_rows(n, 1, 0), ll)], n)
     return GridOperator(x=np.asarray(x, dtype=float), h=h, matrix=mat, kind="L")
 
 
@@ -151,10 +195,14 @@ def kernel_diagnostics(op: GridOperator, states: np.ndarray, p: Params) -> Kerne
     evaluates the kernel orthogonality integral
     int A* B* (B* u_A + A* u_C) dx by the trapezoid rule.  The eigensolves
     start from (A*', B*') for M and B* for L (L B* = 0 in the interior), not
-    from ARPACK's random vector, so the report is reproducible.
+    from ARPACK's random vector, so the report is reproducible.  They stop
+    at the relative accuracy EIGSH_TOL, far below what a rounding-level move
+    of the profile moves these diagnostics by (see EIGSH_TOL).  Both
+    operators are CSC, the format the shift-invert LU factors, so no matrix
+    is converted.
     """
     u_star = profile_derivative_vector(states)
-    vals, vecs = eigsh(op.matrix.tocsc(), k=3, sigma=0.0, which="LM", v0=u_star)
+    vals, vecs = eigsh(op.matrix, k=3, sigma=0.0, which="LM", v0=u_star, tol=EIGSH_TOL)
     order = np.argsort(np.abs(vals))
     vals = vals[order]
     vecs = vecs[:, order]
@@ -171,8 +219,8 @@ def kernel_diagnostics(op: GridOperator, states: np.ndarray, p: Params) -> Kerne
     a_star, b_star = states[:, 0], states[:, 4]
     defect = abs(np.trapezoid(a_star * b_star * (b_star * ua + a_star * uc), op.x))
 
-    l_vals = eigsh(assemble_Lg(op.x, states, p).matrix.tocsc(), k=1, sigma=0.0, which="LM",
-                   v0=b_star, return_eigenvectors=False)
+    l_vals = eigsh(assemble_Lg(op.x, states, p).matrix, k=1, sigma=0.0, which="LM",
+                   v0=b_star, tol=EIGSH_TOL, return_eigenvectors=False)
     return KernelReport(
         smallest=tuple(float(v) for v in s),
         separation=float(s[1] / s[0]) if s[0] > 0 else math.inf,

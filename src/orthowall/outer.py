@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .dynamics import b1_from_invariant
 from .params import Params, ScalingConfig
@@ -183,13 +182,78 @@ def cheb_fit(values: np.ndarray) -> np.ndarray:
     return coef
 
 
+# cheb_eval works on blocks of CHEB_BLOCK points and CHEB_ROWS rows of the
+# Vandermonde matrix at a time: a buffer of 4096 x 12 floats (0.4 MB), so
+# memory stays bounded however many points and terms are read, while each
+# ufunc call of the recurrence covers thousands of points.  Whole 96-term
+# columns would need 512-point blocks for the same memory, and took 1.4-2.1x
+# as long: each call then spent more on its fixed cost than on the points.
+CHEB_BLOCK = 4096
+CHEB_ROWS = 12
+
+
+def _cheb_vander_chunks(t: np.ndarray, terms: int, rows: np.ndarray):
+    """Yield ``(k, v)`` with v (r x t.size) the rows T_k(t), ..., T_{k+r-1}(t)
+    of the first ``terms`` Chebyshev polynomials, in turn, computed in the
+    buffer ``rows`` (at least 4 x t.size) by the three-term recurrence
+    T_k = T_{k-1} 2t - T_{k-2}, with the operations of numpy's
+    ``chebvander``: the rows stacked are bit-equal to ``chebvander(t, terms
+    - 1).T`` at finite t.  Each v is a view of the buffer, valid until the
+    next one; each term is two ufunc calls that write into its row, where
+    ``chebvander`` allocates two temporaries."""
+    v = list(rows)
+    v[0][...] = 1.0
+    if terms > 1:
+        v[1][...] = t
+    t2 = 2.0 * t
+    # rows[i] holds T_{base + i}; rows[fresh:end] are not yet yielded
+    base, fresh, end = 0, 0, min(2, terms)
+    while True:
+        while end < len(v) and base + end < terms:
+            np.multiply(v[end - 1], t2, v[end])
+            np.subtract(v[end], v[end - 2], v[end])
+            end += 1
+        yield base + fresh, rows[fresh:end]
+        if base + end >= terms:
+            return
+        # the last two rows seed the next chunk
+        rows[:2] = rows[end - 2:end]
+        base, fresh, end = base + end - 2, 2, 2
+
+
+def cheb_eval(t, coef) -> np.ndarray:
+    """The Chebyshev series with coefficients ``coef`` (along axis 0, real or
+    complex, any number of columns) at ``t`` in [-1, 1], shape t.shape +
+    coef.shape[1:]: the Chebyshev-Vandermonde matrix of t times ``coef``,
+    formed and multiplied CHEB_ROWS rows by CHEB_BLOCK points at a time.
+    numpy's ``chebval`` runs Clenshaw's recurrence term by term over every
+    column; here the recurrence runs once per point and the columns share
+    each product."""
+    t = np.asarray(t, dtype=float)
+    coef = np.asarray(coef)
+    dtype = np.complex128 if np.iscomplexobj(coef) else np.float64
+    # a complex column is evaluated as its real and imaginary parts
+    cols = np.ascontiguousarray(coef, dtype=dtype).reshape(coef.shape[0], -1).view(np.float64)
+    flat = t.ravel()
+    out = np.zeros((flat.size, cols.shape[1]))
+    rows = np.empty((CHEB_ROWS, min(flat.size, CHEB_BLOCK)))
+    part = np.empty((rows.shape[1], cols.shape[1]))
+    for start in range(0, flat.size, CHEB_BLOCK):
+        tb = flat[start:start + CHEB_BLOCK]
+        block, tmp = out[start:start + tb.size], part[:tb.size]
+        for k, v in _cheb_vander_chunks(tb, coef.shape[0], rows[:, :tb.size]):
+            block += np.matmul(v.T, cols[k:k + v.shape[0]], out=tmp)
+    return out.view(dtype).reshape(t.shape + coef.shape[1:])
+
+
 @dataclass(frozen=True, eq=False)
 class LeafTable:
     """Chebyshev interpolant of :func:`leaf_states` on 0 <= B <= ``b_hi``.
 
     ``coef`` holds the Chebyshev coefficients, in t = 2 B / b_hi - 1, of
-    the columns (A, A', A'', A''', B'); calling the table evaluates them by
-    Clenshaw's recurrence.  An amplitude outside [0, b_hi] raises ValueError.
+    the columns (A, A', A'', A''', B'); calling the table evaluates the five
+    columns together by :func:`cheb_eval`.  An amplitude outside [0, b_hi]
+    raises ValueError.
     """
 
     b_hi: float
@@ -200,8 +264,8 @@ class LeafTable:
         b0 = np.atleast_1d(np.asarray(b0, dtype=float))
         if not np.all((b0 >= 0.0) & (b0 <= self.b_hi)):
             raise ValueError(f"amplitude outside the leaf table's range [0, {self.b_hi:.6g}]")
-        cols = chebval(2.0 * b0 / self.b_hi - 1.0, self.coef, tensor=True)
-        return np.column_stack([cols[:4].T, b0, cols[4]])
+        cols = cheb_eval(2.0 * b0 / self.b_hi - 1.0, self.coef)
+        return np.column_stack([cols[:, :4], b0, cols[:, 4]])
 
 
 def leaf_table(b_hi: float, b0: float, p: Params) -> tuple[LeafTable, np.ndarray]:

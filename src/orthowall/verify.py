@@ -331,22 +331,10 @@ def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     return rows, excluded
 
 
-def scaling_sweep(g: float, eps_list, solve_cfg: connect.SolveConfig | None = None,
-                  workers: int = 1, out_dir=None) -> dict:
-    """Exponents of A(0) and of the corner half-width across an eps sweep:
-    the ``scaling.json`` payload of ``orthowall sweep``.
-
-    The corner half-width is the refined left-junction distance |x*| of the
-    phase-fixed profile (the right-junction crossing is polluted at desk
-    scale by the slower-decaying flow corrections on that side).  Needs at
-    least 4 eps values, no two of which share a member directory
-    ``eps_{eps:g}``, and raises the ``AdmissibilityError`` of the first
-    inadmissible (eps, g) before any member is solved.  The members are
-    solved by :func:`solve_members`
-    (``workers`` and ``out_dir`` go there); ``rows`` and ``excluded`` hold
-    its records, and ``slope_a0`` and ``slope_width`` (:func:`fit_slopes`)
-    are present when at least 2 members converged.
-    """
+def check_sweep_members(g: float, eps_list) -> None:
+    """Raise ValueError unless ``eps_list`` holds at least 4 eps values, no
+    two of which share a member directory ``eps_{eps:g}``, and the
+    ``AdmissibilityError`` of the first inadmissible (eps, g)."""
     if len(eps_list) < 4:
         raise ValueError(f"sweep needs at least 4 epsilon values, got {len(eps_list)}")
     names = [f"eps_{eps:g}" for eps in eps_list]
@@ -355,6 +343,22 @@ def scaling_sweep(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
         raise ValueError(f"two epsilon values share the sweep member {repeated}")
     for eps in eps_list:
         derive_params(eps, g)
+
+
+def scaling_sweep(g: float, eps_list, solve_cfg: connect.SolveConfig | None = None,
+                  workers: int = 1, out_dir=None) -> dict:
+    """Exponents of A(0) and of the corner half-width across an eps sweep:
+    the ``scaling.json`` payload of ``orthowall sweep``.
+
+    The corner half-width is the refined left-junction distance |x*| of the
+    phase-fixed profile (the right-junction crossing is polluted at desk
+    scale by the slower-decaying flow corrections on that side).  The
+    members pass :func:`check_sweep_members` before any is solved.  They are
+    solved by :func:`solve_members` (``workers`` and ``out_dir`` go there); ``rows`` and ``excluded`` hold
+    its records, and ``slope_a0`` and ``slope_width`` (:func:`fit_slopes`)
+    are present when at least 2 members converged.
+    """
+    check_sweep_members(g, eps_list)
     rows, excluded = solve_members(g, eps_list, solve_cfg, workers, out_dir)
     scaling = {"rows": rows, "excluded": excluded}
     if len(rows) >= 2:

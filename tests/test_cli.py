@@ -158,13 +158,27 @@ def test_sweep_with_fault_injection(tmp_path, member_fault):
 ])
 def test_sweep_rejects_inadmissible_member(tmp_path, capsys, g, epsilons, name):
     # an inadmissible (eps, g) is an input error of the whole sweep, found
-    # before any member is solved: exit 1, no member directory and no
-    # scaling.json
+    # before any member is solved and before the output directory is made
     out = tmp_path / "s"
     rc = cli.main(["sweep", "--out", str(out), "--g", g, "--epsilons", epsilons, "--quiet"])
     assert rc == 1
     assert f"error: {name}: " in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon, g, name", [
+    ("0.3", "1.5", "epsilon_ceiling"),
+    ("nan", "1.5", "epsilon_positive"),
+    ("0.1", "2.5", "g_range"),
+])
+def test_solve_rejects_inadmissible_input_before_out(tmp_path, capsys, epsilon, g, name):
+    # (eps, g) is checked before the output directory is made, so an
+    # inadmissible one leaves no empty directory behind
+    out = tmp_path / "o"
+    rc = cli.main(["solve", "--out", str(out), "--epsilon", epsilon, "--g", g, "--quiet"])
+    assert rc == 1
+    assert f"error: {name}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_malformed_grid(tmp_path, capsys):
@@ -237,7 +251,7 @@ def test_sweep_rejects_repeated_members(tmp_path, capsys):
                    "--epsilons", "0.1,0.1,0.05,0.025", "--workers", "2"])
     assert rc == 1
     assert "eps_0.1" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_profile_points_below_three_rejected():

@@ -4,12 +4,14 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebval
 from scipy.fft import dct
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
 # the DOP853 step interpolant OdeSolution is built from (no public name)
@@ -561,6 +563,37 @@ def test_dense_solution_segment_choice(span):
     assert np.array_equal(connect._DenseSolution(*_stacked(sol))(t), sol(t))
 
 
+def _per_term_gather(dense: connect._DenseSolution, t: np.ndarray) -> np.ndarray:
+    """Reference: the dense output gathering one row of F per term and
+    forming 1 - x on every odd term."""
+    last = dense.h.size - 1
+    seg = np.searchsorted(dense.ts_sorted, t, side="left" if dense.ascending else "right")
+    seg = np.clip(seg - 1, 0, last)
+    if not dense.ascending:
+        seg = last - seg
+    x = ((t - dense.t_old[seg]) / dense.h[seg])[:, None]
+    y = np.zeros((t.size, dense.y_old.shape[1]))
+    for i in range(dense.F.shape[1]):
+        y += dense.F[seg, -1 - i]
+        y *= x if i % 2 == 0 else 1 - x
+    y += dense.y_old[seg]
+    return y.T
+
+
+def test_dense_solution_is_bit_equal_to_per_term_gather(profile15):
+    # a take per row from the rows in Horner order, and one 1 - x per read,
+    # give the bits of a fancy-index gather of F per term with 1 - x formed
+    # on every odd term, on both cores: at the knots, mid-step, on a fine
+    # grid and outside the span
+    jn = profile15.value._pieces.junction
+    for dense in (jn.sol_left, jn.sol_right):
+        ts = dense.ts_sorted
+        t = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]),
+                            np.linspace(ts[0] - 5.0, ts[-1] + 5.0, 4001)])
+        np.random.default_rng(1).shuffle(t)
+        assert np.array_equal(dense(t), _per_term_gather(dense, t))
+
+
 def _kernel_calls(monkeypatch) -> list[tuple]:
     """Record every call of the DOP853 kernel: its arguments, its result and
     the field evaluations it made."""
@@ -905,3 +938,66 @@ def test_cheb_fit_matches_scipy_dct(tail_profiles):
             ref[0] *= 0.5
             err = np.abs(outer.cheb_fit(v) - ref)
             assert np.all(err <= n * np.finfo(float).eps * np.abs(v).max(axis=0))
+
+
+def _series_of(prof):
+    """The Chebyshev series a sample reads: the leaf table (5 columns), the
+    left tail's h and the transport series of its fast offset (complex)."""
+    pc = prof._pieces
+    return [pc.geo.leaf.coef, pc.h.coef, pc.fast[1].coef]
+
+
+def test_cheb_eval_matches_chebval(tail_profiles):
+    # the blocked Vandermonde product against numpy's Clenshaw evaluation on
+    # three blocks of points, column by column; bound set before measuring:
+    # both sum K terms, each with an error of about eps times the term, so
+    # they agree within K eps sum|coef| per column
+    t = np.linspace(-1.0, 1.0, 2 * outer.CHEB_BLOCK + 1001)
+    for prof in tail_profiles:
+        for coef in _series_of(prof):
+            got = outer.cheb_eval(t, coef)
+            ref = chebval(t, coef, tensor=True).T if coef.ndim == 2 else chebval(t, coef)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            bound = coef.shape[0] * np.finfo(float).eps * np.abs(coef).sum(axis=0)
+            assert np.all(np.abs(got - ref) <= bound)
+
+
+def test_sample_makes_no_numpy_chebyshev_evaluation(monkeypatch, profile15):
+    # every read of the leaf's series in a sample goes through cheb_eval: on
+    # a grid that reaches the leaf and its taper, no chebval call by the
+    # table (outer.chebval) and none by a series object (Chebyshev._val, the
+    # name Chebyshev.__call__ calls); the Clenshaw reads made 6 here, table,
+    # h and transport in the leaf and again in its blend
+    prof = profile15.value
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(outer, "chebval", counted(chebval), raising=False)
+    monkeypatch.setattr(Chebyshev, "_val", staticmethod(counted(Chebyshev._val)))
+    x = np.linspace(prof.x[0], prof.x[-1], 4001)
+    leaf_end = prof.x_left_leaf_end
+    assert np.any((x > leaf_end - connect.DEV_REACH) & (x < leaf_end))
+    prof.sample(x)
+    assert calls == []
+
+
+def test_sample_memory_guard():
+    # the tracemalloc peak of one 16,001-point sample at (1.2, 0.1) stays at
+    # or below the 3,119,737 bytes the same sample took with numpy's
+    # Clenshaw reads: cheb_eval's Vandermonde blocks are bounded, where one
+    # whole (n x 96) matrix of the leaf's 11,168 points is 8.6 MB
+    prof = connect.heteroclinic_solve(derive_params(0.1, 1.2))
+    x = np.linspace(prof.x[0], prof.x[-1], 16001)
+    prof.sample(x)
+    tracemalloc.start()
+    try:
+        prof.sample(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_119_737

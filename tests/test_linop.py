@@ -4,13 +4,75 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from orthowall import linop
+from orthowall import connect, linop
+from orthowall.params import derive_params
+
 
 @pytest.fixture(scope="module")
 def grid15(profile15):
     prof = profile15.value
     x = np.linspace(prof.x[0], prof.x[-1], 5601)
     return x, prof.sample(x)
+
+
+# -- reference: the operators as sums and blocks of scipy's dia matrices ----
+
+def _d2(n, h):
+    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
+
+
+def _d4(n, h):
+    return sp.diags([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2], shape=(n, n)) / h**4
+
+
+def _reference_Mg(x, states, p):
+    h = float(x[1] - x[0])
+    n, a_star, b_star, e2 = x.size, states[:, 0], states[:, 4], p.epsilon**2
+    aa = -_d4(n, h) + sp.diags(1.0 - 3.0 * a_star**2 - p.g * b_star**2)
+    cc = _d2(n, h) / e2 + sp.diags(1.0 - p.g * a_star**2 - 3.0 * b_star**2)
+    boost = sp.coo_matrix(([math.exp(-p.epsilon * p.delta * h) / (e2 * h**2),
+                            math.exp(-math.sqrt(2.0) * p.epsilon * h) / (e2 * h**2)],
+                           ([0, n - 1], [0, n - 1])), shape=(n, n))
+    ac = sp.diags(-2.0 * p.g * a_star * b_star)
+    return sp.bmat([[aa, ac], [ac, cc + boost]], format="csr")
+
+
+def _reference_Lg(x, states, p):
+    h = float(x[1] - x[0])
+    return (_d2(x.size, h) / p.epsilon**2
+            + sp.diags(1.0 - p.g * states[:, 0] ** 2 - states[:, 4] ** 2)).tocsr()
+
+
+def _constant_states(n, a, b):
+    st = np.zeros((n, 6))
+    st[:, 0], st[:, 4] = a, b
+    return st
+
+
+@pytest.mark.parametrize("case", ["anchor", "1.2-0.1", "A=1,B=0", "A=0,B=1"])
+def test_csc_assembly_is_bit_equal_to_dia_sums(p15, grid15, case):
+    # the CSC arrays built from the band values against scipy's dia sums and
+    # bmat, converted to CSC: the same pattern and the same bits.  The
+    # constant profiles make the coupling (and, for A = 0, B = 1, L's
+    # potential) exactly zero, which scipy's conversions leave out
+    if case == "anchor":
+        (x, st), p = grid15, p15
+    elif case == "1.2-0.1":
+        p = derive_params(0.1, 1.2)
+        prof = connect.heteroclinic_solve(p)
+        x = np.linspace(prof.x[0], prof.x[-1], 5601)
+        st = prof.sample(x)
+    else:
+        p, x = p15, np.linspace(0.0, 100.0, 2001)
+        st = _constant_states(x.size, *((1.0, 0.0) if case == "A=1,B=0" else (0.0, 1.0)))
+    for got, ref in ((linop.assemble_Mg(x, st, p).matrix, _reference_Mg(x, st, p)),
+                     (linop.assemble_Lg(x, st, p).matrix, _reference_Lg(x, st, p))):
+        ref = ref.tocsc()
+        ref.sort_indices()
+        assert got.format == "csc"
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
 
 
 def test_symmetry_exact(p15, grid15):
@@ -28,7 +90,7 @@ def test_decay_closure_matches_lil_reference(p15, grid15):
     boost = sp.lil_matrix((n, n))
     boost[0, 0] = math.exp(-p15.epsilon * p15.delta * h) / (e2 * h**2)
     boost[-1, -1] = math.exp(-math.sqrt(2.0) * p15.epsilon * h) / (e2 * h**2)
-    ref = (linop._d2(n, h) / e2 + sp.diags(1.0 - p15.g * st[:, 0] ** 2 - 3.0 * st[:, 4] ** 2)
+    ref = (_d2(n, h) / e2 + sp.diags(1.0 - p15.g * st[:, 0] ** 2 - 3.0 * st[:, 4] ** 2)
            + boost).tocsr()
     got = linop.assemble_Mg(x, st, p15).matrix[n:, n:]
     for a in (got, ref):
@@ -86,6 +148,27 @@ def test_kernel_diagnostics(p15, grid15, profile15):
     assert diag.kernel_angle < 1e-3
     assert diag.orthogonality_defect < 1e-6
     assert diag.l_smallest > 1e-3  # no near-kernel in the decoupled block
+
+
+def test_eigensolve_tolerance_against_full_convergence(monkeypatch):
+    # kernel_diagnostics stops ARPACK at EIGSH_TOL = 1e-10; against a run
+    # converged to machine precision (tol=0) on the (1.5, 0.05) profile.
+    # Bounds set before measuring, below the 8.6e-5 relative move a 1e-15
+    # move of the profile causes (measured: at most 7.9e-16, 1.2e-11 and 0)
+    p = derive_params(0.05, 1.5)
+    prof = connect.heteroclinic_solve(p)
+    x = np.linspace(prof.x[0], prof.x[-1], 5601)
+    st = prof.sample(x)
+    op = linop.assemble_Mg(x, st, p)
+    assert linop.EIGSH_TOL == 1e-10
+    loose = linop.kernel_diagnostics(op, st, p)
+    monkeypatch.setattr(linop, "EIGSH_TOL", 0.0)
+    full = linop.kernel_diagnostics(op, st, p)
+    assert np.allclose(loose.smallest, full.smallest, rtol=1e-12, atol=0.0)
+    assert loose.separation == pytest.approx(full.separation, rel=1e-12)
+    assert loose.orthogonality_defect == pytest.approx(full.orthogonality_defect, rel=1e-8)
+    assert loose.kernel_angle == pytest.approx(full.kernel_angle, rel=1e-4)
+    assert loose.l_smallest == pytest.approx(full.l_smallest, rel=1e-12)
 
 
 def test_discrete_self_adjointness(p15, grid15):

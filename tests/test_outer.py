@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval, chebvander
 from scipy.integrate import solve_ivp
 
 from orthowall import connect, dynamics, outer
@@ -257,3 +258,37 @@ def test_leaf_table_seed_row_is_leaf_states(p, profile15):
     # the seed state handed to the left core is leaf_states' own row at b0_a
     geo = profile15.value._pieces.geo
     assert np.array_equal(geo.leaf_a, outer.leaf_states(geo.b0_a, p)[0])
+
+
+def test_cheb_vander_chunks_are_chebvander(profile15):
+    # the recurrence in a rolling buffer of rows makes chebvander's bits, at
+    # random points, at the ends and at the table abscissae of a sample, for
+    # term counts below, at and across the buffer's height
+    table = profile15.value._pieces.geo.leaf
+    prof = profile15.value
+    b = prof.sample(prof.x)[:, 4]
+    b = b[b <= table.b_hi]
+    rng = np.random.default_rng(2)
+    for t in (rng.uniform(-1.0, 1.0, 1500), np.array([-1.0, 0.0, 1.0]), 2.0 * b / table.b_hi - 1.0):
+        for terms in (1, 2, 3, outer.CHEB_ROWS, outer.CHEB_ROWS + 1, 96, 97):
+            # each chunk is a view of the buffer: copy it before the next
+            chunks = [(k, v.copy()) for k, v in outer._cheb_vander_chunks(
+                t, terms, np.empty((outer.CHEB_ROWS, t.size)))]
+            assert [k for k, _ in chunks] == list(np.cumsum([0] + [v.shape[0] for _, v in chunks[:-1]]))
+            assert np.array_equal(np.vstack([v for _, v in chunks]), chebvander(t, terms - 1).T)
+
+
+def test_cheb_eval_shapes_and_blocks():
+    # complex columns over a block boundary and a scalar point: the shape
+    # is t.shape + coef.shape[1:], and every column agrees with chebval
+    # within K eps sum|coef| (the bound of the test on the solves' series)
+    rng = np.random.default_rng(3)
+    coef = rng.standard_normal((97, 3)) + 1j * rng.standard_normal((97, 3))
+    t = rng.uniform(-1.0, 1.0, outer.CHEB_BLOCK + 5)
+    got = outer.cheb_eval(t, coef)
+    assert got.shape == (t.size, 3) and got.dtype == complex
+    bound = 97 * np.finfo(float).eps * np.abs(coef).sum(axis=0)
+    assert np.all(np.abs(got - chebval(t, coef, tensor=True).T) <= bound)
+    assert outer.cheb_eval(0.25, coef).shape == (3,)
+    assert outer.cheb_eval(0.25, coef[:, 0].real).shape == ()
+    assert abs(outer.cheb_eval(0.25, coef[:, 0]) - chebval(0.25, coef[:, 0])) <= bound[0]
