@@ -156,9 +156,10 @@ def cmd_sweep(args) -> int:
     if getattr(args, "epsilons", None):
         eps_list = [float(v) for v in args.epsilons.split(",")]
     verify.check_sweep_members(cfg["g"], eps_list)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     out = _out_dir(args)
-    workers = max(1, int(getattr(args, "workers", 1) or 1))
-    scaling = verify.scaling_sweep(cfg["g"], eps_list, solve_cfg, workers, out_dir=out)
+    scaling = verify.scaling_sweep(cfg["g"], eps_list, solve_cfg, args.workers, out_dir=out)
     rows, excluded = scaling["rows"], scaling["excluded"]
     for rec in excluded:
         _say(args, f"sweep: epsilon = {rec['epsilon']:g} failed: {rec['error']}")

@@ -4,7 +4,10 @@
 (1) Matching solves for the four tangent parameters of the two manifold
 traces: the layer problem is integrated for the stable-side pair and its
 jet at the left end is equated to the unstable-side boundary family (seeded
-by the closed-form solution of the pure equating system, which is eps-free).
+by the closed-form solution of the pure equating system).  The whole stage
+is eps-free: it reads only the half-widths (a-, a+), which g and nu+-
+fix, so an eps sweep solves it once and hands the :class:`Matching` to
+every member (:func:`verify.solve_members`).
 (2) The core geometry: a forward left core starts on the slow leaf deep in
 the slow region, with two fast parameters c that start at c = 0, the leaf
 itself.  The slow leaf is evaluated here, once per solve: on the nodes of
@@ -220,7 +223,17 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, halvings):
     return x, r, aux, max_iter, J, "max_iter"
 
 
-def newton_match(scaling: ScalingConfig, u0) -> tuple[MatchingUnknowns, dict]:
+class Matching(NamedTuple):
+    """A solved matching: the unknowns, the Newton record ``info``
+    (iterations, residual, jacobian, converged) and the half-widths
+    (a-, a+) it was solved at, which are all of the scaling it reads."""
+
+    unknowns: MatchingUnknowns
+    info: dict
+    half_widths: tuple[float, float]
+
+
+def newton_match(scaling: ScalingConfig, u0) -> Matching:
     """Damped Newton iteration on :func:`boundary_map`, to NEWTON_TOL in at
     most NEWTON_MAX_ITER iterations.  The residual hands its layer jet to the
     Jacobian, so an iteration whose full step is taken solves the layer
@@ -242,7 +255,7 @@ def newton_match(scaling: ScalingConfig, u0) -> tuple[MatchingUnknowns, dict]:
         )
     info = {"iterations": iterations, "residual": float(np.abs(r).max()),
             "jacobian": _match_jacobian(u, r, jet, scaling), "converged": True}
-    return MatchingUnknowns.from_array(u), info
+    return Matching(MatchingUnknowns.from_array(u), info, (scaling.a_minus, scaling.a_plus))
 
 
 @dataclass(frozen=True)
@@ -794,11 +807,11 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
     return out
 
 
-def _matching(scaling: ScalingConfig, initial_guess) -> tuple[MatchingUnknowns, dict]:
-    """Stage 1: Newton on the matching system, seeded by the closed form."""
-    u0 = matching_closed_form(scaling.rho).as_array() if initial_guess is None \
-        else np.asarray(initial_guess, dtype=float)
-    return newton_match(scaling, u0)
+def solve_matching(scaling: ScalingConfig) -> Matching:
+    """Stage 1: Newton on the matching system, seeded by the closed form.
+    It reads only the half-widths (a-, a+) of ``scaling``, which depend on
+    g and nu+- but not on eps."""
+    return newton_match(scaling, matching_closed_form(scaling.rho).as_array())
 
 
 def _core_geometry(p: Params, scaling: ScalingConfig) -> _Shooting:
@@ -948,9 +961,10 @@ def _b_crossing(state_at, level: float, x0: float, lo: float, hi: float) -> floa
     raise RealizationError(f"B does not cross {level:.6g} in ({lo:.6g}, {hi:.6g})")
 
 
-def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, info: dict,
-                         pc: _Pieces, profile_points: int) -> HeteroclinicProfile:
+def _phase_fixed_profile(scaling: ScalingConfig, matching: Matching, pc: _Pieces,
+                         profile_points: int) -> HeteroclinicProfile:
     """Stage 5: fix the phase by B(0) = 1/sqrt(g) and sample the default grid."""
+    unknowns, info, _ = matching
     geo, jn = pc.geo, pc.junction
     p, x_a, x_r = geo.p, geo.x_a, jn.x_r
 
@@ -976,16 +990,26 @@ def _phase_fixed_profile(scaling: ScalingConfig, unknowns: MatchingUnknowns, inf
 
 
 def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
-                       initial_guess=None) -> HeteroclinicProfile:
+                       matching: Matching | None = None) -> HeteroclinicProfile:
     """Compute the connecting orbit for admissible (epsilon, g) in the five
-    stages of the module docstring; ``initial_guess`` seeds the matching."""
+    stages of the module docstring.
+
+    ``matching`` is a stage-1 result, :func:`solve_matching` or
+    :func:`newton_match`, to use in place of solving stage 1 here: a sweep
+    solves it once for all its members.  It must have been solved at this
+    solve's half-widths (a-, a+), or ``ValueError`` names both pairs."""
     if p.epsilon == 0.0:
         raise ValueError(
             "the eps = 0 limit is singular; use dynamics.singular_limit instead")
     cfg = cfg or SolveConfig()
     scaling = working_scaling(p, cfg.nu_minus, cfg.nu_plus)
-    unknowns, info = _matching(scaling, initial_guess)
+    if matching is None:
+        matching = solve_matching(scaling)
+    elif matching.half_widths != (scaling.a_minus, scaling.a_plus):
+        raise ValueError(
+            f"the matching was solved at (a-, a+) = {matching.half_widths!r}, "
+            f"but this solve has {(scaling.a_minus, scaling.a_plus)!r}")
     geo = _core_geometry(p, scaling)
-    junction = _right_junction(geo, scaling, unknowns)
+    junction = _right_junction(geo, scaling, matching.unknowns)
     pieces = _tail_pieces(geo, junction)
-    return _phase_fixed_profile(scaling, unknowns, info, pieces, cfg.profile_points)
+    return _phase_fixed_profile(scaling, matching, pieces, cfg.profile_points)

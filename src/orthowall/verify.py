@@ -17,7 +17,7 @@ import numpy as np
 
 from . import connect
 from .integrate import write_json
-from .params import derive_params
+from .params import derive_params, working_scaling
 
 RATE_TOL = 0.10             # relative tolerance of the tail-rate checks
 ENVELOPE_CEILING = 50.0     # sanity ceiling of the fitted envelope constants
@@ -263,20 +263,22 @@ def fit_slopes(rows) -> tuple[float, float]:
 
 
 def solve_member(g: float, eps: float, solve_cfg: connect.SolveConfig | None = None,
-                 out_dir=None) -> dict:
+                 out_dir=None, matching: connect.Matching | None = None) -> dict:
     """Solve one sweep member; never raises.
 
     Returns the scaling row ``{epsilon, a0_at_zero, corner_half_width,
     b0_at_zero}``, or ``{epsilon, error}`` with the error text when the solve
     or the writing of its files fails.  With ``out_dir`` the member also
-    writes ``eps_{eps:g}/profile.csv`` and ``report.json`` there.  Errors
+    writes ``eps_{eps:g}/profile.csv`` and ``report.json`` there.
+    ``matching`` goes to :func:`connect.heteroclinic_solve`: the sweep's
+    shared stage 1, or None to solve it here.  Errors
     are caught and files written here, in the worker process, because an
     exception may not unpickle in the parent (``AdmissibilityError`` takes
     two arguments) and a pickled profile carries its stacked dense core
     and tail interpolants (0.80 MB at g=1.5, eps=0.1).
     """
     try:
-        prof = connect.heteroclinic_solve(derive_params(eps, g), solve_cfg)
+        prof = connect.heteroclinic_solve(derive_params(eps, g), solve_cfg, matching)
         if out_dir is not None:
             sub = Path(out_dir) / f"eps_{eps:g}"
             sub.mkdir(exist_ok=True)
@@ -292,19 +294,42 @@ def solve_member(g: float, eps: float, solve_cfg: connect.SolveConfig | None = N
         return {"epsilon": eps, "error": str(exc)}
 
 
+def _shared_matching(g: float, members,
+                     solve_cfg: connect.SolveConfig | None) -> connect.Matching | None:
+    """Stage 1 of the sweep, solved at the scaling of the first member whose
+    working scaling builds: it reads only (a-, a+), which every member
+    shares.  None when no member's scaling builds or stage 1 raises; each
+    member then solves stage 1 itself and records its own error."""
+    cfg = solve_cfg or connect.SolveConfig()
+    for eps in members:
+        try:
+            scaling = working_scaling(derive_params(eps, g), cfg.nu_minus, cfg.nu_plus)
+        except ValueError:
+            continue
+        try:
+            return connect.solve_matching(scaling)
+        except Exception:  # noqa: BLE001 - raised again, and recorded, per member
+            return None
+    return None
+
+
 def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = None,
                   workers: int = 1, out_dir=None) -> tuple[list[dict], list[dict]]:
     """Run :func:`solve_member` for each eps; returns ``(rows, excluded)``.
 
-    Both lists follow the sorted eps order.  With ``workers > 1`` the members
-    run in at most that many forked worker processes; the records match a
-    serial run's byte for byte.  Fork shares the parent's imported numpy
-    and orthowall, which a fresh interpreter per worker would load again;
-    where the platform has no fork, the members run serially.  A fork copies
-    only the calling thread, so call this from a process that runs no other
-    threads of its own; the CLI runs none.
+    Both lists follow the sorted eps order.  Stage 1 of the solve, the
+    matching, is eps-free (:func:`connect.solve_matching`), so it is solved
+    once here, before any fork, and handed to every member as an argument;
+    a member's files and row are byte for byte those of its own cold solve.
+    With ``workers > 1`` the members run in at most that many forked worker
+    processes; the records match a serial run's byte for byte.  Fork shares
+    the parent's imported numpy and orthowall, which a fresh interpreter per
+    worker would load again; where the platform has no fork, the members run
+    serially.  A fork copies only the calling thread, so call this from a
+    process that runs no other threads of its own; the CLI runs none.
     """
     members = sorted(eps_list)
+    matching = _shared_matching(g, members, solve_cfg)
     workers = min(workers, len(members))
     if workers > 1:
         # imported here so that a process that never sweeps in parallel
@@ -316,7 +341,7 @@ def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     if workers > 1:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(solve_member, g, eps, solve_cfg, out_dir)
+            futures = [pool.submit(solve_member, g, eps, solve_cfg, out_dir, matching)
                        for eps in members]
             records = []
             for eps, fut in zip(members, futures):
@@ -325,7 +350,7 @@ def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
                 except Exception as exc:  # noqa: BLE001 - a worker died
                     records.append({"epsilon": eps, "error": str(exc)})
     else:
-        records = [solve_member(g, eps, solve_cfg, out_dir) for eps in members]
+        records = [solve_member(g, eps, solve_cfg, out_dir, matching) for eps in members]
     rows = [r for r in records if "error" not in r]
     excluded = [r for r in records if "error" in r]
     return rows, excluded
@@ -354,9 +379,11 @@ def scaling_sweep(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     phase-fixed profile (the right-junction crossing is polluted at desk
     scale by the slower-decaying flow corrections on that side).  The
     members pass :func:`check_sweep_members` before any is solved.  They are
-    solved by :func:`solve_members` (``workers`` and ``out_dir`` go there); ``rows`` and ``excluded`` hold
-    its records, and ``slope_a0`` and ``slope_width`` (:func:`fit_slopes`)
-    are present when at least 2 members converged.
+    solved by :func:`solve_members` (``workers`` and ``out_dir`` go there),
+    which solves the eps-free matching once for all of them; ``rows`` and
+    ``excluded`` hold its records, byte for byte those of cold solves, and
+    ``slope_a0`` and ``slope_width`` (:func:`fit_slopes`) are present when
+    at least 2 members converged.
     """
     check_sweep_members(g, eps_list)
     rows, excluded = solve_members(g, eps_list, solve_cfg, workers, out_dir)

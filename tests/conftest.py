@@ -41,10 +41,10 @@ def member_fault(monkeypatch):
     "injected fault"; forked sweep workers inherit the patch."""
     solve = ow.connect.heteroclinic_solve
 
-    def failing(p, *args):
+    def failing(p, *args, **kwargs):
         if p.epsilon == 0.15:
             raise ow.connect.RealizationError("injected fault")
-        return solve(p, *args)
+        return solve(p, *args, **kwargs)
 
     monkeypatch.setattr(ow.connect, "heteroclinic_solve", failing)
 

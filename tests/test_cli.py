@@ -254,6 +254,17 @@ def test_sweep_rejects_repeated_members(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
+    # checked before the output directory is made, as the members are
+    out = tmp_path / "s"
+    rc = cli.main(["sweep", "--out", str(out), "--g", "1.5", "--quiet",
+                   "--epsilons", "0.2,0.1,0.05,0.025", "--workers", workers])
+    assert rc == 1
+    assert f"error: --workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_points_below_three_rejected():
     # a grid of fewer than 3 points has no interior row for verify_profile's
     # b_interior check, and 0 or 1 points fail inside the rate fit

@@ -98,7 +98,8 @@ def test_boundary_map_smoothness(p15, monkeypatch):
 def test_newton_match(p15):
     sc = working_scaling(p15)
     u0 = connect.matching_closed_form(sc.rho).as_array()
-    u, info = connect.newton_match(sc, u0)
+    u, info, half_widths = connect.newton_match(sc, u0)
+    assert half_widths == (sc.a_minus, sc.a_plus)
     assert info["converged"]
     assert info["iterations"] <= 25
     assert info["residual"] < 1e-10
@@ -193,7 +194,7 @@ def test_neg_a_counterpart_same_residual(p15):
     # counterpart of the match, equated with the negated unstable family,
     # has the negated residual
     sc = working_scaling(p15)
-    u, _ = connect.newton_match(sc, connect.matching_closed_form(sc.rho).as_array())
+    u, _, _ = connect.newton_match(sc, connect.matching_closed_form(sc.rho).as_array())
     u = u.as_array()
     jet = connect._left_jet(u, sc)
     jet_neg = connect._left_jet(u * [1.0, 1.0, -1.0, -1.0], sc)
@@ -245,11 +246,24 @@ def test_profile_junction_locations(p15, profile15):
 def test_uniqueness_from_perturbed_seed(p15, profile15):
     prof = profile15.value
     u0 = connect.matching_closed_form(prof.scaling.rho).as_array()
-    prof2 = connect.heteroclinic_solve(p15, initial_guess=1.1 * u0)
+    prof2 = connect.heteroclinic_solve(
+        p15, matching=connect.newton_match(prof.scaling, 1.1 * u0))
     assert np.abs(prof2.unknowns.as_array()
                   - prof.unknowns.as_array()).max() < 1e-8
     xs = np.linspace(prof.x[0], prof.x[-1], 800)
     assert np.abs(prof2.sample(xs) - prof.sample(xs)).max() < 1e-6
+
+
+def test_matching_of_other_half_widths_rejected(p15):
+    # a matching solved at another g has other half-widths (a-, a+): the
+    # solve names both pairs instead of joining its cores to those traces
+    sc2 = working_scaling(derive_params(0.1, 2.0))
+    other = connect.newton_match(sc2, connect.matching_closed_form(sc2.rho).as_array())
+    sc = working_scaling(p15)
+    with pytest.raises(ValueError) as err:
+        connect.heteroclinic_solve(p15, matching=other)
+    for a in (sc2.a_minus, sc2.a_plus, sc.a_minus, sc.a_plus):
+        assert repr(a) in str(err.value)
 
 
 def test_transversality_report(profile15):
@@ -273,7 +287,7 @@ def test_condition_number_stable_under_refinement(p15, profile15, monkeypatch):
     conds = []
     for n in (2048, 4096):
         _layer_grid(monkeypatch, n)
-        _, info = connect.newton_match(sc, u0)
+        _, info, _ = connect.newton_match(sc, u0)
         sv = np.linalg.svd(info["jacobian"], compute_uv=False)
         conds.append(sv.max() / sv.min())
     assert abs(conds[1] - conds[0]) <= 0.2 * conds[0]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from orthowall import verify
+from orthowall import connect, inner, verify
+from orthowall.integrate import write_json
+from orthowall.params import derive_params
 
 def test_fit_plain_rate():
     x = np.linspace(0.0, 30.0, 400)
@@ -130,3 +132,72 @@ def test_scaling_study_excludes_failures(member_fault):
         assert len(fit["rows"]) == 4
         fits[workers] = fit
     assert fits[1] == fits[2]
+
+
+_README_SWEEP = (1.5, [0.2, 0.1, 0.05, 0.025])
+
+
+@pytest.fixture(scope="module")
+def cold_members(tmp_path_factory):
+    """Each README sweep member solved on its own: its scaling row and the
+    bytes of its profile.csv and report.json."""
+    g, eps_list = _README_SWEEP
+    out = tmp_path_factory.mktemp("cold")
+    rows, files = [], {}
+    for eps in sorted(eps_list):
+        prof = connect.heteroclinic_solve(derive_params(eps, g), connect.SolveConfig())
+        prof.to_csv(str(out / "profile.csv"))
+        write_json(out / "report.json", prof.report())
+        files[f"eps_{eps:g}"] = {name: (out / name).read_bytes()
+                                 for name in ("profile.csv", "report.json")}
+        rows.append({"epsilon": eps, "a0_at_zero": prof.a0_at_zero,
+                     "corner_half_width": abs(prof.x_star_left),
+                     "b0_at_zero": prof.b0_at_zero})
+    return rows, files
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_members_are_cold_solves(tmp_path, cold_members, workers):
+    # a sweep shares one stage-1 matching among its members; each member
+    # still writes the bytes, and gives the row, of its own solve
+    rows, files = cold_members
+    g, eps_list = _README_SWEEP
+    fit = verify.scaling_sweep(g, eps_list, workers=workers, out_dir=tmp_path)
+    assert fit["rows"] == rows
+    assert not fit["excluded"]
+    for sub, expected in files.items():
+        for name, data in expected.items():
+            assert (tmp_path / sub / name).read_bytes() == data, (sub, name)
+
+
+def test_failed_matching_fails_every_member(monkeypatch):
+    # a stage 1 that raises fails each member with its own text, serially
+    # and in forked workers
+    def failing(scaling, u0):
+        raise connect.MatchingError("x")
+
+    monkeypatch.setattr(connect, "newton_match", failing)
+    g, eps_list = _README_SWEEP
+    for workers in (1, 2):
+        fit = verify.scaling_sweep(g, eps_list, workers=workers)
+        assert fit["rows"] == []
+        assert fit["excluded"] == [{"epsilon": eps, "error": "x"}
+                                   for eps in sorted(eps_list)]
+
+
+def test_sweep_layer_solve_guard(monkeypatch):
+    # stage 1 depends on (g, nu+-) alone, so a 4-member sweep solves the
+    # layer problem as often as one solve does: 15 times, where solving
+    # stage 1 per member took 60
+    calls = []
+    solve_inner = inner.solve_inner
+
+    def counted(prob):
+        calls.append(prob)
+        return solve_inner(prob)
+
+    monkeypatch.setattr(inner, "solve_inner", counted)
+    g, eps_list = _README_SWEEP
+    fit = verify.scaling_sweep(g, eps_list)
+    assert len(fit["rows"]) == 4
+    assert 0 < len(calls) <= 16
