@@ -7,14 +7,19 @@ jet at the left end is equated to the unstable-side boundary family (seeded
 by the closed-form solution of the pure equating system).  The whole stage
 is eps-free: it reads only the half-widths (a-, a+), which g and nu+-
 fix, so an eps sweep solves it once and hands the :class:`Matching` to
-every member (:func:`verify.solve_members`).
+every member (:func:`verify.solve_members`).  Its result fills only the
+profile's matching fields; no later stage reads it.  So a solve that is
+not handed a matching runs stage 1 in a forked child while stages 2-5 run,
+where the process may use 2 CPUs or more and runs no other thread
+(:func:`_stage1_forks`), and inline otherwise.
 (2) The core geometry: a forward left core starts on the slow leaf deep in
 the slow region, with two fast parameters c that start at c = 0, the leaf
 itself.  The slow leaf is evaluated here, once per solve: on the nodes of
 its Chebyshev table, which every later read of it uses, and at the core's
 seed.
 (3) The right anchor starts a backward core on the far-right A = 0 leaf,
-fitted to the stable trace of the matching, and a 5-parameter least-squares
+fitted to the stable trace of the closed-form matching
+(:func:`matching_closed_form`), and a 5-parameter least-squares
 match of (c, right-core parameters) joins the two cores at the right
 junction x_hat: the intersection of the 3-dimensional unstable manifold of
 M- with the 3-dimensional stable manifold of M+.
@@ -45,7 +50,7 @@ the steps.  The junction match pays for it only at iterates where Newton
 takes a step.  The dense cores are built from the steps of the accepted
 junction shots, continued past x_hat by a short shot; no core is shot
 again.  At the anchor (g = 1.5, eps = 0.1) a solve makes 13 core shots and
-8,450 field evaluations.
+8,618 field evaluations.
 
 A solve runs on numpy alone: the tableau and the root finder above are
 this module's own, the interpolant is the package's :mod:`hermite`, and the
@@ -56,8 +61,12 @@ matrix, so the solve loads no scipy module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+import os
+import pickle
+import signal
+import threading
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Chebyshev
@@ -70,7 +79,7 @@ NEWTON_TOL = 1e-10            # matching Newton: max |residual| at convergence
 NEWTON_MAX_ITER = 25          # matching Newton iterations
 REFINE_TOL = 2e-7             # junction match: scaled mismatch at convergence
 REFINE_MAX_ITER = 15          # junction-match Gauss-Newton iterations
-ODE_RTOL = 1e-12              # core shots (the junction restart shoots ten times tighter)
+ODE_RTOL = 1e-12              # core shots
 ODE_ATOL = 1e-14
 TAIL_EFOLDS = 8.0             # the default grid spans this many e-folds of B's tails
 AMPLIFICATION_BUDGET = 9.0    # fast exponent accumulated over a core window
@@ -513,7 +522,7 @@ def _dense_solution(p: Params, steps: _Steps) -> _DenseSolution:
     return _DenseSolution(ts[:-1], h, ys[:-1], F)
 
 
-def _shoot(s0, span, p, rtol, atol) -> tuple[np.ndarray, _Steps]:
+def _shoot(s0, span, p, rtol=ODE_RTOL, atol=ODE_ATOL) -> tuple[np.ndarray, _Steps]:
     """Core shot over ``span``: the state at ``span[1]`` and the shot's steps."""
     return _dop853(lambda y: dynamics.vector_field(y, p), span[0], span[1], s0, rtol, atol)
 
@@ -583,8 +592,6 @@ class _Shooting:
     leaf_a: np.ndarray      # its state at b0_a
     cols_a: np.ndarray      # A-jet response to the left parameters (x1, x2)
     x_hat: float
-    rtol: float
-    atol: float
 
     def left_seed(self, c) -> tuple[np.ndarray, np.ndarray]:
         """Left-core seed and its 6 x 2 derivative in c."""
@@ -594,8 +601,7 @@ class _Shooting:
     def left_shot(self, c) -> _Shot:
         """Left core from x_a to x_hat, by :func:`_shoot`."""
         seed, d_seed = self.left_seed(c)
-        return _Shot(*_shoot(seed, (self.x_a, self.x_hat), self.p, self.rtol, self.atol),
-                     d_seed)
+        return _Shot(*_shoot(seed, (self.x_a, self.x_hat), self.p), d_seed)
 
     def right_seed(self, d1, d2, beta) -> tuple[np.ndarray, np.ndarray]:
         """Right-core seed and its 6 x 3 derivative in (d1, d2, beta)."""
@@ -616,14 +622,14 @@ class _Shooting:
     def right_shot(self, x_r, d1, d2, beta) -> _Shot:
         """Right core from x_r back to x_hat, by :func:`_shoot`."""
         seed, d_seed = self.right_seed(d1, d2, beta)
-        return _Shot(*_shoot(seed, (x_r, self.x_hat), self.p, self.rtol, self.atol), d_seed)
+        return _Shot(*_shoot(seed, (x_r, self.x_hat), self.p), d_seed)
 
     def dense_core(self, shot: _Shot) -> _DenseSolution:
         """The dense core of a shot to x_hat: its steps continued past x_hat
         to the end of the core's span, x_hat +- (W_H + 0.25)."""
         steps = shot.steps
         end = self.x_hat + math.copysign(W_H + 0.25, self.x_hat - steps.ts[0])
-        _, more = _shoot(shot.y, (self.x_hat, end), self.p, self.rtol, self.atol)
+        _, more = _shoot(shot.y, (self.x_hat, end), self.p)
         return _dense_solution(self.p, steps.followed_by(more))
 
 
@@ -810,7 +816,9 @@ def _sample_pieces(raw: np.ndarray, pc: _Pieces, p: Params) -> np.ndarray:
 def solve_matching(scaling: ScalingConfig) -> Matching:
     """Stage 1: Newton on the matching system, seeded by the closed form.
     It reads only the half-widths (a-, a+) of ``scaling``, which depend on
-    g and nu+- but not on eps."""
+    g and nu+- but not on eps.  :func:`heteroclinic_solve` calls it in a
+    forked child, or inline, and reads its result only for the profile's
+    matching fields."""
     return newton_match(scaling, matching_closed_form(scaling.rho).as_array())
 
 
@@ -836,7 +844,7 @@ def _core_geometry(p: Params, scaling: ScalingConfig) -> _Shooting:
     leaf, leaf_a = outer.leaf_table(b_hi, b0_a, p)
     return _Shooting(p=p, x_a=xa, b0_a=b0_a, leaf=leaf, leaf_a=leaf_a,
                      cols_a=frames.slow_coord_matrices(b0_a, p)[:4, :2],
-                     x_hat=scaling.x_star_plus, rtol=ODE_RTOL, atol=ODE_ATOL)
+                     x_hat=scaling.x_star_plus)
 
 
 def _junction_scale(p: Params) -> np.ndarray:
@@ -862,23 +870,23 @@ def _junction_jacobian(p: Params, shots: tuple[_Shot, _Shot]) -> np.ndarray:
     return np.hstack([phi_l, -phi_r]) / _junction_scale(p)[:, None]
 
 
-def _right_junction(geo: _Shooting, scaling: ScalingConfig,
-                    unknowns: MatchingUnknowns) -> _Junction:
+def _right_junction(geo: _Shooting, scaling: ScalingConfig) -> _Junction:
     """Stage 3: anchor the right core and join it to the left core at x_hat.
 
     The right anchor is a fast stable offset on the A = 0 tail at x_hat + t_r,
-    fitted to the stable trace of the matching; t_r keeps the amplification
-    floor and exposes several oscillation maxima past the corner guard.  The
-    junction match starts from the left core on the leaf (c = 0).  One that
-    ends above REFINE_TOL has met the noise floor of its shots and
-    restarts once from its last iterate with shots ten times tighter; one
-    that still ends above a scaled mismatch of 1e-4 fails.  The dense cores
-    come from the steps of the accepted iterate's shots."""
+    fitted to the stable trace of the closed-form matching
+    (:func:`matching_closed_form`), so this stage reads nothing of stage 1;
+    t_r keeps the amplification floor and exposes several oscillation
+    maxima past the corner guard.  The junction match starts from the left
+    core on the leaf (c = 0); one that ends above a scaled mismatch of 1e-4
+    fails.  The dense cores come from the steps of the accepted iterate's
+    shots."""
     p, x_hat = geo.p, geo.x_hat
     rate_plus = math.sqrt(p.delta / 2.0)
     t_r = max(8.0, AMPLIFICATION_BUDGET / rate_plus, 2.0 * x_hat + 5.5 * math.pi / rate_plus)
     x_r = x_hat + t_r
-    target_jet = outer.stable_seed(scaling, p, (unknowns.x10s, unknowns.x20s))[:4]
+    closed = matching_closed_form(scaling.rho)
+    target_jet = outer.stable_seed(scaling, p, (closed.x10s, closed.x20s))[:4]
     beta0 = math.tanh(math.atanh(scaling.b01) + p.epsilon / math.sqrt(2.0) * t_r)
     anchor = geo.right_shot(x_r, 0.0, 0.0, beta0)
     phi = _step_tangents(anchor.steps, anchor.d_seed[:, :2], p)
@@ -886,15 +894,11 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig,
     theta = np.array([0.0, 0.0, d0[0], d0[1], beta0])
 
     # a stalled line search ends the match as well; the mismatch decides
-    for _ in range(2):
-        theta, r, (left, right), _, _, _ = _damped_newton(
-            lambda th: _junction_residual(geo, x_r, th),
-            lambda th, r, shots: _junction_jacobian(p, shots),
-            theta, REFINE_TOL, REFINE_MAX_ITER, halvings=12)
-        mismatch = float(np.abs(r).max())
-        if mismatch <= REFINE_TOL:
-            break
-        geo = replace(geo, rtol=geo.rtol / 10.0, atol=geo.atol / 10.0)
+    theta, r, (left, right), _, _, _ = _damped_newton(
+        lambda th: _junction_residual(geo, x_r, th),
+        lambda th, r, shots: _junction_jacobian(p, shots),
+        theta, REFINE_TOL, REFINE_MAX_ITER, halvings=12)
+    mismatch = float(np.abs(r).max())
     if mismatch > 1e-4:
         raise RealizationError(f"junction match stalled at scaled mismatch {mismatch:.3e}")
     return _Junction(theta=theta, mismatch=mismatch, sol_left=geo.dense_core(left),
@@ -961,10 +965,11 @@ def _b_crossing(state_at, level: float, x0: float, lo: float, hi: float) -> floa
     raise RealizationError(f"B does not cross {level:.6g} in ({lo:.6g}, {hi:.6g})")
 
 
-def _phase_fixed_profile(scaling: ScalingConfig, matching: Matching, pc: _Pieces,
-                         profile_points: int) -> HeteroclinicProfile:
-    """Stage 5: fix the phase by B(0) = 1/sqrt(g) and sample the default grid."""
-    unknowns, info, _ = matching
+def _phase_fixed_profile(scaling: ScalingConfig, pc: _Pieces, profile_points: int,
+                         matching: Callable[[], Matching]) -> HeteroclinicProfile:
+    """Stage 5: fix the phase by B(0) = 1/sqrt(g) and sample the default grid.
+    Stage 1's result, ``matching()``, is read last, to fill the profile's
+    matching fields: nothing of the orbit depends on it."""
     geo, jn = pc.geo, pc.junction
     p, x_a, x_r = geo.p, geo.x_a, jn.x_r
 
@@ -979,6 +984,7 @@ def _phase_fixed_profile(scaling: ScalingConfig, matching: Matching, pc: _Pieces
     l_right = max(TAIL_EFOLDS / (p.epsilon * math.sqrt(2.0)), x_r - x_shift + 10.0)
     grid = np.linspace(-l_left, l_right, profile_points)
     states = _sample_pieces(grid + x_shift, pc, p)
+    unknowns, info, _ = matching()
     return HeteroclinicProfile(
         p=p, scaling=scaling, unknowns=unknowns, newton_iterations=info["iterations"],
         matching_residual=info["residual"], matching_jacobian=info["jacobian"],
@@ -989,6 +995,110 @@ def _phase_fixed_profile(scaling: ScalingConfig, matching: Matching, pc: _Pieces
         x=grid, states=states, w=dynamics.first_integral(states.T, p), _pieces=pc)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the machine's
+    count where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stage1_forks() -> bool:
+    """Whether a solve runs stage 1 in a forked child: the platform forks, the
+    process may run on 2 CPUs or more, and it runs no other thread of its
+    own (a fork copies only the calling thread)."""
+    return hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process runs on, field 39 of ``/proc/self/stat``, or None
+    where the platform has no such file."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu: int | None) -> None:
+    """Move this process to the CPUs it may use other than ``cpu``, where it
+    can.  Where the scheduler is slow to balance load between CPUs, a
+    forked child can stay on its parent's CPU for the whole of stage 1, and
+    the two share it: on a 2-CPU VM the anchor solve took 62 ms inline,
+    71 ms with its child on the parent's CPU and 46 ms once the child had
+    moved."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        try:
+            os.sched_setaffinity(0, others)
+        except OSError:
+            pass  # the child then shares its parent's CPU
+
+
+class _MatchingChild:
+    """:func:`solve_matching` in a forked child, on a CPU other than the
+    parent's (:func:`_leave_cpu`), while the parent runs stages 2-5.  The
+    child sends the pickled :class:`Matching`, or the exception it raised,
+    through a pipe and leaves by ``os._exit``, so it flushes no inherited
+    stdio buffer and runs no exit hook."""
+
+    def __init__(self, scaling: ScalingConfig):
+        read_fd, write_fd = os.pipe()
+        cpu = _current_cpu()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                _leave_cpu(cpu)
+                try:
+                    outcome = (True, solve_matching(scaling))
+                except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                    outcome = (False, exc)
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pid, self.fd, self.outcome = pid, read_fd, None
+
+    def matching(self) -> Matching:
+        """The child's :class:`Matching`, or the exception it raised, raised
+        here.  The first call reads the pipe to its end and reaps the child;
+        a child that exits with no result is a :class:`MatchingError`.  If
+        the read or the wait is interrupted, :meth:`kill` reaps the child."""
+        if self.outcome is None:
+            with open(self.fd, "rb") as pipe:
+                self.fd = None
+                data = pipe.read()
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            self.outcome = pickle.loads(data) if status == 0 and data else (False, MatchingError(
+                f"stage 1's child process exited with wait status {status} and no result"))
+        solved, value = self.outcome
+        if not solved:
+            raise value
+        return value
+
+    def kill(self) -> None:
+        """Kill and reap the child if it has not been reaped."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
                        matching: Matching | None = None) -> HeteroclinicProfile:
     """Compute the connecting orbit for admissible (epsilon, g) in the five
@@ -997,19 +1107,46 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
     ``matching`` is a stage-1 result, :func:`solve_matching` or
     :func:`newton_match`, to use in place of solving stage 1 here: a sweep
     solves it once for all its members.  It must have been solved at this
-    solve's half-widths (a-, a+), or ``ValueError`` names both pairs."""
+    solve's half-widths (a-, a+), or ``ValueError`` names both pairs.
+
+    Without a ``matching``, stage 1 runs in a forked child while this
+    process runs stages 2-5, where :func:`_stage1_forks` allows it, and
+    inline before them otherwise or where the fork fails; the profile is the
+    same to the bit.  The
+    child's result is read before the profile is built.  If a later stage
+    raises, the solve still waits for stage 1, and raises its error if it
+    has one, as the serial order would; an interrupt kills the child.  No
+    child outlives the call."""
     if p.epsilon == 0.0:
         raise ValueError(
             "the eps = 0 limit is singular; use dynamics.singular_limit instead")
     cfg = cfg or SolveConfig()
     scaling = working_scaling(p, cfg.nu_minus, cfg.nu_plus)
-    if matching is None:
-        matching = solve_matching(scaling)
-    elif matching.half_widths != (scaling.a_minus, scaling.a_plus):
-        raise ValueError(
-            f"the matching was solved at (a-, a+) = {matching.half_widths!r}, "
-            f"but this solve has {(scaling.a_minus, scaling.a_plus)!r}")
-    geo = _core_geometry(p, scaling)
-    junction = _right_junction(geo, scaling, matching.unknowns)
-    pieces = _tail_pieces(geo, junction)
-    return _phase_fixed_profile(scaling, matching, pieces, cfg.profile_points)
+    child = None
+    if matching is not None:
+        if matching.half_widths != (scaling.a_minus, scaling.a_plus):
+            raise ValueError(
+                f"the matching was solved at (a-, a+) = {matching.half_widths!r}, "
+                f"but this solve has {(scaling.a_minus, scaling.a_plus)!r}")
+    else:
+        if _stage1_forks():
+            try:
+                child = _MatchingChild(scaling)
+            except OSError:
+                pass  # no pipe or process to spare: solve stage 1 here
+        if child is None:
+            matching = solve_matching(scaling)
+    try:
+        try:
+            geo = _core_geometry(p, scaling)
+            junction = _right_junction(geo, scaling)
+            pieces = _tail_pieces(geo, junction)
+            return _phase_fixed_profile(scaling, pieces, cfg.profile_points,
+                                        child.matching if child else lambda: matching)
+        except Exception:
+            if child is not None:
+                child.matching()  # a stage-1 error wins, as in the serial order
+            raise
+    finally:
+        if child is not None:
+            child.kill()

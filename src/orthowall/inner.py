@@ -34,6 +34,11 @@ class NonConvergence(RuntimeError):
         super().__init__(message)
         self.history = list(history)
 
+    def __reduce__(self):
+        # rebuilt from both arguments, so that the error survives pickling
+        # (a forked stage 1 sends it to the parent)
+        return type(self), (self.args[0], self.history)
+
 
 def scale_constant(delta: float) -> float:
     """Layer scale factor K = (2 sqrt(2) delta^2 / sqrt(1+delta^2))^(1/5)."""

@@ -327,7 +327,10 @@ def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     worker would load again; where the platform has no fork, the members run
     serially.  A fork copies only the calling thread, so call this from a
     process that runs no other threads of its own; the CLI runs none.
+    ``workers`` below 1 is a ``ValueError``, as at the CLI.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     members = sorted(eps_list)
     matching = _shared_matching(g, members, solve_cfg)
     workers = min(workers, len(members))

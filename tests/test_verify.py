@@ -185,6 +185,20 @@ def test_failed_matching_fails_every_member(monkeypatch):
                                    for eps in sorted(eps_list)]
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_library_sweep_rejects_workers_below_one(monkeypatch, workers):
+    # as at the CLI, and before any member or stage 1 is solved
+    def unsolved(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(connect, "heteroclinic_solve", unsolved)
+    monkeypatch.setattr(connect, "solve_matching", unsolved)
+    g, eps_list = _README_SWEEP
+    for sweep in (verify.solve_members, verify.scaling_sweep):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            sweep(g, eps_list, workers=workers)
+
+
 def test_sweep_layer_solve_guard(monkeypatch):
     # stage 1 depends on (g, nu+-) alone, so a 4-member sweep solves the
     # layer problem as often as one solve does: 15 times, where solving
