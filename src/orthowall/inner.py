@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import CubicHermite
+from .integrate import write_csv
 
 PICARD_TOL = 1e-12      # sup-norm change of A at which a sweep has converged
 PICARD_MAX_ITER = 200   # Picard iterations per anchored sweep
@@ -129,9 +130,7 @@ class InnerSolution:
 
     def to_csv(self, path: str) -> None:
         res = inner_residual(self, return_array=True)[1]
-        data = np.column_stack([self.z, self.jets.T, res])
-        np.savetxt(path, data, delimiter=",", comments="",
-                   header="z,A,A',A'',A''',residual", fmt="%.17g")
+        write_csv(path, "z,A,A',A'',A''',residual", [self.z, self.jets.T, res])
 
 
 def _cumquad_right(f: np.ndarray, h: float) -> np.ndarray:

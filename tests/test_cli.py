@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthowall import cli, connect, verify
+from orthowall import cli, connect, inner, verify
 from orthowall.integrate import read_profile_csv
 
 
@@ -120,6 +120,24 @@ def test_inner_zero_data(tmp_path):
     assert np.abs(data[:, 1:]).max() == 0.0
     report = json.loads((out / "inner_report.json").read_text())
     assert report["residual"] == 0.0
+
+
+def test_readme_inner_csv_is_savetxt_bytes(tmp_path):
+    # the README's `orthowall inner` writes the bytes np.savetxt writes for
+    # the same solution
+    out = tmp_path / "layer1"
+    rc = cli.main(["inner", "--out", str(out), "--a-plus", "1.0", "--a-minus", "1.0",
+                   "--x10", "0.03", "--x20", "0.02", "--quiet"])
+    assert rc == 0
+    sol = inner.solve_inner(inner.InnerProblem(
+        a_minus=1.0, a_plus=1.0,
+        boundary_plus=tuple(inner.assemble_boundary("plus", (0.03, 0.02), 1.0))))
+    data = np.column_stack([sol.z, sol.jets.T,
+                            inner.inner_residual(sol, return_array=True)[1]])
+    ref = tmp_path / "savetxt.csv"
+    np.savetxt(ref, data, delimiter=",", comments="",
+               header="z,A,A',A'',A''',residual", fmt="%.17g")
+    assert (out / "inner.csv").read_bytes() == ref.read_bytes()
 
 
 def test_sweep_with_fault_injection(tmp_path, member_fault):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from orthowall import connect, dynamics, frames, integrate, outer
@@ -151,6 +152,100 @@ def test_csv_bytes_equal_savetxt(tmp_path):
                fmt="%.17g")
     assert path.read_bytes() == ref.read_bytes()
     assert path.read_bytes().count(b"\n") == n + 1
+
+
+HEADER = "x,A0,A1,A2,A3,B0,B1,W"
+
+
+def percent_rows(header, data):
+    """The oracle: each row by Python's own ``'%.17g' %``."""
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    return (header + "\n" + "".join(row % tuple(r) for r in data.tolist())).encode()
+
+
+def written(path, data, header=HEADER):
+    integrate.write_csv(str(path), header, [data])
+    return path.read_bytes()
+
+
+def in_rows(values):
+    """values padded with 1.0 to whole rows of 8."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.ones(-values.size % 8)]).reshape(-1, 8)
+
+
+def ulps(x, n=3):
+    """x and its n neighbours on either side."""
+    out = [x]
+    up = down = x
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "rows.csv"
+
+
+# hypothesis' pytest plugin trips this deprecation while it reports a
+# failure; as an error it would abort the session and hide the example
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.lists(st.floats(), min_size=8, max_size=8), min_size=1, max_size=40))
+def test_csv_bytes_equal_percent_format(csv_path, rows):
+    # any doubles, nan, inf and subnormals among them
+    data = np.array(rows, dtype=float)
+    assert written(csv_path, data) == percent_rows(HEADER, data)
+
+
+def _edge_families():
+    powers = [v for e in range(-300, 23) for v in ulps(float(f"1e{e}"))]
+    switches = [v for x in (1e-5, 1e-4, 9.99999e-5, 1e16, 1e17, 9999999999999998.0,
+                            99999999999999984.0) for v in ulps(x, 8)]
+    # neighbours of 9.9999999999999999 10**e, whose 17 digits round up to
+    # the next power of ten (and switch notation at 1e-4 and 1e16)
+    round_up = [v for e in range(-300, 17) for v in ulps(float(f"9.9999999999999999e{e}"))]
+    # exact 18-digit ties: odd c over 2**s (an exact double for c < 2**53)
+    # has the s decimals of c 5**s / 10**s, the last a 5; %.17g rounds them
+    # half to even
+    rng = np.random.default_rng(5)
+    ties = [1000000000000000.25, (4e15 + 1) / 4, 1000000000000000.75]
+    for s in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** s), min(10 ** 18 // 5 ** s, 2 ** 53)
+        ties += [c / 2 ** s for c in (rng.integers(lo, hi, size=60) | 1).tolist()
+                 if len(str(c * 5 ** s)) == 18]
+    return {"powers": powers, "switches": switches, "round_up": round_up,
+            "ties": ties}
+
+
+EDGES = _edge_families()
+
+
+@pytest.mark.parametrize("family", sorted(EDGES))
+def test_csv_bytes_on_edge_families(tmp_path, family):
+    values = np.array(EDGES[family])
+    if family == "ties":
+        # every tie is left to Python, also ties at 1e-8
+        assert values.size > 1000 and values.min() < 1e-7
+        assert integrate._decimal(values)[2].all()
+    data = in_rows(np.concatenate([values, -values]))
+    assert written(tmp_path / "edges.csv", data) == percent_rows(HEADER, data)
+
+
+def test_anchor_profile_bytes(tmp_path, profile15):
+    # the anchor's profile.csv is the oracle's bytes, and only its exact
+    # zeros leave the fast path (a regression sending values to Python
+    # would keep the bytes but not the speed)
+    prof = profile15.value
+    path = tmp_path / "profile.csv"
+    prof.to_csv(str(path))
+    data = np.column_stack([prof.x, prof.states, prof.w])
+    assert path.read_bytes() == percent_rows(HEADER, data)
+    values = data.ravel()
+    assert values.size == 32_008
+    assert np.array_equal(integrate._decimal(values)[2], values == 0.0)
 
 
 def _package_imports():
