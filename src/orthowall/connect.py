@@ -9,9 +9,9 @@ is eps-free: it reads only the half-widths (a-, a+), which g and nu+-
 fix, so an eps sweep solves it once and hands the :class:`Matching` to
 every member (:func:`verify.solve_members`).  Its result fills only the
 profile's matching fields; no later stage reads it.  So a solve that is
-not handed a matching runs stage 1 in a forked child while stages 2-5 run,
-where the process may use 2 CPUs or more and runs no other thread
-(:func:`_stage1_forks`), and inline otherwise.
+not handed a matching runs stage 1 in a :class:`forked.Forked` child while
+stages 2-5 run, where the process may use 2 CPUs or more and runs no other
+thread (:func:`_stage1_forks`), and inline otherwise.
 (2) The core geometry: a forward left core starts on the slow leaf deep in
 the slow region, with two fast parameters c that start at c = 0, the leaf
 itself.  The slow leaf is evaluated here, once per solve: on the nodes of
@@ -62,8 +62,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
-import signal
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -71,7 +69,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from . import _dop853_tableau as dop, dynamics, frames, inner, outer
+from . import _dop853_tableau as dop, dynamics, forked, frames, inner, outer
 from .hermite import CubicHermite
 from .params import Params, ScalingConfig, working_scaling
 
@@ -1004,10 +1002,9 @@ def _usable_cpus() -> int:
 
 
 def _stage1_forks() -> bool:
-    """Whether a solve runs stage 1 in a forked child: the platform forks, the
-    process may run on 2 CPUs or more, and it runs no other thread of its
-    own (a fork copies only the calling thread)."""
-    return hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
+    """Whether a solve forks stage 1: it may run on 2 CPUs or more and runs
+    no other thread of its own (a fork copies only the calling thread)."""
+    return _usable_cpus() >= 2 and threading.active_count() == 1
 
 
 def _current_cpu() -> int | None:
@@ -1037,66 +1034,11 @@ def _leave_cpu(cpu: int | None) -> None:
             pass  # the child then shares its parent's CPU
 
 
-class _MatchingChild:
-    """:func:`solve_matching` in a forked child, on a CPU other than the
-    parent's (:func:`_leave_cpu`), while the parent runs stages 2-5.  The
-    child sends the pickled :class:`Matching`, or the exception it raised,
-    through a pipe and leaves by ``os._exit``, so it flushes no inherited
-    stdio buffer and runs no exit hook."""
-
-    def __init__(self, scaling: ScalingConfig):
-        read_fd, write_fd = os.pipe()
-        cpu = _current_cpu()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                _leave_cpu(cpu)
-                try:
-                    outcome = (True, solve_matching(scaling))
-                except Exception as exc:  # noqa: BLE001 - raised again in the parent
-                    outcome = (False, exc)
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pid, self.fd, self.outcome = pid, read_fd, None
-
-    def matching(self) -> Matching:
-        """The child's :class:`Matching`, or the exception it raised, raised
-        here.  The first call reads the pipe to its end and reaps the child;
-        a child that exits with no result is a :class:`MatchingError`.  If
-        the read or the wait is interrupted, :meth:`kill` reaps the child."""
-        if self.outcome is None:
-            with open(self.fd, "rb") as pipe:
-                self.fd = None
-                data = pipe.read()
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-            self.outcome = pickle.loads(data) if status == 0 and data else (False, MatchingError(
-                f"stage 1's child process exited with wait status {status} and no result"))
-        solved, value = self.outcome
-        if not solved:
-            raise value
-        return value
-
-    def kill(self) -> None:
-        """Kill and reap the child if it has not been reaped."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+def _matching_off_cpu(parent: int, cpu: int | None, scaling: ScalingConfig) -> Matching:
+    """Stage 1, first moved off the ``parent``'s CPU unless it runs in the parent."""
+    if os.getpid() != parent:
+        _leave_cpu(cpu)
+    return solve_matching(scaling)
 
 
 def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
@@ -1109,14 +1051,13 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
     solves it once for all its members.  It must have been solved at this
     solve's half-widths (a-, a+), or ``ValueError`` names both pairs.
 
-    Without a ``matching``, stage 1 runs in a forked child while this
-    process runs stages 2-5, where :func:`_stage1_forks` allows it, and
-    inline before them otherwise or where the fork fails; the profile is the
-    same to the bit.  The
-    child's result is read before the profile is built.  If a later stage
-    raises, the solve still waits for stage 1, and raises its error if it
-    has one, as the serial order would; an interrupt kills the child.  No
-    child outlives the call."""
+    Without a ``matching``, stage 1 runs in a :class:`forked.Forked` child
+    while this process runs stages 2-5, where :func:`_stage1_forks` allows
+    it, and here otherwise or where the fork fails: the same bits.  The
+    child's :class:`Matching` or error crosses its pipe and is read before
+    the profile is built; one that dies without it is a :class:`MatchingError`.
+    If a later stage raises, the solve still waits for stage 1 and raises its
+    error, if any, as the serial order would; an interrupt kills the child."""
     if p.epsilon == 0.0:
         raise ValueError(
             "the eps = 0 limit is singular; use dynamics.singular_limit instead")
@@ -1128,25 +1069,21 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
             raise ValueError(
                 f"the matching was solved at (a-, a+) = {matching.half_widths!r}, "
                 f"but this solve has {(scaling.a_minus, scaling.a_plus)!r}")
+    elif _stage1_forks():
+        child = forked.Forked(_matching_off_cpu, os.getpid(), _current_cpu(), scaling,
+                              lost=MatchingError)
     else:
-        if _stage1_forks():
-            try:
-                child = _MatchingChild(scaling)
-            except OSError:
-                pass  # no pipe or process to spare: solve stage 1 here
-        if child is None:
-            matching = solve_matching(scaling)
+        matching = solve_matching(scaling)
     try:
-        try:
-            geo = _core_geometry(p, scaling)
-            junction = _right_junction(geo, scaling)
-            pieces = _tail_pieces(geo, junction)
-            return _phase_fixed_profile(scaling, pieces, cfg.profile_points,
-                                        child.matching if child else lambda: matching)
-        except Exception:
-            if child is not None:
-                child.matching()  # a stage-1 error wins, as in the serial order
-            raise
+        geo = _core_geometry(p, scaling)
+        junction = _right_junction(geo, scaling)
+        pieces = _tail_pieces(geo, junction)
+        return _phase_fixed_profile(scaling, pieces, cfg.profile_points,
+                                    child.result if child else lambda: matching)
+    except Exception:
+        if child is not None:
+            child.result()  # a stage-1 error wins, as in the serial order
+        raise
     finally:
         if child is not None:
             child.kill()

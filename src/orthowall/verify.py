@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import connect
+from . import connect, forked
 from .integrate import write_json
 from .params import derive_params, working_scaling
 
@@ -271,11 +271,11 @@ def solve_member(g: float, eps: float, solve_cfg: connect.SolveConfig | None = N
     or the writing of its files fails.  With ``out_dir`` the member also
     writes ``eps_{eps:g}/profile.csv`` and ``report.json`` there.
     ``matching`` goes to :func:`connect.heteroclinic_solve`: the sweep's
-    shared stage 1, or None to solve it here.  Errors
-    are caught and files written here, in the worker process, because an
-    exception may not unpickle in the parent (``AdmissibilityError`` takes
-    two arguments) and a pickled profile carries its stacked dense core
-    and tail interpolants (0.80 MB at g=1.5, eps=0.1).
+    shared stage 1, or None to solve it here.  Only this dict crosses a
+    forked member's pipe: errors are caught and files written in the child,
+    as an exception may not unpickle (``AdmissibilityError`` takes two
+    arguments) and a pickled profile carries its stacked dense core and
+    tail interpolants (0.80 MB at g=1.5, eps=0.1).
     """
     try:
         prof = connect.heteroclinic_solve(derive_params(eps, g), solve_cfg, matching)
@@ -321,39 +321,34 @@ def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     matching, is eps-free (:func:`connect.solve_matching`), so it is solved
     once here, before any fork, and handed to every member as an argument;
     a member's files and row are byte for byte those of its own cold solve.
-    With ``workers > 1`` the members run in at most that many forked worker
-    processes; the records match a serial run's byte for byte.  Fork shares
-    the parent's imported numpy and orthowall, which a fresh interpreter per
-    worker would load again; where the platform has no fork, the members run
-    serially.  A fork copies only the calling thread, so call this from a
-    process that runs no other threads of its own; the CLI runs none.
-    ``workers`` below 1 is a ``ValueError``, as at the CLI.
+    With ``workers > 1`` each member runs in a :class:`forked.Forked` child,
+    at most ``workers`` at once, and sends its record back, byte for byte a
+    serial run's.  A child that dies is its member's error alone, naming
+    its wait status; where no child can be made, the member is solved here;
+    an interrupt kills every child.  Call this from a process that runs no
+    other thread, as the CLI does; ``workers`` below 1 is a ``ValueError``.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     members = sorted(eps_list)
     matching = _shared_matching(g, members, solve_cfg)
-    workers = min(workers, len(members))
-    if workers > 1:
-        # imported here so that a process that never sweeps in parallel
-        # does not load (and hold in memory) the pool machinery
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(solve_member, g, eps, solve_cfg, out_dir, matching)
-                       for eps in members]
-            records = []
-            for eps, fut in zip(members, futures):
-                try:
-                    records.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - a worker died
-                    records.append({"epsilon": eps, "error": str(exc)})
-    else:
+    if workers == 1:
         records = [solve_member(g, eps, solve_cfg, out_dir, matching) for eps in members]
+    else:
+        records, children = [], []
+        try:
+            while len(records) < len(members):
+                if len(children) < min(len(records) + workers, len(members)):
+                    children.append(forked.Forked(solve_member, g, members[len(children)],
+                                                  solve_cfg, out_dir, matching))
+                    continue
+                try:  # the oldest member still running
+                    records.append(children[len(records)].result())
+                except Exception as exc:  # noqa: BLE001 - its child died: its error alone
+                    records.append({"epsilon": members[len(records)], "error": str(exc)})
+        finally:
+            for child in children:
+                child.kill()
     rows = [r for r in records if "error" not in r]
     excluded = [r for r in records if "error" in r]
     return rows, excluded

@@ -1,4 +1,5 @@
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -33,6 +34,22 @@ def sweep15():
     t0 = time.perf_counter()
     fit = verify.scaling_sweep(1.5, [0.2, 0.1, 0.05, 0.025])
     return Timed(fit, time.perf_counter() - t0)
+
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """The pids of the children that ``os.fork`` starts from here on."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
 
 
 @pytest.fixture

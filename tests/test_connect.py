@@ -743,22 +743,6 @@ def _failing_match(scaling, u0):
     raise connect.MatchingError("injected", last_iterate=np.arange(4.0), jacobian=np.eye(4))
 
 
-@pytest.fixture
-def fork_pids(monkeypatch):
-    """The pids of the children that ``os.fork`` starts from here on."""
-    pids = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
-
-
 def test_stage1_errors_survive_pickling():
     # a forked stage 1 sends its error to the parent by pickle: each error
     # stage 1 can raise comes back with its type, message and attributes
@@ -860,6 +844,24 @@ def test_failed_fork_solves_stage1_inline(monkeypatch, p15):
         assert len(os.listdir("/proc/self/fd")) == fds
     assert np.array_equal(prof.states, inline.states)
     assert prof.unknowns == inline.unknowns
+
+
+def test_failed_fork_keeps_the_parents_cpus(monkeypatch, p15):
+    # where the fork fails, stage 1 runs in the solving process itself,
+    # which keeps every CPU it may use: only a child moves off its parent's
+    monkeypatch.setattr(connect, "_usable_cpus", lambda: 2)
+    moves = []
+    monkeypatch.setattr(connect, "_leave_cpu", moves.append)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    connect.heteroclinic_solve(p15)
+    assert moves == []
+    if allowed is not None:
+        assert os.sched_getaffinity(0) == allowed
 
 
 @pytest.mark.parametrize("g, eps", [(1.5, 0.1), (1.2, 0.02), (1.12, 0.25)])

@@ -271,6 +271,22 @@ def test_one_integration_path():
     assert found == []
 
 
+def test_one_process_mechanism():
+    # every child process is a forked.Forked: no module of the package
+    # imports multiprocessing or concurrent.futures, not even inside a
+    # function, and only forked.py names os.fork
+    found = [f"{file}:{line} {name}" for file, line, name in _package_imports()
+             if name.split(".")[0] == "multiprocessing"
+             or (name + ".").startswith("concurrent.futures.") or name == "os.fork"]
+    for path in sorted(Path(connect.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{node.lineno} os.fork"
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Attribute) and node.attr == "fork"
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"
+                  and path.name != "forked.py"]
+    assert found == []
+
+
 def test_only_linop_imports_scipy():
     # the solve, sweep, verify and inner run on numpy alone: of the
     # package's modules only linop, behind the spectrum command, imports

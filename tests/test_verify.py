@@ -1,3 +1,7 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -215,3 +219,80 @@ def test_sweep_layer_solve_guard(monkeypatch):
     fit = verify.scaling_sweep(g, eps_list)
     assert len(fit["rows"]) == 4
     assert 0 < len(calls) <= 16
+
+
+def _all_reaped(pids) -> bool:
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+def test_dead_member_child_costs_only_that_member(monkeypatch, fork_pids):
+    # a member whose child exits without a result is that member's error,
+    # naming the wait status; every other member keeps its row
+    solve = connect.heteroclinic_solve
+
+    def dying(p, *args, **kwargs):
+        if p.epsilon == 0.15:
+            os._exit(3)
+        return solve(p, *args, **kwargs)
+
+    monkeypatch.setattr(connect, "heteroclinic_solve", dying)
+    rows, excluded = verify.solve_members(1.5, [0.2, 0.1, 0.05, 0.025, 0.15], workers=2)
+    assert [r["epsilon"] for r in rows] == [0.025, 0.05, 0.1, 0.2]
+    assert [r["epsilon"] for r in excluded] == [0.15]
+    assert "wait status 768" in excluded[0]["error"]
+    assert len(fork_pids) == 5 and _all_reaped(fork_pids)
+
+
+def test_sweep_without_a_process_to_spare_solves_here(monkeypatch):
+    # a fork that fails leaves each member to this process: the records of
+    # a serial sweep, and no descriptor left open
+    g, eps_list = _README_SWEEP
+    serial = verify.solve_members(g, eps_list, workers=1)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    assert verify.solve_members(g, eps_list, workers=2) == serial
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_interrupted_sweep_kills_every_member_child(monkeypatch, fork_pids):
+    # an interrupt while the parent waits for a member does not wait for
+    # the running members: each child is killed and reaped
+    monkeypatch.setattr(connect, "heteroclinic_solve", lambda *args: time.sleep(60))
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            verify.solve_members(*_README_SWEEP, workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - t0 < 30.0
+    assert len(fork_pids) == 2 and _all_reaped(fork_pids)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call")
+def test_member_child_keeps_the_parents_cpus(monkeypatch, fork_pids):
+    # only a solve's stage-1 child leaves its parent's CPU: two members
+    # moved off it on a 2-CPU host would share the one CPU left
+    monkeypatch.setattr(verify, "solve_member", lambda g, eps, *args: {
+        "epsilon": eps, "cpus": sorted(os.sched_getaffinity(0))})
+    g, eps_list = _README_SWEEP
+    rows, excluded = verify.solve_members(g, eps_list, workers=2)
+    assert [r["cpus"] for r in rows] == [sorted(os.sched_getaffinity(0))] * len(eps_list)
+    assert len(fork_pids) == len(eps_list) and not excluded
