@@ -10,8 +10,8 @@ fix, so an eps sweep solves it once and hands the :class:`Matching` to
 every member (:func:`verify.solve_members`).  Its result fills only the
 profile's matching fields; no later stage reads it.  So a solve that is
 not handed a matching runs stage 1 in a :class:`forked.Forked` child while
-stages 2-5 run, where the process may use 2 CPUs or more and runs no other
-thread (:func:`_stage1_forks`), and inline otherwise.
+stages 2-5 run, where the process may use 2 CPUs or more, and inline
+otherwise or where the child cannot be forked.
 (2) The core geometry: a forward left core starts on the slow leaf deep in
 the slow region, with two fast parameters c that start at c = 0, the leaf
 itself.  The slow leaf is evaluated here, once per solve: on the nodes of
@@ -34,51 +34,36 @@ a :class:`hermite.CubicHermite` whose knot slopes are the decay rate itself.
 along the orbit, so this root and the corner crossings B = B00, B01 are
 found by :func:`_b_crossing`, bracketed Newton on the profile's own B'
 column; the default grid is then sampled.  The matching Newton and the
-junction match run through the one damped Newton driver
-:func:`_damped_newton`.  The dense cores are evaluated from their stacked
-step interpolants, :class:`_DenseSolution`, one vectorized pass per call.
+junction match run through the one damped Newton driver :func:`_damped_newton`.
 
-Every integration runs through one DOP853 kernel, :func:`_dop853`, with the
-step control of scipy's ``DOP853`` and its tableau (Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.4-II.6), copied into :mod:`._dop853_tableau` and
-pinned to scipy's by a test.  Every core shot is a plain 6-component
-shot that records its accepted steps.  The shooting Jacobians are exact:
-DOP853 applied to the variational equation Phi' = J(s) Phi (sec. I.14) on a
-shot's own steps is the derivative of that shot, so :func:`_step_tangents`
-forms it afterwards from the recorded stages, in one vectorized pass over
-the steps.  The junction match pays for it only at iterates where Newton
-takes a step.  The dense cores are built from the steps of the accepted
-junction shots, continued past x_hat by a short shot; no core is shot
-again.  At the anchor (g = 1.5, eps = 0.1) a solve makes 13 core shots and
-8,618 field evaluations.
-
-A solve runs on numpy alone: the tableau and the root finder above are
-this module's own, the interpolant is the package's :mod:`hermite`, and the
-Chebyshev fits of :func:`outer.cheb_fit` are one product with a fixed DCT
-matrix, so the solve loads no scipy module.
+Every integration runs through :mod:`ode`'s one DOP853 kernel, which also
+gives the shots' exact tangents and the dense cores' stacked step
+interpolants, each in one vectorized pass.  A solve runs on numpy alone:
+the tableau is :mod:`ode`'s, the root finder above this module's own, the
+interpolant is the package's :mod:`hermite`, and the Chebyshev fits of
+:func:`outer.cheb_fit` are one product with a fixed DCT matrix, so the
+solve loads no scipy module.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from . import _dop853_tableau as dop, dynamics, forked, frames, inner, outer
+from . import dynamics, forked, frames, inner, ode, outer
 from .hermite import CubicHermite
+from .ode import RealizationError
 from .params import Params, ScalingConfig, working_scaling
 
 NEWTON_TOL = 1e-10            # matching Newton: max |residual| at convergence
 NEWTON_MAX_ITER = 25          # matching Newton iterations
 REFINE_TOL = 2e-7             # junction match: scaled mismatch at convergence
 REFINE_MAX_ITER = 15          # junction-match Gauss-Newton iterations
-ODE_RTOL = 1e-12              # core shots
-ODE_ATOL = 1e-14
 TAIL_EFOLDS = 8.0             # the default grid spans this many e-folds of B's tails
 AMPLIFICATION_BUDGET = 9.0    # fast exponent accumulated over a core window
 W_A = 2.5                     # width of the left blend, leaf to left core, from x_a
@@ -92,10 +77,6 @@ class MatchingError(RuntimeError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.jacobian = jacobian
-
-
-class RealizationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -401,166 +382,12 @@ class HeteroclinicProfile:
         }
 
 
-class _Steps(NamedTuple):
-    """Accepted DOP853 steps of an m-component shot: the knots ``ts``
-    (n + 1), the states there ``ys`` (n + 1 x m) and each step's stages
-    K0..K12 ``ks`` (n x 13 x m), K12 being the field at the step's end."""
-
-    ts: np.ndarray
-    ys: np.ndarray
-    ks: np.ndarray
-
-    def followed_by(self, more: _Steps) -> _Steps:
-        """These steps continued by ``more``, which starts at their last knot."""
-        return _Steps(np.concatenate([self.ts, more.ts[1:]]),
-                      np.concatenate([self.ys, more.ys[1:]]),
-                      np.concatenate([self.ks, more.ks]))
-
-
-# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5): the
-# 12 stages with the solution weights B as a 13th row, and the two error
-# estimators.
-_DOP_A = np.vstack([dop.A, dop.B])
-_DOP_E = np.vstack([dop.E5, dop.E3])
-
-
-def _rms(v: np.ndarray) -> np.float64:
-    return np.sqrt(v.dot(v)) / v.size**0.5
-
-
-def _dop853(field, t0: float, t1: float, y0: np.ndarray, rtol,
-            atol) -> tuple[np.ndarray, _Steps]:
-    """Integrate the autonomous y' = field(y) from t0 to t1 by DOP853.
-
-    The step control is scipy's ``DOP853`` (the initial-step rule, safety
-    0.9, step factors within [0.2, 10], exponent -1/8, the combined
-    err5/err3 error norm, a minimum step of 10 ulp of t), so the shot takes
-    the same steps and field evaluations as ``solve_ivp(method="DOP853")``.
-    A stage costs one product with the scaled tableau row, one add and the
-    field.  Returns the state at t1 and the accepted steps.  A step below
-    the minimum or an error norm that is not finite raises
-    :class:`RealizationError`.
-    """
-    t0, t1 = float(t0), float(t1)
-    direction = 1.0 if t1 >= t0 else -1.0
-    length = abs(t1 - t0)
-    y = np.asarray(y0, dtype=float)
-    n = y.size
-    K = np.empty((13, n))
-    hA = np.empty_like(_DOP_A)
-    stages = [(hA[s, :s], K[:s]) for s in range(1, 12)]
-    weights = (hA[12], K[:12])
-    ts, ys, ks = [t0], [y], []
-    with np.errstate(all="ignore"):
-        f = field(y)
-        # initial step (Hairer, Norsett & Wanner, sec. II.4)
-        scale = atol + np.abs(y) * rtol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-        d2 = _rms((field(y + h0 * direction * f) - f) / scale) / h0
-        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-              else (0.01 / max(d1, d2)) ** 0.125)
-        h_abs = float(min(100.0 * h0, h1, length))
-        t = t0
-        while direction * (t - t1) < 0.0:
-            min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise RealizationError(f"DOP853 step below {min_step:.3g} at t = {t:.6g}")
-                t_new = t + h_abs * direction
-                if direction * (t_new - t1) > 0.0:
-                    t_new = t1
-                h = t_new - t
-                h_abs = abs(h)
-                np.multiply(_DOP_A, h, out=hA)
-                K[0] = f
-                for s, (a, k) in enumerate(stages, start=1):
-                    K[s] = field(y + a.dot(k))
-                y_new = y + weights[0].dot(weights[1])
-                f_new = K[12] = field(y_new)
-                err = _DOP_E.dot(K) / (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
-                e5, e3 = (err * err).sum(axis=1).tolist()
-                norm = 0.0 if e5 == 0.0 and e3 == 0.0 else \
-                    h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
-                if not math.isfinite(norm):
-                    raise RealizationError(f"DOP853 error norm is {norm} at t = {t:.6g}")
-                if norm < 1.0:
-                    factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.125)
-                    h_abs *= min(1.0, factor) if rejected else factor
-                    break
-                h_abs *= max(0.2, 0.9 * norm**-0.125)
-                rejected = True
-            ts.append(t_new)
-            ys.append(y_new)
-            ks.append(K.copy())
-            t, y, f = t_new, y_new, f_new
-    return y, _Steps(np.array(ts), np.array(ys), np.array(ks).reshape(-1, 13, n))
-
-
-def _dense_solution(p: Params, steps: _Steps) -> _DenseSolution:
-    """The DOP853 dense output of a core shot's recorded steps: 3 extra stages
-    per step, then the 7 interpolant rows F (Hairer, Norsett & Wanner, II.6)."""
-    ts, ys, ks = steps
-    h = np.diff(ts)
-    K = np.empty((h.size, 16, ys.shape[1]))
-    K[:, :13] = ks
-    for Ki, hi, y in zip(K, h, ys):
-        hA = hi * dop.A_EXTRA
-        for s in range(13, 16):
-            Ki[s] = dynamics.vector_field(y + hA[s - 13, :s].dot(Ki[:s]), p)
-    dy = ys[1:] - ys[:-1]
-    hc = h[:, None]
-    F = np.empty((h.size, 7, ys.shape[1]))
-    F[:, 0] = dy
-    F[:, 1] = hc * K[:, 0] - dy
-    F[:, 2] = 2.0 * dy - hc * (K[:, 12] + K[:, 0])
-    F[:, 3:] = hc[:, :, None] * np.einsum("jk,ikm->ijm", dop.D, K)
-    return _DenseSolution(ts[:-1], h, ys[:-1], F)
-
-
-def _shoot(s0, span, p, rtol=ODE_RTOL, atol=ODE_ATOL) -> tuple[np.ndarray, _Steps]:
-    """Core shot over ``span``: the state at ``span[1]`` and the shot's steps."""
-    return _dop853(lambda y: dynamics.vector_field(y, p), span[0], span[1], s0, rtol, atol)
-
-
-def _step_tangents(steps: _Steps, d_seed: np.ndarray, p: Params) -> np.ndarray:
-    """Derivative of a core shot's end state in its k parameters (6 x k),
-    carried along its recorded ``steps`` from the seed derivative ``d_seed``.
-
-    DOP853 applied to the variational equation Phi' = J(s) Phi with the
-    shot's own steps is the derivative of the shot (Hairer, Norsett & Wanner,
-    Solving ODEs I, sec. I.14 and II.4-II.6).  In step n the stage state
-    S_s = y_n + h_n sum_j A_sj K_j moves the tangents by L_s = J(S_s) (I +
-    h_n sum_j A_sj L_j), and the step maps them by M_n = I + h_n sum_s b_s
-    L_s.  The stage products run on all steps at once, with J's sparsity:
-    rows 0-2 and 4 shift, rows 3 and 5 couple rows 0 and 4.
-    """
-    ts, ys, ks = steps
-    h = np.diff(ts)[:, None, None]
-    stages = ys[:-1, None] + h * np.einsum("sj,njm->nsm", dop.A, ks[:, :12])
-    j30, j34, j50, j54 = dynamics._coupling(stages[..., 0], stages[..., 4], p)
-    eye = np.eye(6)
-    L = np.empty((12, h.size, 6, 6))
-    for s in range(12):
-        D = eye + h * np.tensordot(dop.A[s, :s], L[:s], axes=1)
-        L[s, :, :3] = D[:, 1:4]
-        L[s, :, 4] = D[:, 5]
-        L[s, :, 3] = j30[:, s, None] * D[:, 0] + j34[:, s, None] * D[:, 4]
-        L[s, :, 5] = j50[:, s, None] * D[:, 0] + j54[:, s, None] * D[:, 4]
-    phi = d_seed
-    for m in eye + h * np.tensordot(dop.B, L, axes=1):
-        phi = m @ phi
-    return phi
-
-
 class _Shot(NamedTuple):
     """A core shot: its state ``y`` at x_hat, its ``steps`` and the 6 x k
     derivative ``d_seed`` of its seed in the core's parameters."""
 
     y: np.ndarray
-    steps: _Steps
+    steps: ode._Steps
     d_seed: np.ndarray
 
 
@@ -597,9 +424,9 @@ class _Shooting:
         return _seed(jet, self.b0_a, np.vstack([self.cols_a, np.zeros(2)]), self.p)
 
     def left_shot(self, c) -> _Shot:
-        """Left core from x_a to x_hat, by :func:`_shoot`."""
+        """Left core from x_a to x_hat, by :func:`ode._shoot`."""
         seed, d_seed = self.left_seed(c)
-        return _Shot(*_shoot(seed, (self.x_a, self.x_hat), self.p), d_seed)
+        return _Shot(*ode._shoot(seed, (self.x_a, self.x_hat), self.p), d_seed)
 
     def right_seed(self, d1, d2, beta) -> tuple[np.ndarray, np.ndarray]:
         """Right-core seed and its 6 x 3 derivative in (d1, d2, beta)."""
@@ -618,58 +445,17 @@ class _Shooting:
                      np.vstack([d_jet, [0.0, 0.0, 1.0]]), self.p)
 
     def right_shot(self, x_r, d1, d2, beta) -> _Shot:
-        """Right core from x_r back to x_hat, by :func:`_shoot`."""
+        """Right core from x_r back to x_hat, by :func:`ode._shoot`."""
         seed, d_seed = self.right_seed(d1, d2, beta)
-        return _Shot(*_shoot(seed, (x_r, self.x_hat), self.p), d_seed)
+        return _Shot(*ode._shoot(seed, (x_r, self.x_hat), self.p), d_seed)
 
-    def dense_core(self, shot: _Shot) -> _DenseSolution:
+    def dense_core(self, shot: _Shot) -> ode._DenseSolution:
         """The dense core of a shot to x_hat: its steps continued past x_hat
         to the end of the core's span, x_hat +- (W_H + 0.25)."""
         steps = shot.steps
         end = self.x_hat + math.copysign(W_H + 0.25, self.x_hat - steps.ts[0])
-        _, more = _shoot(shot.y, (self.x_hat, end), self.p)
-        return _dense_solution(self.p, steps.followed_by(more))
-
-
-class _DenseSolution:
-    """DOP853 step interpolants, stacked and evaluated on a 1-D array of
-    abscissae in one pass, as ``OdeSolution.__call__`` evaluates them: the
-    same segment choice (points outside the span extrapolate from the end
-    steps) and, elementwise, the same dense output recurrence (Hairer,
-    Norsett & Wanner, Solving ODEs I, sec. II.6).  Step i starts at
-    ``t_old[i]`` with ``y_old[i]``, has length ``h[i]`` and coefficient rows
-    ``F[i]``.
-
-    The recurrence's rows are also kept in the order it reads them, each
-    contiguous over the steps, so that a read takes each row's steps with
-    one ``take``: at 2,400 points that is 30% faster than gathering all of
-    F[seg] at once, and holds one (n x 6) gather at a time instead of the
-    (n x 7 x 6) one, which raised the peak allocation of ``orthowall
-    solve`` by 0.5 MB (its tail-rate fit reads 2,400 points)."""
-
-    def __init__(self, t_old, h, y_old, F):
-        self.ascending = bool(h[0] >= 0.0)
-        # the knots between steps choose the segment; the two end knots
-        # only clip, so the last one is taken as t_old + h
-        ts = np.append(t_old, t_old[-1] + h[-1])
-        self.ts_sorted = ts if self.ascending else ts[::-1].copy()
-        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
-        self.horner = np.ascontiguousarray(F[:, ::-1].transpose(1, 0, 2))
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        last = self.h.size - 1
-        seg = np.searchsorted(self.ts_sorted, t, side="left" if self.ascending else "right")
-        seg = np.clip(seg - 1, 0, last)
-        if not self.ascending:
-            seg = last - seg
-        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
-        x1 = 1 - x
-        y = np.zeros((t.size, self.y_old.shape[1]))
-        for i, rows in enumerate(self.horner):
-            y += rows.take(seg, axis=0)
-            y *= x if i % 2 == 0 else x1
-        y += self.y_old[seg]
-        return y.T
+        _, more = ode._shoot(shot.y, (self.x_hat, end), self.p)
+        return ode._dense_solution(self.p, steps.followed_by(more))
 
 
 @dataclass(frozen=True, eq=False)
@@ -678,8 +464,8 @@ class _Junction:
 
     theta: np.ndarray
     mismatch: float
-    sol_left: _DenseSolution
-    sol_right: _DenseSolution
+    sol_left: ode._DenseSolution
+    sol_right: ode._DenseSolution
     x_r: float
 
 
@@ -864,7 +650,7 @@ def _junction_residual(geo: _Shooting, x_r: float, th) -> tuple[np.ndarray, tupl
 
 def _junction_jacobian(p: Params, shots: tuple[_Shot, _Shot]) -> np.ndarray:
     """Exact 6 x 5 Jacobian of :func:`_junction_residual` from its shots."""
-    phi_l, phi_r = (_step_tangents(shot.steps, shot.d_seed, p) for shot in shots)
+    phi_l, phi_r = (ode._step_tangents(shot.steps, shot.d_seed, p) for shot in shots)
     return np.hstack([phi_l, -phi_r]) / _junction_scale(p)[:, None]
 
 
@@ -887,7 +673,7 @@ def _right_junction(geo: _Shooting, scaling: ScalingConfig) -> _Junction:
     target_jet = outer.stable_seed(scaling, p, (closed.x10s, closed.x20s))[:4]
     beta0 = math.tanh(math.atanh(scaling.b01) + p.epsilon / math.sqrt(2.0) * t_r)
     anchor = geo.right_shot(x_r, 0.0, 0.0, beta0)
-    phi = _step_tangents(anchor.steps, anchor.d_seed[:, :2], p)
+    phi = ode._step_tangents(anchor.steps, anchor.d_seed[:, :2], p)
     d0, *_ = np.linalg.lstsq(phi[:4], target_jet - anchor.y[:4], rcond=None)
     theta = np.array([0.0, 0.0, d0[0], d0[1], beta0])
 
@@ -936,7 +722,7 @@ def _tail_pieces(geo: _Shooting, junction: _Junction) -> _Pieces:
     n_blend = math.ceil((W_R + 1.0) / hk)
     k_x = x_r + hk * np.arange(-n_blend, math.floor(tail_r / hk) + 1)
     kappa = -_leaf_exponent(outer.right_tail_b0(k_x, x_r, float(junction.theta[4]), p), p).real
-    k_int = inner._cumquad_right(kappa, hk)
+    k_int = ode._cumquad_right(kappa, hk)
     return _Pieces(geo=geo, junction=junction, a=a, h=h, fast=fast,
                    kappa_r=CubicHermite(k_x, k_int[n_blend] - k_int, kappa))
 
@@ -1001,12 +787,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _stage1_forks() -> bool:
-    """Whether a solve forks stage 1: it may run on 2 CPUs or more and runs
-    no other thread of its own (a fork copies only the calling thread)."""
-    return _usable_cpus() >= 2 and threading.active_count() == 1
-
-
 def _current_cpu() -> int | None:
     """The CPU this process runs on, field 39 of ``/proc/self/stat``, or None
     where the platform has no such file."""
@@ -1052,8 +832,8 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
     solve's half-widths (a-, a+), or ``ValueError`` names both pairs.
 
     Without a ``matching``, stage 1 runs in a :class:`forked.Forked` child
-    while this process runs stages 2-5, where :func:`_stage1_forks` allows
-    it, and here otherwise or where the fork fails: the same bits.  The
+    while this process runs stages 2-5, where it may use 2 CPUs or more,
+    and here otherwise or where no child can be forked: the same bits.  The
     child's :class:`Matching` or error crosses its pipe and is read before
     the profile is built; one that dies without it is a :class:`MatchingError`.
     If a later stage raises, the solve still waits for stage 1 and raises its
@@ -1069,7 +849,7 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
             raise ValueError(
                 f"the matching was solved at (a-, a+) = {matching.half_widths!r}, "
                 f"but this solve has {(scaling.a_minus, scaling.a_plus)!r}")
-    elif _stage1_forks():
+    elif _usable_cpus() >= 2:
         child = forked.Forked(_matching_off_cpu, os.getpid(), _current_cpu(), scaling,
                               lost=MatchingError)
     else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 
 
 def _outcome(fn, args) -> tuple:
@@ -19,13 +20,16 @@ class Forked:
     which sends ``(True, value)`` or ``(False, exception)`` pickled through a
     pipe and leaves by ``os._exit``: no stdio flush, no exit hook.  A child
     that exits without a result is a ``lost`` error naming its wait status.
-    A fork copies only the calling thread.  Where there is no fork, or
-    ``os.pipe`` or ``os.fork`` raises ``OSError``, ``fn`` runs here, at once."""
+    ``fn`` runs here, at once, where the process runs another thread (a
+    fork copies only the calling thread), where there is no fork, or where
+    ``os.pipe`` or ``os.fork`` raises ``OSError``."""
 
     def __init__(self, fn, *args, lost: type[Exception] = RuntimeError):
         self.pid, self.outcome, self.lost = None, None, lost
         fds = ()
         try:
+            if threading.active_count() > 1:
+                raise OSError("a fork copies only the calling thread")
             fds = read_fd, write_fd = os.pipe()
             pid = os.fork()
         except (AttributeError, OSError):  # AttributeError: the platform has no fork

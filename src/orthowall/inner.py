@@ -21,6 +21,7 @@ import numpy as np
 
 from .hermite import CubicHermite
 from .integrate import write_csv
+from .ode import _cumquad_right
 
 PICARD_TOL = 1e-12      # sup-norm change of A at which a sweep has converged
 PICARD_MAX_ITER = 200   # Picard iterations per anchored sweep
@@ -90,6 +91,8 @@ class InnerProblem:
     def __post_init__(self):
         if not (0.0 < self.a_plus < math.inf and 0.0 < self.a_minus < math.inf):
             raise ValueError("half-widths must be finite and positive")
+        if not all(math.isfinite(v) for v in self.boundary_plus):
+            raise ValueError("boundary jet must be finite")
         if self.grid_points < 8:
             raise ValueError("grid_points must be at least 8")
 
@@ -131,20 +134,6 @@ class InnerSolution:
     def to_csv(self, path: str) -> None:
         res = inner_residual(self, return_array=True)[1]
         write_csv(path, "z,A,A',A'',A''',residual", [self.z, self.jets.T, res])
-
-
-def _cumquad_right(f: np.ndarray, h: float) -> np.ndarray:
-    """Order-4 cumulative integral R[..., i] = int_{z_i}^{z_end} f along the
-    last axis, on a uniform grid."""
-    n = f.shape[-1]
-    seg = np.empty(f.shape[:-1] + (n - 1,))
-    seg[..., 0] = h * (9.0 * f[..., 0] + 19.0 * f[..., 1] - 5.0 * f[..., 2] + f[..., 3]) / 24.0
-    seg[..., 1:-1] = h * (-f[..., :-3] + 13.0 * f[..., 1:-2] + 13.0 * f[..., 2:-1]
-                          - f[..., 3:]) / 24.0
-    seg[..., -1] = h * (f[..., -4] - 5.0 * f[..., -3] + 19.0 * f[..., -2] + 9.0 * f[..., -1]) / 24.0
-    out = np.zeros(f.shape)
-    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
-    return out
 
 
 def _taylor_rows(dz: np.ndarray, jet: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from .inner import _cumquad_right
+from .ode import _cumquad_right
 from .params import Params
 
 

@@ -324,9 +324,9 @@ def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     With ``workers > 1`` each member runs in a :class:`forked.Forked` child,
     at most ``workers`` at once, and sends its record back, byte for byte a
     serial run's.  A child that dies is its member's error alone, naming
-    its wait status; where no child can be made, the member is solved here;
-    an interrupt kills every child.  Call this from a process that runs no
-    other thread, as the CLI does; ``workers`` below 1 is a ``ValueError``.
+    its wait status; where no child can be made, as in a process that runs
+    another thread, the member is solved here; an interrupt kills every
+    child.  ``workers`` below 1 is a ``ValueError``.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -50,6 +51,18 @@ def fork_pids(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recorded)
     return pids
+
+
+@pytest.fixture
+def other_thread():
+    """A second thread of this process, alive for the whole test."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    yield thread
+    stop.set()
+    thread.join(10.0)
+    assert not thread.is_alive()
 
 
 @pytest.fixture

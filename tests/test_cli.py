@@ -111,6 +111,18 @@ def test_inner_rejects_nan_half_width(tmp_path, capsys, a_plus, a_minus):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--x10", "--x20"])
+def test_inner_rejects_nan_jet_parameter(tmp_path, capsys, flag):
+    # a non-finite jet parameter is an input error, found before the output
+    # directory is made, not a diverging fixed-point iteration
+    out = tmp_path / "inner"
+    rc = cli.main(["inner", "--out", str(out), "--a-plus", "1", "--a-minus", "1",
+                   flag, "nan", "--quiet"])
+    assert rc == 1
+    assert "error: boundary jet must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inner_zero_data(tmp_path):
     out = tmp_path / "inner0"
     rc = cli.main(["inner", "--out", str(out), "--a-plus", "1.0",
@@ -140,9 +152,11 @@ def test_readme_inner_csv_is_savetxt_bytes(tmp_path):
     assert (out / "inner.csv").read_bytes() == ref.read_bytes()
 
 
-def test_sweep_with_fault_injection(tmp_path, member_fault):
+def test_sweep_with_fault_injection(tmp_path, member_fault, solve_dir):
     # serial and forked-worker runs: the failing member is recorded with its
-    # own message and both write the same bytes
+    # own message and both write the same bytes; a member's profile.csv is
+    # `orthowall solve`'s, and its report.json is solve's without the
+    # tail_rates that only `solve` adds
     cfgp = write_config(tmp_path / "c.json",
                         epsilon_list=[0.2, 0.1, 0.05, 0.025, 0.15])
     written = {}
@@ -167,6 +181,11 @@ def test_sweep_with_fault_injection(tmp_path, member_fault):
         }
     assert written["1"] == written["2"]
     assert len(written["1"]) == 9
+    assert written["1"]["eps_0.1/profile.csv"] == (solve_dir / "profile.csv").read_bytes()
+    report = json.loads((solve_dir / "report.json").read_text())
+    assert report.pop("tail_rates")
+    assert written["1"]["eps_0.1/report.json"] == (
+        json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
 
 
 @pytest.mark.parametrize("g, epsilons, name", [

@@ -5,7 +5,6 @@ import math
 import os
 import pickle
 import re
-import threading
 import time
 import tracemalloc
 import weakref
@@ -21,7 +20,7 @@ from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from orthowall import _dop853_tableau, cli, connect, dynamics, frames, hermite, inner, outer, verify
+from orthowall import cli, connect, dynamics, frames, hermite, inner, ode, outer, verify
 from orthowall.params import derive_params, working_scaling
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline_report.json"
@@ -359,7 +358,7 @@ def _count_core_shots(monkeypatch) -> tuple[list[int], list[int]]:
     the DOP853 kernel, and count every field evaluation in ``total[0]``, the
     dense cores' extra stages included."""
     shots, total = [], [0]
-    field, kernel = dynamics.vector_field, connect._dop853
+    field, kernel = dynamics.vector_field, ode._dop853
 
     def counted_field(y, p):
         total[0] += 1
@@ -375,7 +374,7 @@ def _count_core_shots(monkeypatch) -> tuple[list[int], list[int]]:
         return out
 
     monkeypatch.setattr(dynamics, "vector_field", counted_field)
-    monkeypatch.setattr(connect, "_dop853", counted_kernel)
+    monkeypatch.setattr(ode, "_dop853", counted_kernel)
     return shots, total
 
 
@@ -439,7 +438,7 @@ def test_junction_columns_match_central_differences(profile15):
 
 
 def _reference_tangents(steps, d_seed, p):
-    """Unvectorized reference of connect._step_tangents: per step and stage,
+    """Unvectorized reference of ode._step_tangents: per step and stage,
     the stage's Jacobian times the stage's tangent combination."""
     phi = d_seed
     for n, h in enumerate(np.diff(steps.ts)):
@@ -463,7 +462,7 @@ def test_step_tangents_match_unvectorized_reference(profile15):
                     (geo.right_shot(jn.x_r, *jn.theta[2:]), 3)):
         assert shot.d_seed.shape == (6, k) and shot.steps.ts.size > 8
         want = _reference_tangents(shot.steps, shot.d_seed, prof.p)
-        got = connect._step_tangents(shot.steps, shot.d_seed, prof.p)
+        got = ode._step_tangents(shot.steps, shot.d_seed, prof.p)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -556,12 +555,12 @@ def test_dense_solution_is_bit_equal_to_ode_solution(monkeypatch, p15):
     # every step end, at step midpoints and outside the span
     built = []
 
-    class Recorded(connect._DenseSolution):
+    class Recorded(ode._DenseSolution):
         def __init__(self, t_old, h, y_old, F):
             super().__init__(t_old, h, y_old, F)
             built.append(self)
 
-    monkeypatch.setattr(connect, "_DenseSolution", Recorded)
+    monkeypatch.setattr(ode, "_DenseSolution", Recorded)
     connect.heteroclinic_solve(p15)
     assert len(built) == 2
     assert sorted(dense.ascending for dense in built) == [False, True]
@@ -590,10 +589,10 @@ def test_dense_solution_segment_choice(span):
     ts = sol.ts
     t = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]), [-50.0, -1.0, 4.0, 53.0]])
     assert len(ts) > 4
-    assert np.array_equal(connect._DenseSolution(*_stacked(sol))(t), sol(t))
+    assert np.array_equal(ode._DenseSolution(*_stacked(sol))(t), sol(t))
 
 
-def _per_term_gather(dense: connect._DenseSolution, t: np.ndarray) -> np.ndarray:
+def _per_term_gather(dense: ode._DenseSolution, t: np.ndarray) -> np.ndarray:
     """Reference: the dense output gathering one row of F per term and
     forming 1 - x on every odd term."""
     last = dense.h.size - 1
@@ -628,7 +627,7 @@ def _kernel_calls(monkeypatch) -> list[tuple]:
     """Record every call of the DOP853 kernel: its arguments, its result and
     the field evaluations it made."""
     calls = []
-    kernel = connect._dop853
+    kernel = ode._dop853
 
     def recorded(field, t0, t1, y0, rtol, atol):
         nfev = 0
@@ -642,7 +641,7 @@ def _kernel_calls(monkeypatch) -> list[tuple]:
         calls.append(((field, t0, t1, y0, rtol, atol), out, nfev))
         return out
 
-    monkeypatch.setattr(connect, "_dop853", recorded)
+    monkeypatch.setattr(ode, "_dop853", recorded)
     return calls
 
 
@@ -702,12 +701,12 @@ def test_kernel_blow_up_raises_realization_error(p15):
     # the error norm stops being finite, either raises, and no
     # floating-point warning escapes the kernel
     with pytest.raises(connect.RealizationError):
-        connect._dop853(lambda y: y * y, 0.0, 2.0, np.array([1.0]), 1e-12, 1e-14)
+        ode._dop853(lambda y: y * y, 0.0, 2.0, np.array([1.0]), 1e-12, 1e-14)
     with pytest.raises(connect.RealizationError):
-        connect._shoot(np.array([3.0, 0.0, 0.0, 0.0, 0.5, 0.0]), (0.0, 50.0), p15,
-                       1e-12, 1e-14)
+        ode._shoot(np.array([3.0, 0.0, 0.0, 0.0, 0.5, 0.0]), (0.0, 50.0), p15,
+                   1e-12, 1e-14)
     with pytest.raises(connect.RealizationError):
-        connect._dop853(lambda y: y * y, 0.0, 1.0, np.array([np.inf]), 1e-12, 1e-14)
+        ode._dop853(lambda y: y * y, 0.0, 1.0, np.array([np.inf]), 1e-12, 1e-14)
 
 
 def test_dense_cores_from_junction_records(profile15):
@@ -726,15 +725,15 @@ def test_dense_cores_from_junction_records(profile15):
             (jn.sol_right, geo.right_seed(*jn.theta[2:]), jn.x_r,
              geo.right_shot(jn.x_r, *jn.theta[2:]))):
         end = geo.x_hat + math.copysign(span, geo.x_hat - start)
-        steps = steps.followed_by(connect._shoot(y, (geo.x_hat, end), prof.p)[1])
+        steps = steps.followed_by(ode._shoot(y, (geo.x_hat, end), prof.p)[1])
         assert np.array_equal(dense.t_old, steps.ts[:-1])
         assert np.array_equal(dense.y_old, steps.ys[:-1])
         assert np.array_equal(dense(steps.ts[:1])[:, 0], seed)
         y_old, y_new = steps.ys[:-1], steps.ys[1:]
         assert np.all(np.abs(dense(steps.ts[1:]).T - y_new)
                       <= 2.3e-16 * (np.abs(y_old) + np.abs(y_new)))
-        plain = connect._dense_solution(prof.p, connect._dop853(
-            field, start, end, seed, connect.ODE_RTOL, connect.ODE_ATOL)[1])
+        plain = ode._dense_solution(prof.p, ode._dop853(
+            field, start, end, seed, ode.ODE_RTOL, ode.ODE_ATOL)[1])
         mid = 0.5 * (steps.ts[:-1] + steps.ts[1:])
         assert np.abs(dense(mid) - plain(mid)).max() < 1e-10
 
@@ -882,21 +881,18 @@ def test_forked_and_inline_stage1_agree(monkeypatch, fork_pids, g, eps):
     assert forked.matching_residual == inline.matching_residual
 
 
-def test_stage1_stays_inline_beside_other_threads(monkeypatch):
-    # a fork copies only the calling thread, so a process that runs another
-    # thread solves stage 1 itself
+def test_stage1_stays_inline_beside_other_threads(monkeypatch, profile15, fork_pids,
+                                                  other_thread):
+    # a fork copies only the calling thread, so a solve in a process that
+    # runs another thread forks nothing and solves stage 1 itself, to the
+    # same profile
     monkeypatch.setattr(connect, "_usable_cpus", lambda: 2)
-    assert connect._stage1_forks()
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert not connect._stage1_forks()
-    finally:
-        stop.set()
-        thread.join()
-    monkeypatch.setattr(connect, "_usable_cpus", lambda: 1)
-    assert not connect._stage1_forks()
+    prof = connect.heteroclinic_solve(profile15.value.p)
+    assert fork_pids == []
+    inline = profile15.value
+    for name in ("x", "states", "w", "matching_jacobian"):
+        assert np.array_equal(getattr(prof, name), getattr(inline, name)), name
+    assert prof.unknowns == inline.unknowns
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity call")
@@ -988,7 +984,7 @@ def tail_profiles(profile15):
 def test_dop853_tableau_is_scipys():
     # the kernel's tableau is a copy of scipy's, equal to it bit for bit
     for name in ("A", "B", "E3", "E5", "D", "A_EXTRA"):
-        assert np.array_equal(getattr(_dop853_tableau, name), getattr(DOP853, name)), name
+        assert np.array_equal(getattr(ode, name), getattr(DOP853, name)), name
 
 
 def test_stage5_roots_are_crossings(tail_profiles):

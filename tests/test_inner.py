@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from orthowall import inner, outer
+from orthowall import inner, ode, outer
 from orthowall.params import derive_params, working_scaling
 
 
@@ -15,7 +15,7 @@ def test_cumquad_exact_on_cubics():
     f = 2.0 - z + 0.5 * z**2 - 0.25 * z**3
     exact = lambda t: 2 * t - t**2 / 2 + t**3 / 6 - t**4 / 16
     ref = exact(z[-1]) - exact(z)
-    assert np.abs(inner._cumquad_right(f, h) - ref).max() < 1e-13
+    assert np.abs(ode._cumquad_right(f, h) - ref).max() < 1e-13
 
 
 @pytest.mark.parametrize("a_minus, a_plus", [
@@ -25,6 +25,14 @@ def test_problem_rejects_bad_half_widths(a_minus, a_plus):
     # an infinite half-width would make the layer solve run without end
     with pytest.raises(ValueError, match="half-widths must be finite and positive"):
         inner.InnerProblem(a_minus=a_minus, a_plus=a_plus, boundary_plus=(0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_boundary_jet(bad):
+    # a non-finite jet would fail only after ten halved sweeps, as a
+    # diverging fixed-point iteration
+    with pytest.raises(ValueError, match="boundary jet must be finite"):
+        inner.InnerProblem(a_minus=1.0, a_plus=1.0, boundary_plus=(0.0, bad, 0.0, 0.0))
 
 
 def test_scale_constant():
@@ -112,9 +120,9 @@ def test_picard_sweep_matches_volterra_reference(monkeypatch, sweep):
 
 def test_cumquad_right_stacked_rows():
     f = np.random.default_rng(3).normal(size=(4, 501))
-    stacked = inner._cumquad_right(f, 0.02)
+    stacked = ode._cumquad_right(f, 0.02)
     for row, ref in zip(stacked, f):
-        assert np.array_equal(row, inner._cumquad_right(ref.copy(), 0.02))
+        assert np.array_equal(row, ode._cumquad_right(ref.copy(), 0.02))
 
 
 def test_extension_cascade_count():

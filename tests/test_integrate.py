@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
-from orthowall import connect, dynamics, frames, integrate, outer
+from orthowall import connect, dynamics, frames, integrate, ode, outer
 from orthowall.params import derive_params, working_scaling
 
 
@@ -26,8 +26,8 @@ def shot(s0, span, p, **kw):
 
 
 def kernel_shot(s0, span, p, rtol=1e-10, atol=1e-12):
-    """The program's core shot: the accepted steps of ``connect._shoot``."""
-    return connect._shoot(np.asarray(s0, dtype=float), span, p, rtol, atol)[1]
+    """The program's core shot: the accepted steps of ``ode._shoot``."""
+    return ode._shoot(np.asarray(s0, dtype=float), span, p, rtol, atol)[1]
 
 
 def w_of(states, p):
@@ -64,7 +64,7 @@ def test_event_location_against_bisection(p):
     seed[5] = dynamics.b1_from_invariant(seed[:4], b_start, p)
     target = p.inv_sqrt_g
     steps = kernel_shot(seed, (0.0, 10.0), p, rtol=1e-12, atol=1e-14)
-    dense = connect._dense_solution(p, steps)
+    dense = ode._dense_solution(p, steps)
 
     def state_at(x):
         return dense(np.array([x]))[:, 0]
@@ -121,7 +121,7 @@ def test_backward_return(p):
 def test_blowup_reports_error(p):
     s0 = np.array([0, 0, 0, 0, 2.0, 1.0])
     with pytest.raises(connect.RealizationError):
-        connect._shoot(s0, (0.0, 500.0), p, 1e-10, 1e-12)
+        ode._shoot(s0, (0.0, 500.0), p, 1e-10, 1e-12)
 
 
 def test_csv_round_trip(tmp_path, p):
@@ -248,22 +248,28 @@ def test_anchor_profile_bytes(tmp_path, profile15):
     assert np.array_equal(integrate._decimal(values)[2], values == 0.0)
 
 
+def _package_trees():
+    """(file name, syntax tree) of every module of the package."""
+    for path in sorted(Path(connect.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _package_imports():
     """(file name, line, imported name) of every import statement in the
     package's modules, also those inside a function."""
-    for path in sorted(Path(connect.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for file, tree in _package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [f"{node.module}.{a.name}" for a in node.names]
             else:
                 continue
-            yield from ((path.name, node.lineno, name) for name in names)
+            yield from ((file, node.lineno, name) for name in names)
 
 
 def test_one_integration_path():
-    # every shot goes through connect._dop853: no module of the package
+    # every shot goes through ode._dop853: no module of the package
     # imports scipy.integrate or solve_ivp, not even inside a function
     found = [f"{file}:{line} {name}" for file, line, name in _package_imports()
              if (name + ".").startswith("scipy.integrate.")
@@ -278,12 +284,46 @@ def test_one_process_mechanism():
     found = [f"{file}:{line} {name}" for file, line, name in _package_imports()
              if name.split(".")[0] == "multiprocessing"
              or (name + ".").startswith("concurrent.futures.") or name == "os.fork"]
-    for path in sorted(Path(connect.__file__).parent.glob("*.py")):
-        found += [f"{path.name}:{node.lineno} os.fork"
-                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    for file, tree in _package_trees():
+        found += [f"{file}:{node.lineno} os.fork" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "fork"
                   and isinstance(node.value, ast.Name) and node.value.id == "os"
-                  and path.name != "forked.py"]
+                  and file != "forked.py"]
+    assert found == []
+
+
+def test_one_integration_module():
+    # the DOP853 method lives in ode.py alone: no other module of the
+    # package holds a coefficient of scipy's DOP853 tableau as a literal,
+    # defines a DOP853 kernel or the cumulative quadrature, imports a module
+    # or name that says dop853, or reads a tableau array or the kernel from
+    # ode; and none takes the quadrature from inner
+    tableau = {float(v) for name in ("A", "B", "E3", "E5", "D", "A_EXTRA")
+               for v in np.ravel(getattr(DOP853, name)) if v != 0.0}
+    from_ode = {"A_FULL", "A", "B", "E", "E3", "E5", "D", "A_EXTRA", "_dop853"}
+    found = []
+    for file, tree in _package_trees():
+        if file == "ode.py":
+            continue
+        for node in ast.walk(tree):
+            where = f"{file}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                if node.value in tableau:
+                    found.append(f"{where} {node.value!r}")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if "dop853" in node.name.lower() or node.name == "_cumquad_right":
+                    found.append(f"{where} def {node.name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                found += [f"{where} import {module}.{a.name}" for a in node.names
+                          if "dop853" in f"{module}.{a.name}".lower()
+                          or (module == "ode" and a.name in from_ode)
+                          or (module.endswith("inner") and a.name == "_cumquad_right")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                owner = node.value.id
+                if (owner == "ode" and node.attr in from_ode
+                        or owner == "inner" and node.attr == "_cumquad_right"):
+                    found.append(f"{where} {owner}.{node.attr}")
     assert found == []
 
 

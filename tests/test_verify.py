@@ -265,6 +265,15 @@ def test_sweep_without_a_process_to_spare_solves_here(monkeypatch):
         assert len(os.listdir("/proc/self/fd")) == fds
 
 
+def test_sweep_beside_another_thread_forks_nothing(fork_pids, other_thread):
+    # a fork copies only the calling thread, so beside another thread each
+    # member is solved here: no child, and the records of a serial sweep
+    g, eps_list = _README_SWEEP
+    serial = verify.solve_members(g, eps_list, workers=1)
+    assert verify.solve_members(g, eps_list, workers=2) == serial
+    assert fork_pids == []
+
+
 def test_interrupted_sweep_kills_every_member_child(monkeypatch, fork_pids):
     # an interrupt while the parent waits for a member does not wait for
     # the running members: each child is killed and reaped
