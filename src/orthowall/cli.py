@@ -3,10 +3,11 @@
 ``solve`` and ``sweep`` read one JSON configuration file plus flag overrides
 (flags win); a key the file may not name, or a value of the wrong type, is
 an input error.  The file chooses the orbit (eps, g, nu-/nu+) and its output
-grid; the solver's tolerances are constants of :mod:`connect` and
-:mod:`inner`.  Exit codes: 0 success, 1 configuration or input error, 2
-numerical failure.  Runs are deterministic; no clock-dependent seeds exist
-anywhere.
+grid; the solver's tolerances are constants of :mod:`ode`, :mod:`connect`
+and :mod:`inner`.  Exit codes: 0 success, 1 input error (a ``ValueError``),
+2 numerical failure (a ``RuntimeError``, as every ``NumericalFailure`` is, or
+a ``LinAlgError``).  Of the failed runs, only a sweep leaves its ``--out``.
+Runs are deterministic; no clock-dependent seeds exist anywhere.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, connect, dynamics, inner, verify
 from .hermite import CubicHermite
 from .integrate import read_profile_csv, write_json
-from .params import AdmissibilityError, derive_params, load_config
+from .params import derive_params, load_config
 
 _SOLVE_DEFAULTS = connect.SolveConfig()
 _DEFAULT_CONFIG = {
@@ -99,10 +100,9 @@ def _solve_config(cfg: dict) -> connect.SolveConfig:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    if not out.exists():
-        if not out.parent.exists():
-            raise ConfigError(f"parent of output directory {out} does not exist")
-        out.mkdir()
+    if not out.parent.exists():
+        raise ConfigError(f"parent of output directory {out} does not exist")
+    out.mkdir(exist_ok=True)
     return out
 
 
@@ -127,15 +127,13 @@ def cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     solve_cfg = _solve_config(cfg)
     p = derive_params(cfg["epsilon"], cfg["g"])
-    out = _out_dir(args)
     profile = connect.heteroclinic_solve(p, solve_cfg)
-    # the report is complete before any file is written, so a failed rate
-    # fit leaves no profile.csv without its report.json
     report = profile.report()
     report["tail_rates"] = {
         name: {"rate": fit.rate, "target": fit.target, "rel_err": fit.rel_err}
         for name, fit in verify.fit_decay_rates(profile).items()
     }
+    out = _out_dir(args)  # after the rate fits: a failed run leaves no directory
     profile.to_csv(str(out / "profile.csv"))
     write_json(out / "report.json", report)
     _manifest(args, out, cfg, ["profile.csv", "report.json", "manifest.json"], {
@@ -158,7 +156,7 @@ def cmd_sweep(args) -> int:
     verify.check_sweep_members(cfg["g"], eps_list)
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    out = _out_dir(args)
+    out = _out_dir(args)  # before the solves: each member writes its files as it ends
     scaling = verify.scaling_sweep(cfg["g"], eps_list, solve_cfg, args.workers, out_dir=out)
     rows, excluded = scaling["rows"], scaling["excluded"]
     for rec in excluded:
@@ -170,9 +168,7 @@ def cmd_sweep(args) -> int:
         "slope_width": scaling.get("slope_width"),
     })
     _say(args, f"sweep: {len(rows)} converged, {len(excluded)} failed; wrote {out}")
-    if len(excluded) * 2 > len(eps_list):
-        return 2
-    return 0
+    return 2 if len(excluded) * 2 > len(eps_list) else 0
 
 
 def cmd_inner(args) -> int:
@@ -182,9 +178,7 @@ def cmd_inner(args) -> int:
             "plus", (args.x10, args.x20), args.a_plus)),
         grid_points=args.points,
     )
-    out = _out_dir(args)
     sol = inner.solve_inner(prob)
-    sol.to_csv(str(out / "inner.csv"))
     residual = inner.inner_residual(sol)
     payload = {
         "a_minus": args.a_minus, "a_plus": args.a_plus,
@@ -194,6 +188,8 @@ def cmd_inner(args) -> int:
         "contraction_constant": inner.contraction_constant(args.a_plus),
         "max_delta_ratio": max(sol.delta_ratios(floor=1e-13), default=0.0),
     }
+    out = _out_dir(args)
+    sol.to_csv(str(out / "inner.csv"))
     write_json(out / "inner_report.json", payload)
     _manifest(args, out, {"inner": payload}, ["inner.csv", "inner_report.json"],
               {"residual": residual})
@@ -238,7 +234,6 @@ def cmd_spectrum(args) -> int:
     from . import linop
 
     x, states, w, report = _load_profile(args)
-    out = _out_dir(args)
     p = derive_params(report["epsilon"], report["g"])
     op = linop.assemble_Mg(x, states, p)
     diag = linop.kernel_diagnostics(op, states, p)
@@ -256,6 +251,7 @@ def cmd_spectrum(args) -> int:
             "L_plus": linop.asymptotic_spectrum(p.g, "plus", "L"),
         },
     }
+    out = _out_dir(args)
     write_json(out / "spectrum.json", payload)
     _manifest(args, out, {"profile": str(args.profile)}, ["spectrum.json"],
               {"kernel_angle": diag.kernel_angle})
@@ -281,8 +277,8 @@ def _csv_profile(x, states, w, report) -> SimpleNamespace:
 
 def cmd_verify(args) -> int:
     profile = _csv_profile(*_load_profile(args))
-    out = _out_dir(args)
     rep = verify.verify_profile(profile)
+    out = _out_dir(args)
     write_json(out / "verify.json", rep.to_dict())
     _manifest(args, out, {"profile": str(args.profile)}, ["verify.json"],
               {"passed": rep.passed})
@@ -352,17 +348,13 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.fn(args)
-    except verify.InsufficientTail as exc:
-        # the solved profile's tail lets no decay rate be fitted: a
-        # ValueError by type, but a numerical failure
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # before ValueError: a NumericalFailure may be a ValueError too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, AdmissibilityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (connect.MatchingError, connect.RealizationError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

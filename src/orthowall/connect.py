@@ -58,7 +58,7 @@ from numpy.polynomial import Chebyshev
 from . import dynamics, forked, frames, inner, ode, outer
 from .hermite import CubicHermite
 from .ode import RealizationError
-from .params import Params, ScalingConfig, working_scaling
+from .params import DomainError, NumericalFailure, Params, ScalingConfig, working_scaling
 
 NEWTON_TOL = 1e-10            # matching Newton: max |residual| at convergence
 NEWTON_MAX_ITER = 25          # matching Newton iterations
@@ -72,11 +72,10 @@ W_R = 4.0                     # width of the right blend, right core to tail, to
 DEV_REACH = 18.0              # the left core's fast offset tapers in from x_a - DEV_REACH
 
 
-class MatchingError(RuntimeError):
+class MatchingError(NumericalFailure):
     def __init__(self, message: str, last_iterate=None, jacobian=None):
         super().__init__(message)
-        self.last_iterate = last_iterate
-        self.jacobian = jacobian
+        self.last_iterate, self.jacobian = last_iterate, jacobian
 
 
 @dataclass(frozen=True)
@@ -179,10 +178,10 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, halvings):
 
     Solves ``J dx = -r`` for ``J = jacobian(x, r, aux)`` (in least squares
     when J is not square), then halves the step, at most ``halvings`` times,
-    until max|r| falls; a trial that raises ``ValueError`` or
-    ``RealizationError`` fails.  Returns ``(x, r, aux, steps, J, status)``
-    with status "converged" (max|r| < tol before a step), "stalled" or
-    "max_iter"; J is None when no step was taken.
+    until max|r| falls; a trial that raises a :class:`params.NumericalFailure`
+    fails, and any other error, bad input or a bug, propagates.  Returns
+    ``(x, r, aux, steps, J, status)`` with status "converged" (max|r| < tol
+    before a step), "stalled" or "max_iter"; J is None when no step was taken.
     """
     r, aux = residual(x)
     J = None
@@ -199,7 +198,7 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, halvings):
         for _ in range(halvings):
             try:
                 r_try, aux_try = residual(x + t * dx)
-            except (ValueError, RealizationError):
+            except NumericalFailure:
                 t *= 0.5
                 continue
             if np.abs(r_try).max() < norm:
@@ -433,7 +432,7 @@ class _Shooting:
         gap = self.p.g1 * beta * beta - 1.0
         if gap <= 0.0:
             # the fast stable pair of the A = 0 leaf needs B > 1/sqrt(g1)
-            raise ValueError(f"right anchor amplitude {float(beta):.6g} is not "
+            raise DomainError(f"right anchor amplitude {float(beta):.6g} is not "
                              f"above 1/sqrt(1+delta^2) = {self.p.g1**-0.5:.6g}")
         mu = complex(_leaf_exponent(beta, self.p))
         pows = np.array([mu**k for k in range(4)])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Params
+from .params import DomainError, Params
 
 A0, A1, A2, A3, B0, B1 = range(6)
 
@@ -135,12 +135,12 @@ def b1_from_invariant(a_jet, b0, p: Params):
     """Positive root B' = (eps/sqrt(2)) * sqrt(bracket) of W = 0, at a float
     amplitude or elementwise on arrays (see :func:`invariant_bracket`).
 
-    Raises ValueError where the bracket is negative (no growing branch).
+    Raises DomainError where the bracket is negative (no growing branch).
     """
     br = invariant_bracket(a_jet, b0, p)
     if np.any(br < 0.0):
         k = np.argmin(br)
-        raise ValueError(f"state off the growing branch of W=0 at B = "
+        raise DomainError(f"state off the growing branch of W=0 at B = "
                          f"{np.broadcast_to(b0, np.shape(br)).flat[k]:.6g} "
                          f"(bracket={np.ravel(br)[k]:.3e})")
     return p.epsilon / math.sqrt(2.0) * np.sqrt(br)

@@ -16,14 +16,14 @@ import math
 
 import numpy as np
 
-from .params import Params
+from .params import NumericalFailure, Params
 
 
-class FrameDomainError(ValueError):
+class FrameDomainError(NumericalFailure, ValueError):
     pass
 
 
-class FrameDegeneracyError(ValueError):
+class FrameDegeneracyError(NumericalFailure, ValueError):
     """The complex eigenvalue pairs coalesce (discriminant condition fails)."""
 
 

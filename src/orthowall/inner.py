@@ -22,6 +22,7 @@ import numpy as np
 from .hermite import CubicHermite
 from .integrate import write_csv
 from .ode import _cumquad_right
+from .params import NumericalFailure
 
 PICARD_TOL = 1e-12      # sup-norm change of A at which a sweep has converged
 PICARD_MAX_ITER = 200   # Picard iterations per anchored sweep
@@ -31,15 +32,10 @@ class ContractionViolated(ValueError):
     pass
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(NumericalFailure):
     def __init__(self, message: str, history: list[float]):
         super().__init__(message)
         self.history = list(history)
-
-    def __reduce__(self):
-        # rebuilt from both arguments, so that the error survives pickling
-        # (a forked stage 1 sends it to the parent)
-        return type(self), (self.args[0], self.history)
 
 
 def scale_constant(delta: float) -> float:

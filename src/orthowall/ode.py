@@ -60,13 +60,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics
-from .params import Params
+from .params import NumericalFailure, Params
 
 ODE_RTOL = 1e-12              # core shots
 ODE_ATOL = 1e-14
 
 
-class RealizationError(RuntimeError):
+class RealizationError(NumericalFailure):
     pass
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import b1_from_invariant
-from .params import Params, ScalingConfig
+from .params import DomainError, Params, ScalingConfig
 
 
 # -- left reduced profile -------------------------------------------------
@@ -82,7 +82,7 @@ def _leaf_jets(b0, p: Params, b1_fn=None, memo=None) -> np.ndarray:
     g1 = 1.0 + p.delta**2
     reach = np.abs(b0) + 3.5 * _FD_STEP
     if np.any(1.0 - g1 * reach * reach <= 0.0):
-        raise ValueError("amplitude outside the slow branch (or too close to "
+        raise DomainError("amplitude outside the slow branch (or too close to "
                          "its edge for the slaving stencils)")
     memo = {} if memo is None else memo
 
@@ -119,7 +119,7 @@ def _leaf_jets(b0, p: Params, b1_fn=None, memo=None) -> np.ndarray:
 
 def leaf_b1(b0, p: Params, memo=None):
     """B' on the slow leaf: the W = 0 root :func:`dynamics.b1_from_invariant`
-    of the level-0 slaved jet, which raises ValueError where the bracket is
+    of the level-0 slaved jet, which raises DomainError where the bracket is
     negative (no growing branch).  ``memo`` is handed to :func:`_leaf_jets`.
     """
     b0 = np.asarray(b0, dtype=float)
@@ -253,7 +253,7 @@ class LeafTable:
     ``coef`` holds the Chebyshev coefficients, in t = 2 B / b_hi - 1, of
     the columns (A, A', A'', A''', B'); calling the table evaluates the five
     columns together by :func:`cheb_eval`.  An amplitude outside [0, b_hi]
-    raises ValueError.
+    raises :class:`params.DomainError`.
     """
 
     b_hi: float
@@ -263,7 +263,7 @@ class LeafTable:
         """Slow-leaf states at amplitudes ``b0``, shape (n, 6)."""
         b0 = np.atleast_1d(np.asarray(b0, dtype=float))
         if not np.all((b0 >= 0.0) & (b0 <= self.b_hi)):
-            raise ValueError(f"amplitude outside the leaf table's range [0, {self.b_hi:.6g}]")
+            raise DomainError(f"amplitude outside the leaf table's range [0, {self.b_hi:.6g}]")
         cols = cheb_eval(2.0 * b0 / self.b_hi - 1.0, self.coef)
         return np.column_stack([cols[:, :4], b0, cols[:, 4]])
 
@@ -273,7 +273,7 @@ def leaf_table(b_hi: float, b0: float, p: Params) -> tuple[LeafTable, np.ndarray
     least LEAF_EDGE_MARGIN below the branch edge 1/sqrt(1+delta^2), and its
     state at the left core's seed amplitude ``b0``, from one
     :func:`leaf_states` call on the :func:`cheb_nodes` and ``b0``.  Raises
-    ValueError where the leaf leaves the growing branch of W = 0 at a node or
+    DomainError where the leaf leaves the growing branch of W = 0 at a node or
     its stencils (:func:`leaf_b1`), as it can below that margin at large eps.
 
     The leaf is analytic in B below the branch edge, so the interpolant

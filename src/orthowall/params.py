@@ -31,6 +31,19 @@ class AdmissibilityError(ValueError):
         super().__init__(f"{name}: {message}")
 
 
+class NumericalFailure(RuntimeError):
+    """Admissible input whose numbers failed: the CLI exits 2 on it, and a
+    damped Newton trial that raises it fails."""
+
+    def __reduce__(self):
+        # rebuilt without __init__, so that every subclass crosses a pipe
+        return type(self).__new__, (type(self), *self.args), vars(self)
+
+
+class DomainError(NumericalFailure, ValueError):
+    """A state computed in mid-solve left the domain of its formula."""
+
+
 @dataclass(frozen=True)
 class Params:
     """Model parameters; immutable after construction."""

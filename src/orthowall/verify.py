@@ -17,7 +17,7 @@ import numpy as np
 
 from . import connect, forked
 from .integrate import write_json
-from .params import derive_params, working_scaling
+from .params import NumericalFailure, derive_params, working_scaling
 
 RATE_TOL = 0.10             # relative tolerance of the tail-rate checks
 ENVELOPE_CEILING = 50.0     # sanity ceiling of the fitted envelope constants
@@ -25,7 +25,7 @@ DELTA_STAR_FRACTION = 0.9   # d* = 0.9 delta in the left envelope e^(eps d* x)
 PEAK_FLOOR = 1e-5           # envelope maxima below this share of the largest are dropped
 
 
-class InsufficientTail(ValueError):
+class InsufficientTail(NumericalFailure, ValueError):
     pass
 
 

@@ -68,8 +68,36 @@ def test_solve_writes_nothing_when_rate_fit_fails(tmp_path, monkeypatch, profile
     # a rate the profile lets no fit find is a numerical failure
     assert rc == 2
     assert "numerical failure: right_a_envelope" in capsys.readouterr().err
-    assert not (out / "profile.csv").exists()
-    assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def coarse_profile(tmp_path_factory):
+    out = tmp_path_factory.mktemp("coarse")
+    assert cli.main(["solve", "--out", str(out), "--grid", "40", "--quiet"]) == 0
+    return str(out / "profile.csv")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # below the box the left tail leaves its domain: stage 2's W = 0 bracket
+    # at eps = 0.003, the leaf table at eps = 0.005
+    (["solve", "--g", "1.2", "--epsilon", "0.003"], 2,
+     "numerical failure: state off the growing branch of W=0"),
+    (["solve", "--g", "1.2", "--epsilon", "0.005"], 2,
+     "numerical failure: the left tail leaves the leaf table"),
+    (["inner", "--a-plus", "1", "--a-minus", "1", "--x10", "1e6"], 2,
+     "numerical failure: no convergence after 200 iterations"),
+    (["spectrum", "{coarse}"], 1, "error: grid too coarse"),
+], ids=["solve-eps0.003", "solve-eps0.005", "inner-diverging", "spectrum-coarse-grid"])
+def test_failed_run_exit_code_and_no_out(tmp_path, capsys, coarse_profile, argv, code, message):
+    # a numerical failure exits 2 and an input error 1, by the class of the
+    # error; neither leaves the output directory behind
+    out = tmp_path / "out"
+    argv = [a.format(coarse=coarse_profile) for a in argv]
+    rc = cli.main([*argv, "--out", str(out), "--quiet"])
+    assert rc == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 def test_csv_round_trip_exact(solve_dir):

@@ -20,7 +20,7 @@ from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from orthowall import cli, connect, dynamics, frames, hermite, inner, ode, outer, verify
+from orthowall import cli, connect, dynamics, frames, hermite, inner, ode, outer, params, verify
 from orthowall.params import derive_params, working_scaling
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline_report.json"
@@ -156,20 +156,35 @@ def test_damped_newton_least_squares():
     assert np.allclose(x, [0.3, -0.7], rtol=0.0, atol=1e-14)
 
 
-def test_damped_newton_raising_trial_is_halved():
+@pytest.mark.parametrize("error", [
+    connect.RealizationError("outside the domain"),
+    inner.NonConvergence("fixed-point iteration diverging", [1.0, 2.5]),
+    params.DomainError("state off the growing branch of W=0"),
+    ValueError("boundary jet must be finite"),
+], ids=lambda e: type(e).__name__)
+def test_damped_newton_raising_trial_is_halved(error):
     # the Jacobian is half the true slope, so the full step lands on x = 2,
-    # where the residual raises; the half step reaches the root
+    # where the residual raises; a numerical failure fails the trial and the
+    # half step reaches the root, and any other error propagates
     trials = []
 
     def residual(x):
         trials.append(float(x[0]))
         if x[0] > 1.5:
-            raise connect.RealizationError("outside the domain")
+            raise error
         return x - 1.0, None
 
-    x, r, _, steps, _, status = connect._damped_newton(
-        residual, lambda x, r, aux: np.array([[0.5]]), np.array([0.0]),
-        tol=1e-12, max_iter=5, halvings=4)
+    def newton():
+        return connect._damped_newton(
+            residual, lambda x, r, aux: np.array([[0.5]]), np.array([0.0]),
+            tol=1e-12, max_iter=5, halvings=4)
+
+    if not isinstance(error, params.NumericalFailure):
+        with pytest.raises(type(error)) as raised:
+            newton()
+        assert raised.value is error and trials == [0.0, 2.0]
+        return
+    x, r, _, steps, _, status = newton()
     assert trials == [0.0, 2.0, 1.0]
     assert status == "converged" and steps == 1 and x[0] == 1.0
 
@@ -742,17 +757,31 @@ def _failing_match(scaling, u0):
     raise connect.MatchingError("injected", last_iterate=np.arange(4.0), jacobian=np.eye(4))
 
 
+def _subclasses(cls):
+    return {cls}.union(*map(_subclasses, cls.__subclasses__()))
+
+
 def test_stage1_errors_survive_pickling():
     # a forked stage 1 sends its error to the parent by pickle: each error
-    # stage 1 can raise comes back with its type, message and attributes
-    for exc in (connect.MatchingError("line search stalled", last_iterate=np.arange(4.0),
+    # stage 1 can raise, and every numerical failure, comes back with its
+    # type, message and attributes
+    failures = (connect.MatchingError("line search stalled", last_iterate=np.arange(4.0),
                                       jacobian=np.eye(4)),
                 inner.NonConvergence("fixed-point iteration diverging", [1.0, 2.5]),
+                params.NumericalFailure("no convergence"),
+                params.DomainError("amplitude outside the leaf table's range"),
+                ode.RealizationError("DOP853 step below 1e-12"),
+                verify.InsufficientTail("right window empty"),
+                frames.FrameDomainError("1 - (1+delta^2) B^2 <= 0"),
+                frames.FrameDegeneracyError("complex pairs lost"))
+    assert {type(exc) for exc in failures} == _subclasses(params.NumericalFailure)
+    for exc in (*failures,
                 inner.ContractionViolated("not contractive"),
                 np.linalg.LinAlgError("Singular matrix"),
                 ValueError("matching system singular")):
         copy = pickle.loads(pickle.dumps(exc))
         assert type(copy) is type(exc) and copy.args == exc.args
+        assert isinstance(copy, params.NumericalFailure) == (exc in failures)
         assert vars(copy).keys() == vars(exc).keys()
         for name, value in vars(exc).items():
             assert np.array_equal(getattr(copy, name), value), name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
-from orthowall import connect, dynamics, frames, integrate, ode, outer
+from orthowall import connect, dynamics, frames, integrate, ode, outer, params, verify
 from orthowall.params import derive_params, working_scaling
 
 
@@ -290,6 +290,33 @@ def test_one_process_mechanism():
                   and isinstance(node.value, ast.Name) and node.value.id == "os"
                   and file != "forked.py"]
     assert found == []
+
+
+def _subclasses(cls):
+    return {cls}.union(*map(_subclasses, cls.__subclasses__()))
+
+
+def _caught(file, function):
+    """The classes each except clause of ``function`` in ``file`` names, as
+    written: one list per clause."""
+    tree = dict(_package_trees())[file]
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [[ast.unparse(t) for t in (h.type.elts if isinstance(h.type, ast.Tuple) else [h.type])]
+            for h in ast.walk(fn) if isinstance(h, ast.ExceptHandler)]
+
+
+def test_numerical_failure_decided_by_class():
+    # what counts as a numerical failure is the type's decision: a Newton
+    # trial fails on NumericalFailure alone, and cli.main has one handler
+    # per exit code, neither naming a subclass, so no clause order decides
+    assert _caught("connect.py", "_damped_newton") == [["NumericalFailure"]]
+    handlers = _caught("cli.py", "main")
+    subclasses = _subclasses(params.NumericalFailure)
+    assert {params.DomainError, verify.InsufficientTail, connect.MatchingError} <= subclasses
+    numerical = {cls.__name__ for cls in subclasses}
+    assert len(handlers) == 2
+    assert [n for names in handlers for n in names if n.split(".")[-1] in numerical] == []
 
 
 def test_one_integration_module():
