@@ -4,9 +4,10 @@
 (flags win); a key the file may not name, or a value of the wrong type, is
 an input error.  The file chooses the orbit (eps, g, nu-/nu+) and its output
 grid; the solver's tolerances are constants of :mod:`ode`, :mod:`connect`
-and :mod:`inner`.  Exit codes: 0 success, 1 input error (a ``ValueError``),
-2 numerical failure (a ``RuntimeError``, as every ``NumericalFailure`` is, or
-a ``LinAlgError``).  Of the failed runs, only a sweep leaves its ``--out``.
+and :mod:`inner`.  Exit codes: 0 success, 1 input error (a ``ValueError``,
+or an ``OSError``, as for an ``--out`` that names a file), 2 numerical
+failure (a ``RuntimeError``, as every ``NumericalFailure`` is, or a
+``LinAlgError``).  Of the failed runs, only a sweep leaves its ``--out``.
 Runs are deterministic; no clock-dependent seeds exist anywhere.
 """
 
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
         # before ValueError: a NumericalFailure may be a ValueError too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,8 @@ every member (:func:`verify.solve_members`).  Its result fills only the
 profile's matching fields; no later stage reads it.  So a solve that is
 not handed a matching runs stage 1 in a :class:`forked.Forked` child while
 stages 2-5 run, where the process may use 2 CPUs or more, and inline
-otherwise or where the child cannot be forked.
+otherwise or where the child cannot be forked.  That child follows the one
+rule of every child, a sweep member's too: it runs where its parent may run.
 (2) The core geometry: a forward left core starts on the slow leaf deep in
 the slow region, with two fast parameters c that start at c = 0, the leaf
 itself.  The slow leaf is evaluated here, once per solve: on the nodes of
@@ -780,44 +781,11 @@ def _phase_fixed_profile(scaling: ScalingConfig, pc: _Pieces, profile_points: in
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask, or the machine's
-    count where the platform has no affinity call."""
+    count where the platform has no affinity call.  On one CPU a forked
+    stage 1 only shares it with stages 2-5, so it runs inline there."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _current_cpu() -> int | None:
-    """The CPU this process runs on, field 39 of ``/proc/self/stat``, or None
-    where the platform has no such file."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            return int(stat.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _leave_cpu(cpu: int | None) -> None:
-    """Move this process to the CPUs it may use other than ``cpu``, where it
-    can.  Where the scheduler is slow to balance load between CPUs, a
-    forked child can stay on its parent's CPU for the whole of stage 1, and
-    the two share it: on a 2-CPU VM the anchor solve took 62 ms inline,
-    71 ms with its child on the parent's CPU and 46 ms once the child had
-    moved."""
-    if cpu is None or not hasattr(os, "sched_setaffinity"):
-        return
-    others = os.sched_getaffinity(0) - {cpu}
-    if others:
-        try:
-            os.sched_setaffinity(0, others)
-        except OSError:
-            pass  # the child then shares its parent's CPU
-
-
-def _matching_off_cpu(parent: int, cpu: int | None, scaling: ScalingConfig) -> Matching:
-    """Stage 1, first moved off the ``parent``'s CPU unless it runs in the parent."""
-    if os.getpid() != parent:
-        _leave_cpu(cpu)
-    return solve_matching(scaling)
 
 
 def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
@@ -833,8 +801,9 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
     Without a ``matching``, stage 1 runs in a :class:`forked.Forked` child
     while this process runs stages 2-5, where it may use 2 CPUs or more,
     and here otherwise or where no child can be forked: the same bits.  The
-    child's :class:`Matching` or error crosses its pipe and is read before
-    the profile is built; one that dies without it is a :class:`MatchingError`.
+    child keeps this process's CPUs, as a sweep member does.  Its
+    :class:`Matching` or error crosses its pipe and is read before the
+    profile is built; one that dies without it is a :class:`MatchingError`.
     If a later stage raises, the solve still waits for stage 1 and raises its
     error, if any, as the serial order would; an interrupt kills the child."""
     if p.epsilon == 0.0:
@@ -849,8 +818,7 @@ def heteroclinic_solve(p: Params, cfg: SolveConfig | None = None,
                 f"the matching was solved at (a-, a+) = {matching.half_widths!r}, "
                 f"but this solve has {(scaling.a_minus, scaling.a_plus)!r}")
     elif _usable_cpus() >= 2:
-        child = forked.Forked(_matching_off_cpu, os.getpid(), _current_cpu(), scaling,
-                              lost=MatchingError)
+        child = forked.Forked(solve_matching, scaling, lost=MatchingError)
     else:
         matching = solve_matching(scaling)
     try:

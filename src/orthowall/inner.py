@@ -48,15 +48,10 @@ def contraction_constant(a_plus: float) -> float:
     return 2.0 * a_plus**5 / 3.0
 
 
-def assemble_boundary(side: str, tangent, a: float, k: float | None = None) -> np.ndarray:
-    """Boundary jet family at z = +a (side 'plus') or z = -a (side 'minus').
-
-    ``tangent`` holds the two family parameters; with ``k`` given their
-    norm is checked against the ball radius k.
-    """
+def assemble_boundary(side: str, tangent, a: float) -> np.ndarray:
+    """Boundary jet family at z = +a (side 'plus') or z = -a (side 'minus');
+    ``tangent`` holds the two family parameters."""
     t1, t2 = float(tangent[0]), float(tangent[1])
-    if k is not None and math.hypot(t1, t2) > k * (1.0 + 1e-12):
-        raise ValueError(f"|tangent| = {math.hypot(t1, t2):.4g} exceeds ball radius {k:.4g}")
     r2 = math.sqrt(2.0)
     if side == "plus":
         return np.array([
@@ -146,11 +141,8 @@ def _apply_volterra(z: np.ndarray, a_vals: np.ndarray, anchor_jet: np.ndarray
     h = z[1] - z[0]
     dz = z - z[-1]
     t0, t1, t2, t3 = _taylor_rows(dz, anchor_jet)
-    g = a_vals * (a_vals**2 + z)
-    i0 = _cumquad_right(g, h)
-    i1 = _cumquad_right(z * g, h)
-    i2 = _cumquad_right(z**2 * g, h)
-    i3 = _cumquad_right(z**3 * g, h)
+    i0, i1, i2, i3 = _cumquad_right(np.vstack([np.ones_like(z), z, z**2, z**3])
+                                    * (a_vals * (a_vals**2 + z)), h)
     a0 = t0 + (z**3 * i0 - 3.0 * z**2 * i1 + 3.0 * z * i2 - i3) / 6.0
     a1 = t1 + (z**2 * i0 - 2.0 * z * i1 + i2) / 2.0
     a2 = t2 - (i1 - z * i0)

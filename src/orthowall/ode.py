@@ -337,9 +337,9 @@ def _dop853(field, t0: float, t1: float, y0: np.ndarray, rtol,
     return y, _Steps(np.array(ts), np.array(ys), np.array(ks).reshape(-1, 13, n))
 
 
-def _shoot(s0, span, p: Params, rtol=ODE_RTOL, atol=ODE_ATOL) -> tuple[np.ndarray, _Steps]:
+def _shoot(s0, span, p: Params) -> tuple[np.ndarray, _Steps]:
     """Core shot over ``span``: the state at ``span[1]`` and the shot's steps."""
-    return _dop853(lambda y: dynamics.vector_field(y, p), span[0], span[1], s0, rtol, atol)
+    return _dop853(lambda y: dynamics.vector_field(y, p), *span, s0, ODE_RTOL, ODE_ATOL)
 
 
 def _step_tangents(steps: _Steps, d_seed: np.ndarray, p: Params) -> np.ndarray:

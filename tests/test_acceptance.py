@@ -38,8 +38,9 @@ def test_criterion_1_closed_form_matching():
 
 def test_criterion_2_inner_contraction():
     k1 = 0.05
-    fam = inner.assemble_boundary(
-        "plus", (k1 / math.sqrt(2.0), k1 / math.sqrt(2.0)), 1.0, k=k1)
+    tangent = (k1 / math.sqrt(2.0), k1 / math.sqrt(2.0))
+    assert math.hypot(*tangent) <= k1 * (1.0 + 1e-12)  # on the ball of radius k1
+    fam = inner.assemble_boundary("plus", tangent, 1.0)
     prob = inner.InnerProblem(a_minus=1.0, a_plus=1.0,
                               boundary_plus=tuple(fam), grid_points=2048)
     t0 = time.perf_counter()

@@ -100,6 +100,22 @@ def test_failed_run_exit_code_and_no_out(tmp_path, capsys, coarse_profile, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["sweep", "--epsilons", "0.2,0.1,0.05,0.025"],
+    ["inner", "--a-plus", "1", "--a-minus", "1"],
+], ids=["solve", "sweep", "inner"])
+def test_out_naming_a_file_is_an_input_error(tmp_path, capsys, argv):
+    # an --out that names a plain file exits 1 with an error line, not a
+    # traceback, and the file keeps its bytes
+    out = tmp_path / "afile"
+    out.write_bytes(b"kept\n")
+    rc = cli.main([*argv, "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.split()[0] == "error:"
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_csv_round_trip_exact(solve_dir):
     x, states, w = read_profile_csv(str(solve_dir / "profile.csv"))
     x2, states2, w2 = read_profile_csv(str(solve_dir / "profile.csv"))

@@ -718,8 +718,7 @@ def test_kernel_blow_up_raises_realization_error(p15):
     with pytest.raises(connect.RealizationError):
         ode._dop853(lambda y: y * y, 0.0, 2.0, np.array([1.0]), 1e-12, 1e-14)
     with pytest.raises(connect.RealizationError):
-        ode._shoot(np.array([3.0, 0.0, 0.0, 0.0, 0.5, 0.0]), (0.0, 50.0), p15,
-                   1e-12, 1e-14)
+        ode._shoot(np.array([3.0, 0.0, 0.0, 0.0, 0.5, 0.0]), (0.0, 50.0), p15)
     with pytest.raises(connect.RealizationError):
         ode._dop853(lambda y: y * y, 0.0, 1.0, np.array([np.inf]), 1e-12, 1e-14)
 
@@ -874,24 +873,6 @@ def test_failed_fork_solves_stage1_inline(monkeypatch, p15):
     assert prof.unknowns == inline.unknowns
 
 
-def test_failed_fork_keeps_the_parents_cpus(monkeypatch, p15):
-    # where the fork fails, stage 1 runs in the solving process itself,
-    # which keeps every CPU it may use: only a child moves off its parent's
-    monkeypatch.setattr(connect, "_usable_cpus", lambda: 2)
-    moves = []
-    monkeypatch.setattr(connect, "_leave_cpu", moves.append)
-
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    connect.heteroclinic_solve(p15)
-    assert moves == []
-    if allowed is not None:
-        assert os.sched_getaffinity(0) == allowed
-
-
 @pytest.mark.parametrize("g, eps", [(1.5, 0.1), (1.2, 0.02), (1.12, 0.25)])
 def test_forked_and_inline_stage1_agree(monkeypatch, fork_pids, g, eps):
     # the profile and its matching fields, bit for bit, whether stage 1 ran
@@ -922,28 +903,6 @@ def test_stage1_stays_inline_beside_other_threads(monkeypatch, profile15, fork_p
     for name in ("x", "states", "w", "matching_jacobian"):
         assert np.array_equal(getattr(prof, name), getattr(inline, name)), name
     assert prof.unknowns == inline.unknowns
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity call")
-def test_child_leaves_the_parents_cpu():
-    # the child of a solve moves to the CPUs it may use other than its
-    # parent's, where there are any
-    cpu = connect._current_cpu()
-    allowed = os.sched_getaffinity(0)
-    assert cpu in allowed
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            connect._leave_cpu(cpu)
-            os.write(write_fd, json.dumps(sorted(os.sched_getaffinity(0))).encode())
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
-        got = json.loads(pipe.read())
-    os.waitpid(pid, 0)
-    assert got == sorted(allowed - {cpu} or allowed)
 
 
 @pytest.mark.parametrize("g, eps", [(1.19109, 0.199994), (1.19254, 0.0987172)])

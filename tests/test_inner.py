@@ -46,8 +46,6 @@ def test_assemble_boundary_examples():
     fam = inner.assemble_boundary("minus", (0.0, 0.0), a_m)
     assert fam == pytest.approx([math.sqrt(a_m), 0.0, 0.0, 0.0], abs=1e-15)
     with pytest.raises(ValueError):
-        inner.assemble_boundary("plus", (0.2, 0.0), 1.0, k=0.05)
-    with pytest.raises(ValueError):
         inner.assemble_boundary("sideways", (0.0, 0.0), 1.0)
 
 
@@ -116,6 +114,47 @@ def test_picard_sweep_matches_volterra_reference(monkeypatch, sweep):
     ref_jets, ref_deltas = _volterra_sweep_reference(*calls[sweep])
     assert np.array_equal(jets, ref_jets)
     assert deltas == ref_deltas
+
+
+def _apply_volterra_by_rows(z, a_vals, anchor_jet):
+    # the Volterra operator with one 1-D quadrature per moment integral,
+    # kept as the reference for the stacked quadrature of _apply_volterra
+    h = z[1] - z[0]
+    t0, t1, t2, t3 = inner._taylor_rows(z - z[-1], anchor_jet)
+    g = a_vals * (a_vals**2 + z)
+    i0 = ode._cumquad_right(g, h)
+    i1 = ode._cumquad_right(z * g, h)
+    i2 = ode._cumquad_right(z**2 * g, h)
+    i3 = ode._cumquad_right(z**3 * g, h)
+    return (t0 + (z**3 * i0 - 3.0 * z**2 * i1 + 3.0 * z * i2 - i3) / 6.0,
+            t1 + (z**2 * i0 - 2.0 * z * i1 + i2) / 2.0,
+            t2 - (i1 - z * i0),
+            t3 + i0)
+
+
+def _single_sweep_problem() -> inner.InnerProblem:
+    fam = inner.assemble_boundary("plus", (0.03, 0.02), 1.0)
+    return inner.InnerProblem(0.3, 1.0, tuple(fam))
+
+
+@pytest.mark.parametrize("problem", [_single_sweep_problem, _cascade_problem],
+                         ids=["single-sweep", "multi-segment"])
+def test_apply_volterra_matches_per_row_reference(monkeypatch, problem):
+    # every jet the solve and its residual form, bit for bit
+    calls = []
+    apply = inner._apply_volterra
+
+    def recorded(z, a_vals, anchor_jet):
+        calls.append(((z, a_vals, anchor_jet), apply(z, a_vals, anchor_jet)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(inner, "_apply_volterra", recorded)
+    sol = inner.solve_inner(problem())
+    inner.inner_residual(sol)
+    assert len(calls) == len(sol.segments) + 1
+    for args, jets in calls:
+        for row, ref in zip(jets, _apply_volterra_by_rows(*args), strict=True):
+            assert np.array_equal(row, ref)
 
 
 def test_cumquad_right_stacked_rows():

@@ -26,8 +26,10 @@ def shot(s0, span, p, **kw):
 
 
 def kernel_shot(s0, span, p, rtol=1e-10, atol=1e-12):
-    """The program's core shot: the accepted steps of ``ode._shoot``."""
-    return ode._shoot(np.asarray(s0, dtype=float), span, p, rtol, atol)[1]
+    """A core shot at the given tolerances: the accepted steps of the
+    program's one kernel, ``ode._dop853``."""
+    return ode._dop853(lambda y: dynamics.vector_field(y, p), *span,
+                       np.asarray(s0, dtype=float), rtol, atol)[1]
 
 
 def w_of(states, p):
@@ -121,7 +123,7 @@ def test_backward_return(p):
 def test_blowup_reports_error(p):
     s0 = np.array([0, 0, 0, 0, 2.0, 1.0])
     with pytest.raises(connect.RealizationError):
-        ode._shoot(s0, (0.0, 500.0), p, 1e-10, 1e-12)
+        kernel_shot(s0, (0.0, 500.0), p)
 
 
 def test_csv_round_trip(tmp_path, p):
@@ -280,15 +282,27 @@ def test_one_integration_path():
 def test_one_process_mechanism():
     # every child process is a forked.Forked: no module of the package
     # imports multiprocessing or concurrent.futures, not even inside a
-    # function, and only forked.py names os.fork
+    # function
     found = [f"{file}:{line} {name}" for file, line, name in _package_imports()
              if name.split(".")[0] == "multiprocessing"
-             or (name + ".").startswith("concurrent.futures.") or name == "os.fork"]
+             or (name + ".").startswith("concurrent.futures.")]
+    assert found == []
+
+
+def test_every_child_follows_one_rule():
+    # only forked.py calls os.fork, and no module sets a CPU affinity or
+    # opens a /proc file: every child runs where its parent may run
+    found = [f"{file}:{line} {name}" for file, line, name in _package_imports()
+             if name in ("os.fork", "os.sched_setaffinity")]
     for file, tree in _package_trees():
-        found += [f"{file}:{node.lineno} os.fork" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "fork"
-                  and isinstance(node.value, ast.Name) and node.value.id == "os"
-                  and file != "forked.py"]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and (node.attr == "sched_setaffinity" or (
+                        node.attr == "fork" and file != "forked.py"))):
+                found.append(f"{file}:{node.lineno} os.{node.attr}")
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.startswith("/proc")):
+                found.append(f"{file}:{node.lineno} {node.value}")
     assert found == []
 
 

@@ -297,11 +297,26 @@ def test_interrupted_sweep_kills_every_member_child(monkeypatch, fork_pids):
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call")
 def test_member_child_keeps_the_parents_cpus(monkeypatch, fork_pids):
-    # only a solve's stage-1 child leaves its parent's CPU: two members
-    # moved off it on a 2-CPU host would share the one CPU left
+    # a member's child runs where its parent may run: two members moved
+    # off the parent's CPU on a 2-CPU host would share the one CPU left
     monkeypatch.setattr(verify, "solve_member", lambda g, eps, *args: {
         "epsilon": eps, "cpus": sorted(os.sched_getaffinity(0))})
     g, eps_list = _README_SWEEP
     rows, excluded = verify.solve_members(g, eps_list, workers=2)
     assert [r["cpus"] for r in rows] == [sorted(os.sched_getaffinity(0))] * len(eps_list)
     assert len(fork_pids) == len(eps_list) and not excluded
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call")
+def test_stage1_child_keeps_the_parents_cpus(monkeypatch, fork_pids):
+    # a solve's stage-1 child follows the same rule as a member's: its
+    # error carries the CPUs it could run on, and they are its parent's
+    def report_cpus(scaling):
+        raise connect.MatchingError("cpus", last_iterate=sorted(os.sched_getaffinity(0)))
+
+    monkeypatch.setattr(connect, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(connect, "solve_matching", report_cpus)
+    with pytest.raises(connect.MatchingError) as err:
+        connect.heteroclinic_solve(derive_params(0.1, 1.5))
+    assert len(fork_pids) == 1
+    assert err.value.last_iterate == sorted(os.sched_getaffinity(0))
