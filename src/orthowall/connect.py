@@ -7,7 +7,7 @@ jet at the left end is equated to the unstable-side boundary family (seeded
 by the closed-form solution of the pure equating system).  The whole stage
 is eps-free: it reads only the half-widths (a-, a+), which g and nu+-
 fix, so an eps sweep solves it once and hands the :class:`Matching` to
-every member (:func:`verify.solve_members`).  Its result fills only the
+every member (:func:`verify.scaling_sweep`).  Its result fills only the
 profile's matching fields; no later stage reads it.  So a solve that is
 not handed a matching runs stage 1 in a :class:`forked.Forked` child while
 stages 2-5 run, where the process may use 2 CPUs or more, and inline
@@ -159,18 +159,18 @@ def boundary_map(u, scaling: ScalingConfig) -> np.ndarray:
     return _unstable_mismatch(u, _left_jet(u, scaling), scaling)
 
 
-def _match_jacobian(u, r, left_jet, scaling: ScalingConfig, step: float = 1e-7) -> np.ndarray:
+def _match_jacobian(u, r, left_jet, scaling: ScalingConfig) -> np.ndarray:
     """Forward-difference Jacobian of :func:`boundary_map` at ``u``, where it
-    is ``r`` with layer jet ``left_jet``.  The (x1u, x2u) columns move only
-    the unstable family, so they reuse ``left_jet``; the (x10s, x20s) columns
-    solve the layer problem again."""
+    is ``r`` with layer jet ``left_jet``: step 1e-7.  The (x1u, x2u) columns
+    move only the unstable family, so they reuse ``left_jet``; the (x10s,
+    x20s) columns solve the layer problem again."""
     J = np.empty((r.size, u.size))
     for j in range(u.size):
         up = u.copy()
-        up[j] += step
+        up[j] += 1e-7
         r_up = (_unstable_mismatch(up, left_jet, scaling) if j < 2
                 else boundary_map(up, scaling))
-        J[:, j] = (r_up - r) / step
+        J[:, j] = (r_up - r) / 1e-7
     return J
 
 
@@ -213,7 +213,7 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, halvings):
 
 class Matching(NamedTuple):
     """A solved matching: the unknowns, the Newton record ``info``
-    (iterations, residual, jacobian, converged) and the half-widths
+    (iterations, residual, jacobian) and the half-widths
     (a-, a+) it was solved at, which are all of the scaling it reads."""
 
     unknowns: MatchingUnknowns
@@ -242,7 +242,7 @@ def newton_match(scaling: ScalingConfig, u0) -> Matching:
             last_iterate=u, jacobian=J,
         )
     info = {"iterations": iterations, "residual": float(np.abs(r).max()),
-            "jacobian": _match_jacobian(u, r, jet, scaling), "converged": True}
+            "jacobian": _match_jacobian(u, r, jet, scaling)}
     return Matching(MatchingUnknowns.from_array(u), info, (scaling.a_minus, scaling.a_plus))
 
 

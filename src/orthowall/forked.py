@@ -18,8 +18,10 @@ def _outcome(fn, args) -> tuple:
 class Forked:
     """``fn(*args)`` in a forked child (a solve's stage 1, a sweep member),
     which sends ``(True, value)`` or ``(False, exception)`` pickled through a
-    pipe and leaves by ``os._exit``: no stdio flush, no exit hook.  A child
-    that exits without a result is a ``lost`` error naming its wait status.
+    pipe and leaves by ``os._exit``: no stdio flush, no exit hook.  Every
+    error the package defines pickles with its attributes, so it crosses
+    whole.  A child that exits without a result, as where its exception or
+    value does not pickle, is a ``lost`` error naming its wait status.
     ``fn`` runs here, at once, where the process runs another thread (a
     fork copies only the calling thread), where there is no fork, or where
     ``os.pipe`` or ``os.fork`` raises ``OSError``."""

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from .ode import _cumquad_right
-from .params import Params
+from .params import Params, _reduce_without_init
 
 
 # ARPACK's relative accuracy for the Ritz values of the shift-invert
@@ -46,6 +46,8 @@ class GridError(ValueError):
 
 
 class SolvabilityError(ValueError):
+    __reduce__ = _reduce_without_init
+
     def __init__(self, message: str, defect: float):
         super().__init__(message)
         self.defect = defect

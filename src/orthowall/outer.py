@@ -48,8 +48,8 @@ def _leaf_b1_principal(b0, p: Params):
 _FD_STEP = 3e-3
 
 
-def _fd(fn, b, h=_FD_STEP):
-    return (fn(b + h) - fn(b - h)) / (2.0 * h)
+def _fd(fn, b):
+    return (fn(b + _FD_STEP) - fn(b - _FD_STEP)) / (2.0 * _FD_STEP)
 
 
 def _memoized(memo: dict, tag, fn):

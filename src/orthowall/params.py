@@ -23,8 +23,17 @@ NU_MINUS_COEFF = 1.0 / 84.33
 NU_PLUS_UPPER = math.sqrt(2.0) / 3.0
 
 
+def _reduce_without_init(exc):
+    """The ``__reduce__`` of the package's errors: rebuilt without
+    ``__init__``, whose arguments need not be ``args``, so that an error
+    with its attributes crosses a pipe whole."""
+    return type(exc).__new__, (type(exc), *exc.args), vars(exc)
+
+
 class AdmissibilityError(ValueError):
     """A parameter violates one named admissibility inequality."""
+
+    __reduce__ = _reduce_without_init
 
     def __init__(self, name: str, message: str):
         self.name = name
@@ -35,9 +44,7 @@ class NumericalFailure(RuntimeError):
     """Admissible input whose numbers failed: the CLI exits 2 on it, and a
     damped Newton trial that raises it fails."""
 
-    def __reduce__(self):
-        # rebuilt without __init__, so that every subclass crosses a pipe
-        return type(self).__new__, (type(self), *self.args), vars(self)
+    __reduce__ = _reduce_without_init
 
 
 class DomainError(NumericalFailure, ValueError):
@@ -122,9 +129,9 @@ class ScalingConfig:
     a_plus: float
     x_star: float
     x_star_plus: float
-    violations: tuple[str, ...] = ()
-    epsilon: float = 0.0
-    delta: float = 0.0
+    violations: tuple[str, ...]
+    epsilon: float
+    delta: float
 
     @property
     def supported(self) -> bool:

@@ -264,94 +264,45 @@ def fit_slopes(rows) -> tuple[float, float]:
 
 def solve_member(g: float, eps: float, solve_cfg: connect.SolveConfig | None = None,
                  out_dir=None, matching: connect.Matching | None = None) -> dict:
-    """Solve one sweep member; never raises.
+    """Solve one sweep member: its scaling row ``{epsilon, a0_at_zero,
+    corner_half_width, b0_at_zero}``.
 
-    Returns the scaling row ``{epsilon, a0_at_zero, corner_half_width,
-    b0_at_zero}``, or ``{epsilon, error}`` with the error text when the solve
-    or the writing of its files fails.  With ``out_dir`` the member also
-    writes ``eps_{eps:g}/profile.csv`` and ``report.json`` there.
-    ``matching`` goes to :func:`connect.heteroclinic_solve`: the sweep's
-    shared stage 1, or None to solve it here.  Only this dict crosses a
-    forked member's pipe: errors are caught and files written in the child,
-    as an exception may not unpickle (``AdmissibilityError`` takes two
-    arguments) and a pickled profile carries its stacked dense core and
-    tail interpolants (0.80 MB at g=1.5, eps=0.1).
+    With ``out_dir`` the member also writes ``eps_{eps:g}/profile.csv`` and
+    ``report.json`` there.  ``matching`` goes to
+    :func:`connect.heteroclinic_solve`: the sweep's shared stage 1, or None
+    to solve it here.  An error of the solve or of the writing is raised.
+    A forked member sends its row or its error through the pipe, and writes
+    its files in the child, as a pickled profile carries its stacked dense
+    core and tail interpolants (0.80 MB at g=1.5, eps=0.1).
     """
-    try:
-        prof = connect.heteroclinic_solve(derive_params(eps, g), solve_cfg, matching)
-        if out_dir is not None:
-            sub = Path(out_dir) / f"eps_{eps:g}"
-            sub.mkdir(exist_ok=True)
-            prof.to_csv(str(sub / "profile.csv"))
-            write_json(sub / "report.json", prof.report())
-        return {
-            "epsilon": eps,
-            "a0_at_zero": prof.a0_at_zero,
-            "corner_half_width": abs(prof.x_star_left),
-            "b0_at_zero": prof.b0_at_zero,
-        }
-    except Exception as exc:  # noqa: BLE001 - recorded per member
-        return {"epsilon": eps, "error": str(exc)}
+    prof = connect.heteroclinic_solve(derive_params(eps, g), solve_cfg, matching)
+    if out_dir is not None:
+        sub = Path(out_dir) / f"eps_{eps:g}"
+        sub.mkdir(exist_ok=True)
+        prof.to_csv(str(sub / "profile.csv"))
+        write_json(sub / "report.json", prof.report())
+    return {
+        "epsilon": eps,
+        "a0_at_zero": prof.a0_at_zero,
+        "corner_half_width": abs(prof.x_star_left),
+        "b0_at_zero": prof.b0_at_zero,
+    }
 
 
 def _shared_matching(g: float, members,
                      solve_cfg: connect.SolveConfig | None) -> connect.Matching | None:
-    """Stage 1 of the sweep, solved at the scaling of the first member whose
-    working scaling builds: it reads only (a-, a+), which every member
-    shares.  None when no member's scaling builds or stage 1 raises; each
-    member then solves stage 1 itself and records its own error."""
+    """Stage 1 of the sweep, solved at the scaling of the smallest eps: it
+    reads only (a-, a+), which every member shares.  Save for nu+- that
+    fail every member alike, a working scaling fails only where alpha+-
+    delta >= 0.95, and alpha+- rises with eps, so no member's builds where
+    the smallest's does not.  None when it does not build or stage 1 raises; each member then
+    solves stage 1 itself and records its own error."""
     cfg = solve_cfg or connect.SolveConfig()
-    for eps in members:
-        try:
-            scaling = working_scaling(derive_params(eps, g), cfg.nu_minus, cfg.nu_plus)
-        except ValueError:
-            continue
-        try:
-            return connect.solve_matching(scaling)
-        except Exception:  # noqa: BLE001 - raised again, and recorded, per member
-            return None
-    return None
-
-
-def solve_members(g: float, eps_list, solve_cfg: connect.SolveConfig | None = None,
-                  workers: int = 1, out_dir=None) -> tuple[list[dict], list[dict]]:
-    """Run :func:`solve_member` for each eps; returns ``(rows, excluded)``.
-
-    Both lists follow the sorted eps order.  Stage 1 of the solve, the
-    matching, is eps-free (:func:`connect.solve_matching`), so it is solved
-    once here, before any fork, and handed to every member as an argument;
-    a member's files and row are byte for byte those of its own cold solve.
-    With ``workers > 1`` each member runs in a :class:`forked.Forked` child,
-    at most ``workers`` at once, and sends its record back, byte for byte a
-    serial run's.  A child that dies is its member's error alone, naming
-    its wait status; where no child can be made, as in a process that runs
-    another thread, the member is solved here; an interrupt kills every
-    child.  ``workers`` below 1 is a ``ValueError``.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    members = sorted(eps_list)
-    matching = _shared_matching(g, members, solve_cfg)
-    if workers == 1:
-        records = [solve_member(g, eps, solve_cfg, out_dir, matching) for eps in members]
-    else:
-        records, children = [], []
-        try:
-            while len(records) < len(members):
-                if len(children) < min(len(records) + workers, len(members)):
-                    children.append(forked.Forked(solve_member, g, members[len(children)],
-                                                  solve_cfg, out_dir, matching))
-                    continue
-                try:  # the oldest member still running
-                    records.append(children[len(records)].result())
-                except Exception as exc:  # noqa: BLE001 - its child died: its error alone
-                    records.append({"epsilon": members[len(records)], "error": str(exc)})
-        finally:
-            for child in children:
-                child.kill()
-    rows = [r for r in records if "error" not in r]
-    excluded = [r for r in records if "error" in r]
-    return rows, excluded
+    try:
+        return connect.solve_matching(
+            working_scaling(derive_params(members[0], g), cfg.nu_minus, cfg.nu_plus))
+    except Exception:  # noqa: BLE001 - raised again, and recorded, per member
+        return None
 
 
 def check_sweep_members(g: float, eps_list) -> None:
@@ -376,16 +327,41 @@ def scaling_sweep(g: float, eps_list, solve_cfg: connect.SolveConfig | None = No
     The corner half-width is the refined left-junction distance |x*| of the
     phase-fixed profile (the right-junction crossing is polluted at desk
     scale by the slower-decaying flow corrections on that side).  The
-    members pass :func:`check_sweep_members` before any is solved.  They are
-    solved by :func:`solve_members` (``workers`` and ``out_dir`` go there),
-    which solves the eps-free matching once for all of them; ``rows`` and
-    ``excluded`` hold its records, byte for byte those of cold solves, and
-    ``slope_a0`` and ``slope_width`` (:func:`fit_slopes`) are present when
-    at least 2 members converged.
+    members pass :func:`check_sweep_members`, and ``workers`` below 1 is a
+    ``ValueError``, before any is solved.  Stage 1 of the solve, the
+    matching, is eps-free (:func:`connect.solve_matching`), so it is solved
+    once here, before any fork, and handed to every member.  Each member is
+    a :func:`solve_member`, in the sorted eps order: here with ``workers =
+    1``, else in a :class:`forked.Forked` child, at most ``workers`` at
+    once.  A member's row goes to ``rows``; its error, raised here, sent
+    back by its child, or the ``lost`` error of a child that exited without
+    a result, goes to ``excluded`` as ``{epsilon, error}`` with the error's
+    text, and costs no other member.  Rows and files are byte for byte
+    those of cold solves, whatever ``workers``; where no child can be made,
+    as in a process that runs another thread, the member is solved here; an
+    interrupt kills every child.  ``slope_a0`` and ``slope_width``
+    (:func:`fit_slopes`) are present when at least 2 members converged.
     """
     check_sweep_members(g, eps_list)
-    rows, excluded = solve_members(g, eps_list, solve_cfg, workers, out_dir)
-    scaling = {"rows": rows, "excluded": excluded}
-    if len(rows) >= 2:
-        scaling["slope_a0"], scaling["slope_width"] = fit_slopes(rows)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    members = sorted(eps_list)
+    matching = _shared_matching(g, members, solve_cfg)
+    scaling = {"rows": [], "excluded": []}
+    children = []
+    try:
+        for i, eps in enumerate(members):
+            if workers > 1:  # keep ``workers`` members running
+                children += [forked.Forked(solve_member, g, e, solve_cfg, out_dir, matching)
+                             for e in members[len(children):i + workers]]
+            try:
+                scaling["rows"].append(children[i].result() if children else
+                                       solve_member(g, eps, solve_cfg, out_dir, matching))
+            except Exception as exc:  # noqa: BLE001 - this member's error alone
+                scaling["excluded"].append({"epsilon": eps, "error": str(exc)})
+    finally:
+        for child in children:
+            child.kill()
+    if len(scaling["rows"]) >= 2:
+        scaling["slope_a0"], scaling["slope_width"] = fit_slopes(scaling["rows"])
     return scaling

@@ -333,6 +333,15 @@ def test_numerical_failure_decided_by_class():
     assert [n for names in handlers for n in names if n.split(".")[-1] in numerical] == []
 
 
+def test_one_sweep_driver():
+    # a member's failure is recorded in one place: solve_member raises, and
+    # the one handler of scaling_sweep records the error, raised here or
+    # sent back by the member's child; no second driver sits below it
+    assert _caught("verify.py", "solve_member") == []
+    assert len(_caught("verify.py", "scaling_sweep")) == 1
+    assert not hasattr(verify, "solve_members")
+
+
 def test_one_integration_module():
     # the DOP853 method lives in ode.py alone: no other module of the
     # package holds a coefficient of scipy's DOP853 tableau as a literal,

@@ -5,9 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from orthowall import connect, inner, verify
+from orthowall import connect, forked, inner, verify
 from orthowall.integrate import write_json
-from orthowall.params import derive_params
+from orthowall.params import AdmissibilityError, derive_params
 
 def test_fit_plain_rate():
     x = np.linspace(0.0, 30.0, 400)
@@ -138,6 +138,28 @@ def test_scaling_study_excludes_failures(member_fault):
     assert fits[1] == fits[2]
 
 
+def test_member_error_crosses_the_pipe_whole(monkeypatch, fork_pids):
+    # a member's child sends its error itself, not its text: an
+    # AdmissibilityError, whose __init__ takes (name, message), comes back
+    # with its name, and a sweep records its "name: message" text whether
+    # the member ran here or in a forked worker
+    solve = connect.heteroclinic_solve
+
+    def inadmissible(p, *args, **kwargs):
+        if p.epsilon == 0.15:
+            raise AdmissibilityError("slow_range", "injected")
+        return solve(p, *args, **kwargs)
+
+    monkeypatch.setattr(connect, "heteroclinic_solve", inadmissible)
+    with pytest.raises(AdmissibilityError) as err:
+        forked.Forked(verify.solve_member, 1.5, 0.15).result()
+    assert err.value.name == "slow_range" and len(fork_pids) == 1
+    excluded = {workers: verify.scaling_sweep(1.5, [0.2, 0.1, 0.05, 0.025, 0.15],
+                                              workers=workers)["excluded"]
+                for workers in (1, 2)}
+    assert excluded[1] == excluded[2] == [{"epsilon": 0.15, "error": "slow_range: injected"}]
+
+
 _README_SWEEP = (1.5, [0.2, 0.1, 0.05, 0.025])
 
 
@@ -198,9 +220,8 @@ def test_library_sweep_rejects_workers_below_one(monkeypatch, workers):
     monkeypatch.setattr(connect, "heteroclinic_solve", unsolved)
     monkeypatch.setattr(connect, "solve_matching", unsolved)
     g, eps_list = _README_SWEEP
-    for sweep in (verify.solve_members, verify.scaling_sweep):
-        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
-            sweep(g, eps_list, workers=workers)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        verify.scaling_sweep(g, eps_list, workers=workers)
 
 
 def test_sweep_layer_solve_guard(monkeypatch):
@@ -242,10 +263,10 @@ def test_dead_member_child_costs_only_that_member(monkeypatch, fork_pids):
         return solve(p, *args, **kwargs)
 
     monkeypatch.setattr(connect, "heteroclinic_solve", dying)
-    rows, excluded = verify.solve_members(1.5, [0.2, 0.1, 0.05, 0.025, 0.15], workers=2)
-    assert [r["epsilon"] for r in rows] == [0.025, 0.05, 0.1, 0.2]
-    assert [r["epsilon"] for r in excluded] == [0.15]
-    assert "wait status 768" in excluded[0]["error"]
+    fit = verify.scaling_sweep(1.5, [0.2, 0.1, 0.05, 0.025, 0.15], workers=2)
+    assert [r["epsilon"] for r in fit["rows"]] == [0.025, 0.05, 0.1, 0.2]
+    assert [r["epsilon"] for r in fit["excluded"]] == [0.15]
+    assert "wait status 768" in fit["excluded"][0]["error"]
     assert len(fork_pids) == 5 and _all_reaped(fork_pids)
 
 
@@ -253,14 +274,14 @@ def test_sweep_without_a_process_to_spare_solves_here(monkeypatch):
     # a fork that fails leaves each member to this process: the records of
     # a serial sweep, and no descriptor left open
     g, eps_list = _README_SWEEP
-    serial = verify.solve_members(g, eps_list, workers=1)
+    serial = verify.scaling_sweep(g, eps_list, workers=1)
 
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
     fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-    assert verify.solve_members(g, eps_list, workers=2) == serial
+    assert verify.scaling_sweep(g, eps_list, workers=2) == serial
     if fds is not None:
         assert len(os.listdir("/proc/self/fd")) == fds
 
@@ -269,8 +290,8 @@ def test_sweep_beside_another_thread_forks_nothing(fork_pids, other_thread):
     # a fork copies only the calling thread, so beside another thread each
     # member is solved here: no child, and the records of a serial sweep
     g, eps_list = _README_SWEEP
-    serial = verify.solve_members(g, eps_list, workers=1)
-    assert verify.solve_members(g, eps_list, workers=2) == serial
+    serial = verify.scaling_sweep(g, eps_list, workers=1)
+    assert verify.scaling_sweep(g, eps_list, workers=2) == serial
     assert fork_pids == []
 
 
@@ -287,7 +308,7 @@ def test_interrupted_sweep_kills_every_member_child(monkeypatch, fork_pids):
     t0 = time.perf_counter()
     try:
         with pytest.raises(KeyboardInterrupt):
-            verify.solve_members(*_README_SWEEP, workers=2)
+            verify.scaling_sweep(*_README_SWEEP, workers=2)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
@@ -300,11 +321,12 @@ def test_member_child_keeps_the_parents_cpus(monkeypatch, fork_pids):
     # a member's child runs where its parent may run: two members moved
     # off the parent's CPU on a 2-CPU host would share the one CPU left
     monkeypatch.setattr(verify, "solve_member", lambda g, eps, *args: {
-        "epsilon": eps, "cpus": sorted(os.sched_getaffinity(0))})
+        "epsilon": eps, "a0_at_zero": eps**0.4, "corner_half_width": eps**-0.2,
+        "b0_at_zero": 0.8, "cpus": sorted(os.sched_getaffinity(0))})
     g, eps_list = _README_SWEEP
-    rows, excluded = verify.solve_members(g, eps_list, workers=2)
-    assert [r["cpus"] for r in rows] == [sorted(os.sched_getaffinity(0))] * len(eps_list)
-    assert len(fork_pids) == len(eps_list) and not excluded
+    fit = verify.scaling_sweep(g, eps_list, workers=2)
+    assert [r["cpus"] for r in fit["rows"]] == [sorted(os.sched_getaffinity(0))] * len(eps_list)
+    assert len(fork_pids) == len(eps_list) and not fit["excluded"]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call")
